@@ -425,8 +425,9 @@ type Engine struct {
 	// default parallel-call overhead.
 	Pool *parallel.Pool
 	// Model configures GP fitting. Zero values select defaults
-	// (Matérn-5/2, fitted noise, 2 restarts, subset cap 256). Ignored
-	// when Factory is set or the Strategy implements ModelProvider.
+	// (Matérn-5/2, fitted noise, 1 restart, MaxIter 15, subset cap 128,
+	// refit every 3rd cycle). Ignored when Factory is set or the
+	// Strategy implements ModelProvider.
 	Model ModelConfig
 	// Factory overrides the engine-side surrogate fit (default: the
 	// paper's GP with the Model schedule). Ignored when the Strategy
@@ -446,7 +447,7 @@ type ModelConfig struct {
 	MaxIter      int
 	FitSubsetMax int
 	// RefitEvery re-optimizes hyperparameters every k-th cycle; the other
-	// cycles only re-factorize with the data appended (default 2). Set 1
+	// cycles only re-factorize with the data appended (default 3). Set 1
 	// to optimize every cycle.
 	RefitEvery int
 }

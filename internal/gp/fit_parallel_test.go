@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fp"
 	"repro/internal/mat"
-	"repro/internal/rng"
 )
 
 // fitWorkspaceFor builds a fit workspace sized for evaluating the
@@ -193,46 +192,5 @@ func TestFitWorkspaceReuseBitIdentity(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("reused workspace grad[%d] = %v, fresh %v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestFantasyChainSharesPrefix pins tentpole (c): a Kriging-Believer
-// fantasy chain must pay for ONE transpose-cache build — the root's —
-// with every link (child, grandchild, ...) sharing the root's packed
-// prefix object instead of building an O(n²) cache of its own. After Fit
-// the root factor has already served its alpha solve, so the first
-// extension is what crosses the trigger and builds the root cache.
-func TestFantasyChainSharesPrefix(t *testing.T) {
-	X, y, cfg := benchData(40)
-	g, err := Fit(X, y, cfg)
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	stream := rng.New(11, 3)
-	lo := make([]float64, g.Dim())
-	hi := make([]float64, g.Dim())
-	for i := range hi {
-		hi[i] = 1
-	}
-
-	cur := g
-	for step := 0; step < 3; step++ {
-		x := stream.UniformVec(lo, hi)
-		mu, sd := cur.Predict(x)
-		if math.IsNaN(mu) || math.IsNaN(sd) {
-			t.Fatalf("step %d: chain prediction NaN", step)
-		}
-		fg, err := cur.Fantasize(x, mu)
-		if err != nil {
-			t.Fatalf("Fantasize step %d: %v", step, err)
-		}
-		next := fg.(*GP)
-		if !next.chol.SharesTransposeCache(g.chol) {
-			t.Fatalf("fantasy step %d did not inherit the root transpose cache", step)
-		}
-		cur = next
-	}
-	if !g.chol.HasTransposeCache() {
-		t.Fatal("root factor never built its cache")
 	}
 }

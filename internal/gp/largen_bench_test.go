@@ -13,7 +13,7 @@ import (
 // large-n items bite. Fitting a real 4096-point GP would cost an O(n³)
 // factorization per bench process, so the model is assembled directly
 // from a synthetic well-conditioned lower factor via CholeskyFromLower —
-// the prediction hot path (k★ fill, triangular solves, Extend) has the
+// the prediction hot path (k★ fill, triangular solves, ExtendCols) has the
 // same cost structure either way.
 
 const (

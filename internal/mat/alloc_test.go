@@ -29,10 +29,6 @@ func TestSolveIntoAllocs(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, n)
-	// Two warm solves: the first marks the factor as solved, the second
-	// builds the transposed-layout cache. Steady state is alloc-free.
-	c.SolveVecInto(dst, b)
-	c.SolveVecInto(dst, b)
 
 	if got := testing.AllocsPerRun(100, func() {
 		c.ForwardSolveVecInto(dst, b)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fp"
 	"repro/internal/parallel"
@@ -21,50 +19,23 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 // holds: n·(n+1)/2.
 func packedLen(n int) int { return n * (n + 1) / 2 }
 
-// rowOffset is the start of packed row i: i·(i+1)/2. Row i holds the i+1
-// entries L[i][0..i].
-func rowOffset(i int) int { return i * (i + 1) / 2 }
-
-// colOffset is the start of packed column k inside a column-major prefix of
-// order np: k·np − k·(k−1)/2. Column k holds the np−k entries L[k..np)[k].
-func colOffset(k, np int) int { return k*np - k*(k-1)/2 }
-
-// ltPrefix is a packed column-major copy of the leading np×np block of a
-// lower-triangular factor: column k occupies data[colOffset(k,np) :
-// colOffset(k,np)+np−k] and holds L[k..np)[k]. A prefix is immutable once
-// published and position-independent — any factor whose leading np rows
-// equal the prefix owner's can consume it, which is what lets a
-// Kriging-Believer fantasy chain share the root factor's cache (Extend
-// propagates the pointer) instead of paying one O(n²) build per link.
-type ltPrefix struct {
-	np   int
-	data []float64
-}
+// colOffset is the start of packed column k of a factor of order n:
+// k·n − k·(k−1)/2. Column k holds the n−k entries L[k..n)[k].
+func colOffset(k, n int) int { return k*n - k*(k-1)/2 }
 
 // Cholesky holds a lower-triangular Cholesky factor L with A = L·Lᵀ in
-// packed row-major storage: row i occupies l[rowOffset(i) : rowOffset(i)+i+1].
-// A factor therefore costs n·(n+1)/2 floats instead of the n² a dense
-// triangle wastes half of. The factor owns its storage; the input matrix is
-// never modified.
+// packed column-major storage: column k occupies
+// l[colOffset(k,n) : colOffset(k+1,n)] and holds L[k..n)[k]. A factor
+// therefore costs n·(n+1)/2 floats instead of the n² a dense triangle
+// wastes half of, and every kernel — factorization, both triangular
+// solves, the inverse and the extension — streams whole columns
+// contiguously. The factor owns its storage; the input matrix is never
+// modified. Solves only read the factor, so any number of goroutines may
+// solve against one factor at once.
 type Cholesky struct {
 	n      int
-	l      []float64 // packed lower triangle, row-major
+	l      []float64 // packed lower triangle, column-major
 	jitter float64   // diagonal jitter that was added to achieve factorization
-	// ltp caches Lᵀ packed column-major so the hot solve kernels stream
-	// memory contiguously instead of striding down packed rows. It holds
-	// the same values — solves read identical floats in an identical order
-	// from either layout — and is built lazily on the SECOND solve:
-	// factors solved exactly once (hyperparameter-likelihood candidates,
-	// fantasy alpha recomputes) keep the direct path and never pay the
-	// O(n²) build, while long-lived factors serving many predictions
-	// amortize it immediately. A factor extended from a cache-carrying
-	// parent instead inherits the parent's prefix (np < n) at
-	// construction: its solves read rows < np contiguously from the shared
-	// prefix and the few extension rows from packed row storage, and it
-	// never builds a cache of its own.
-	ltp    atomic.Pointer[ltPrefix]
-	ltMu   sync.Mutex // serializes buildTranspose; ltp is the publish point
-	solved atomic.Bool
 }
 
 // NewCholesky factorizes the symmetric positive-definite matrix a. Only the
@@ -81,12 +52,10 @@ func NewCholesky(a *Dense, startJitter, maxJitter float64) (*Cholesky, error) {
 }
 
 // Refactorize runs NewCholesky's factorization into this factor's existing
-// storage (growing it on a size change), resetting the solve trigger and
-// dropping any transpose cache. It lets a pooled fit workspace reuse one
-// Cholesky across many hyperparameter evaluations instead of allocating
-// n²/2 floats per objective call. Prefix snapshots previously shared with
-// extended children are immutable and remain valid — the children keep
-// their pointer; only this factor forgets it. Not safe to call concurrently
+// storage (growing it on a size change). It lets a pooled fit workspace
+// reuse one Cholesky across many hyperparameter evaluations instead of
+// allocating n²/2 floats per objective call. Factors extended from this
+// one own their storage and are unaffected. Not safe to call concurrently
 // with solves on the same factor.
 func (c *Cholesky) Refactorize(a *Dense, startJitter, maxJitter float64) error {
 	if a.rows != a.cols {
@@ -111,8 +80,6 @@ func (c *Cholesky) Refactorize(a *Dense, startJitter, maxJitter float64) error {
 		c.l = make([]float64, packedLen(n))
 	}
 	c.l = c.l[:packedLen(n)]
-	c.ltp.Store(nil)
-	c.solved.Store(false)
 	jitter := 0.0
 	for {
 		if c.factorize(a, jitter) {
@@ -130,36 +97,63 @@ func (c *Cholesky) Refactorize(a *Dense, startJitter, maxJitter float64) error {
 	}
 }
 
-// factorize attempts a Cholesky of a + jitter·I into the packed rows of
-// c.l, returning false on a non-positive pivot. Every packed entry is
-// written, so no zeroing pass is needed. The accumulation order per entry
-// (increasing k, division or sqrt last) is the textbook DAG the dense
-// implementation evaluated — the packed layout changes addresses, not
-// arithmetic.
+// factorize attempts a Cholesky of a + jitter·I into the packed columns of
+// c.l, returning false on a non-positive pivot. It is the left-looking
+// column form: column j starts as column j of a's lower triangle with the
+// jitter on its diagonal, receives −L[i][k]·L[j][k] from each finished
+// column k < j in increasing k, and ends with the root of its pivot and
+// the divisions by it. Per entry that is the textbook operation DAG
+// (increasing k, division or root last), so the pivots — and with them
+// the first failing one and the jitter escalation — are those of the
+// row-by-row form. Every packed entry is written, so no zeroing pass is
+// needed.
 func (c *Cholesky) factorize(a *Dense, jitter float64) bool {
 	n := c.n
 	l := c.l
-	for i := 0; i < n; i++ {
-		ioff := rowOffset(i)
-		lrow := l[ioff : ioff+i]
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			if i == j {
-				sum += jitter
+	ad := a.data
+	for j := 0; j < n; j++ {
+		col := l[colOffset(j, n):colOffset(j+1, n)]
+		for i := range col {
+			col[i] = ad[(j+i)*n+j]
+		}
+		col[0] += jitter
+		k := 0
+		// Four finished columns per sweep: each entry of column j is loaded
+		// and stored once for all four updates, which still land in
+		// increasing k.
+		for ; k+4 <= j; k += 4 {
+			c0 := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
+			c1 := l[colOffset(k+1, n)+j-k-1 : colOffset(k+2, n)]
+			c2 := l[colOffset(k+2, n)+j-k-2 : colOffset(k+3, n)]
+			c3 := l[colOffset(k+3, n)+j-k-3 : colOffset(k+4, n)]
+			l0, l1, l2, l3 := c0[0], c1[0], c2[0], c3[0]
+			c0 = c0[:len(col)]
+			c1 = c1[:len(col)]
+			c2 = c2[:len(col)]
+			c3 = c3[:len(col)]
+			for i, v := range col {
+				t := v - c0[i]*l0
+				t -= c1[i] * l1
+				t -= c2[i] * l2
+				col[i] = t - c3[i]*l3
 			}
-			joff := rowOffset(j)
-			ljrow := l[joff : joff+j]
-			for k, v := range ljrow {
-				sum -= lrow[k] * v
+		}
+		for ; k < j; k++ {
+			ck := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
+			lk := ck[0]
+			ck = ck[:len(col)]
+			for i := range col {
+				col[i] -= ck[i] * lk
 			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return false
-				}
-				l[ioff+j] = math.Sqrt(sum)
-			} else {
-				l[ioff+j] = sum / l[joff+j]
-			}
+		}
+		d := col[0]
+		if d <= 0 || math.IsNaN(d) {
+			return false
+		}
+		d = math.Sqrt(d)
+		col[0] = d
+		for i := 1; i < len(col); i++ {
+			col[i] /= d
 		}
 	}
 	return true
@@ -177,59 +171,23 @@ func (c *Cholesky) Jitter() float64 { return c.jitter }
 func (c *Cholesky) L() *Dense {
 	n := c.n
 	d := NewDense(n, n, nil)
-	for i := 0; i < n; i++ {
-		off := rowOffset(i)
-		copy(d.Row(i)[:i+1], c.l[off:off+i+1])
+	for k := 0; k < n; k++ {
+		for i, v := range c.l[colOffset(k, n):colOffset(k+1, n)] {
+			d.data[(k+i)*n+k] = v
+		}
 	}
 	return d
 }
 
-// LRow copies packed row i of L (entries L[i][0..i], length i+1) into dst
-// and returns it. dst must have length i+1. It exposes rows without the
-// O(n²) materialization L performs.
-func (c *Cholesky) LRow(i int, dst []float64) []float64 {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("mat: cholesky row %d out of range [0,%d)", i, c.n))
-	}
-	if len(dst) != i+1 {
-		panic(fmt.Sprintf("mat: cholesky row dst length %d != %d", len(dst), i+1))
-	}
-	off := rowOffset(i)
-	copy(dst, c.l[off:off+i+1])
-	return dst
-}
-
-// HasTransposeCache reports whether the factor currently holds a
-// transpose cache — built locally or inherited from a parent through
-// Extend. Read-only: it never triggers a build and never advances the
-// fast-path trigger.
-func (c *Cholesky) HasTransposeCache() bool { return c.ltp.Load() != nil }
-
-// SharesTransposeCache reports whether c and other hold the same cache
-// object — true exactly when one inherited the other's prefix through
-// Extend, or both inherited a common ancestor's. Read-only.
-func (c *Cholesky) SharesTransposeCache(other *Cholesky) bool {
-	p := c.ltp.Load()
-	return p != nil && p == other.ltp.Load()
-}
-
 // FactorBytes reports the float64 storage this factor owns in bytes: the
-// packed lower triangle plus the transpose-cache prefix when built locally.
-// An inherited prefix (np < n) is owned by — and counted against — the
-// ancestor that built it.
-func (c *Cholesky) FactorBytes() int {
-	b := len(c.l) * 8
-	if p := c.ltp.Load(); p != nil && p.np == c.n {
-		b += len(p.data) * 8
-	}
-	return b
-}
+// packed lower triangle.
+func (c *Cholesky) FactorBytes() int { return len(c.l) * 8 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	var s float64
 	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l[rowOffset(i)+i])
+		s += math.Log(c.l[colOffset(i, c.n)])
 	}
 	return 2 * s
 }
@@ -248,15 +206,9 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 	if len(dst) != c.n {
 		panic(fmt.Sprintf("mat: cholesky solve dst length %d != %d", len(dst), c.n))
 	}
-	if c.useFast() {
-		copy(dst, b)
-		c.forwardSolve(dst)
-		c.backSolve(dst)
-	} else {
-		copy(dst, b)
-		c.forwardSolveDirect(dst)
-		c.backSolveDirect(dst)
-	}
+	copy(dst, b)
+	c.forwardSolve(dst, 0)
+	c.backSolve(dst)
 	return dst
 }
 
@@ -275,11 +227,7 @@ func (c *Cholesky) ForwardSolveVecInto(dst, b []float64) []float64 {
 		panic(fmt.Sprintf("mat: cholesky forward solve dst length %d != %d", len(dst), c.n))
 	}
 	copy(dst, b)
-	if c.useFast() {
-		c.forwardSolve(dst)
-	} else {
-		c.forwardSolveDirect(dst)
-	}
+	c.forwardSolve(dst, 0)
 	return dst
 }
 
@@ -298,95 +246,8 @@ func (c *Cholesky) BackSolveVecInto(dst, b []float64) []float64 {
 		panic(fmt.Sprintf("mat: cholesky back solve dst length %d != %d", len(dst), c.n))
 	}
 	copy(dst, b)
-	if c.useFast() {
-		c.backSolve(dst)
-	} else {
-		c.backSolveDirect(dst)
-	}
+	c.backSolve(dst)
 	return dst
-}
-
-// useFast reports whether this solve should run on the transposed
-// layout, building it on first use. A factor carrying an inherited prefix
-// uses the fast path from its very first solve — the cache already exists,
-// its parent paid for it. Otherwise the first solve against a factor
-// returns false (direct layout, no build) and every later solve returns
-// true. Both layouts execute the identical floating-point operation
-// sequence, so the answer only affects speed, never bits — which also
-// makes the benign race between concurrent first solves harmless.
-//
-// useFast is a STATE MUTATION, not a query: every call advances the
-// fast-path trigger by marking the factor as solved. Callers that merely
-// want to know which path a multi-solve operation should take — or that
-// hold a factor for read-only inspection — must use pathFast instead, or
-// they will force the O(n²) transpose build onto factors the trigger was
-// designed to spare.
-func (c *Cholesky) useFast() bool {
-	if c.ltp.Load() != nil {
-		return true
-	}
-	if c.solved.Load() {
-		c.buildTranspose()
-		return true
-	}
-	c.solved.Store(true)
-	return false
-}
-
-// pathFast reports which solve kernels a multi-column operation (Extend,
-// SolveMat) should use, without advancing the fast-path trigger. A fresh
-// factor runs every column on the direct layout and leaves the transpose
-// cache unbuilt — preserving the "single-solve factors never pay the
-// build" invariant even when one Extend spans many columns — while a
-// factor that has already served at least one solve (or inherited its
-// parent's cache) gets the cached layout, building it if needed: this is
-// at least its second use. Both paths produce identical bits, so the
-// choice only affects speed.
-func (c *Cholesky) pathFast() bool {
-	if c.ltp.Load() != nil {
-		return true
-	}
-	if c.solved.Load() {
-		c.buildTranspose()
-		return true
-	}
-	return false
-}
-
-// buildTranspose fills and publishes the packed column-major copy of Lᵀ
-// covering the whole factor (np = n). Reached only through useFast and
-// pathFast once the factor has served a solve; the mutex makes the build
-// once-only and the atomic store publishes the finished prefix (readers
-// that load a non-nil pointer see fully written data). The copy runs over
-// square tiles so that neither side of the transpose strides a full row
-// per element.
-func (c *Cholesky) buildTranspose() {
-	c.ltMu.Lock()
-	defer c.ltMu.Unlock()
-	if c.ltp.Load() != nil {
-		return
-	}
-	n := c.n
-	p := &ltPrefix{np: n, data: make([]float64, packedLen(n))}
-	l := c.l
-	lt := p.data
-	const tile = 32
-	for ib := 0; ib < n; ib += tile {
-		imax := min(ib+tile, n)
-		// Only tiles touching the lower triangle (jb <= ib) hold data.
-		for jb := 0; jb <= ib; jb += tile {
-			jmax := min(jb+tile, n)
-			for i := ib; i < imax; i++ {
-				off := rowOffset(i)
-				row := l[off+jb : off+min(jmax, i+1)]
-				for jo, v := range row {
-					j := jb + jo
-					lt[colOffset(j, n)+i-j] = v
-				}
-			}
-		}
-	}
-	c.ltp.Store(p)
 }
 
 // forwardSolve and backSolve sit at the bottom of every posterior
@@ -396,55 +257,44 @@ func (c *Cholesky) buildTranspose() {
 // checks without touching the floating-point evaluation order (the
 // accumulation remains strictly sequential — required for the bitwise
 // reproducibility contract, see the golden-trace tests).
-//
-// Both kernels consume a prefix of order np ≤ n: rows below np stream
-// contiguously from the packed column-major cache, rows np..n−1 (the
-// extension rows of a factor that inherited its parent's cache) are read
-// from packed row storage. np = n for a self-built cache, making the
-// extension loops empty. Per element the updates still arrive in strictly
-// increasing k with the division at the same point, so the mixed layout
-// evaluates the exact DAG of the direct kernels.
 
-// forwardSolve uses the right-looking (axpy) form of forward
-// substitution: once y[k] is final it is scattered into every later
-// element. Each y[i] still accumulates −L[i][k]·y[k] in strictly
-// increasing k with the division at the same point, so the operation DAG
-// — and therefore every output bit — is identical to the textbook
-// dot-product form; but the inner loop carries no dependency chain, so
-// it runs at memory/issue throughput instead of FP-subtract latency.
-// Column k of L is packed column k of the cached prefix, keeping the
-// scatter contiguous.
-func (c *Cholesky) forwardSolve(y []float64) {
+// forwardSolve solves the trailing system L[from:,from:]·y[from:] =
+// y[from:] in place; y[:from] is neither read nor written. It uses the
+// right-looking (axpy) form of forward substitution: once y[k] is final it
+// is scattered down packed column k into every later element. Each y[i]
+// still accumulates −L[i][k]·y[k] in strictly increasing k with the
+// division at the same point, so the operation DAG — and therefore every
+// output bit — is identical to the textbook dot-product form; but the
+// inner loop carries no dependency chain, so it runs at memory/issue
+// throughput instead of FP-subtract latency.
+func (c *Cholesky) forwardSolve(y []float64, from int) {
 	n := c.n
-	p := c.ltp.Load()
-	np := p.np
-	lt := p.data
 	l := c.l
 	y = y[:n]
-	k := 0
+	k := from
 	// Four columns per sweep: each tail element is loaded and stored once
 	// for all four updates. The subtractions land in increasing-k order,
 	// exactly as a column-at-a-time sweep would apply them; only the
 	// memory traffic is batched, not the arithmetic.
-	for ; k+4 <= np; k += 4 {
-		off0 := colOffset(k, np)
-		off1 := off0 + (np - k)
-		off2 := off1 + (np - k - 1)
-		off3 := off2 + (np - k - 2)
+	for ; k+4 <= n; k += 4 {
+		off0 := colOffset(k, n)
+		off1 := off0 + (n - k)
+		off2 := off1 + (n - k - 1)
+		off3 := off2 + (n - k - 2)
 		// Solve the 4×4 triangular corner sequentially.
-		yk0 := y[k] / lt[off0]
+		yk0 := y[k] / l[off0]
 		y[k] = yk0
-		yk1 := (y[k+1] - lt[off0+1]*yk0) / lt[off1]
+		yk1 := (y[k+1] - l[off0+1]*yk0) / l[off1]
 		y[k+1] = yk1
-		yk2 := ((y[k+2] - lt[off0+2]*yk0) - lt[off1+1]*yk1) / lt[off2]
+		yk2 := ((y[k+2] - l[off0+2]*yk0) - l[off1+1]*yk1) / l[off2]
 		y[k+2] = yk2
-		yk3 := (((y[k+3] - lt[off0+3]*yk0) - lt[off1+2]*yk1) - lt[off2+1]*yk2) / lt[off3]
+		yk3 := (((y[k+3] - l[off0+3]*yk0) - l[off1+2]*yk1) - l[off2+1]*yk2) / l[off3]
 		y[k+3] = yk3
-		col0 := lt[off0+4 : off0+np-k]
-		col1 := lt[off1+3 : off1+np-k-1]
-		col2 := lt[off2+2 : off2+np-k-2]
-		col3 := lt[off3+1 : off3+np-k-3]
-		tail := y[k+4 : np]
+		col0 := l[off0+4 : off1]
+		col1 := l[off1+3 : off2]
+		col2 := l[off2+2 : off3]
+		col3 := l[off3+1 : off3+n-k-3]
+		tail := y[k+4:]
 		tail = tail[:len(col0)]
 		col1 = col1[:len(col0)]
 		col2 = col2[:len(col0)]
@@ -455,131 +305,38 @@ func (c *Cholesky) forwardSolve(y []float64) {
 			t -= col2[i] * yk2
 			tail[i] = t - col3[i]*yk3
 		}
-		// Extension rows read the four columns from packed row storage.
-		for i := np; i < n; i++ {
-			row := l[rowOffset(i)+k:]
-			t := y[i] - row[0]*yk0
-			t -= row[1] * yk1
-			t -= row[2] * yk2
-			y[i] = t - row[3]*yk3
-		}
 	}
-	for ; k < np; k++ {
-		off := colOffset(k, np)
-		yk := y[k] / lt[off]
+	for ; k < n; k++ {
+		off := colOffset(k, n)
+		yk := y[k] / l[off]
 		y[k] = yk
-		col := lt[off+1 : off+np-k]
-		tail := y[k+1 : np]
+		col := l[off+1 : off+n-k]
+		tail := y[k+1:]
 		tail = tail[:len(col)]
 		for i, ck := range col {
 			tail[i] -= ck * yk
 		}
-		for i := np; i < n; i++ {
-			y[i] -= l[rowOffset(i)+k] * yk
-		}
-	}
-	for ; k < n; k++ {
-		yk := y[k] / l[rowOffset(k)+k]
-		y[k] = yk
-		for i := k + 1; i < n; i++ {
-			y[i] -= l[rowOffset(i)+k] * yk
-		}
 	}
 }
 
+// backSolve solves Lᵀ·x = y in place by the dot-product form: x[i]
+// subtracts L[k][i]·x[k] in increasing k — one contiguous read of packed
+// column i — then divides by the pivot.
 func (c *Cholesky) backSolve(y []float64) {
 	n := c.n
-	p := c.ltp.Load()
-	np := p.np
-	lt := p.data
 	l := c.l
 	y = y[:n]
-	for i := n - 1; i >= np; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[rowOffset(k)+i] * y[k]
-		}
-		y[i] = s / l[rowOffset(i)+i]
-	}
-	for i := np - 1; i >= 0; i-- {
-		off := colOffset(i, np)
-		col := lt[off+1 : off+np-i] // L[k][i] for k = i+1 … np-1
-		yk := y[i+1 : np]
+	for i := n - 1; i >= 0; i-- {
+		off := colOffset(i, n)
+		col := l[off+1 : off+n-i] // L[k][i] for k = i+1 … n-1
+		yk := y[i+1:]
+		yk = yk[:len(col)]
 		s := y[i]
 		for k, rk := range col {
 			s -= rk * yk[k]
 		}
-		for k := np; k < n; k++ {
-			s -= l[rowOffset(k)+i] * y[k]
-		}
-		y[i] = s / lt[off]
+		y[i] = s / l[off]
 	}
-}
-
-// forwardSolveDirect is the left-looking (dot-product) form operating on
-// the factor's native packed row-major layout — no transpose cache
-// required, and every row it reads is contiguous. It evaluates the same
-// operation DAG as forwardSolve: each y[i] subtracts L[i][k]·y[k] in
-// increasing k, then divides.
-func (c *Cholesky) forwardSolveDirect(y []float64) {
-	n := c.n
-	l := c.l
-	y = y[:n]
-	for i := 0; i < n; i++ {
-		off := rowOffset(i)
-		row := l[off : off+i]
-		yi := y[:i]
-		s := y[i]
-		for k, rk := range row {
-			s -= rk * yi[k]
-		}
-		y[i] = s / l[off+i]
-	}
-}
-
-// backSolveDirect is the transpose-free back substitution, striding down
-// packed columns of the native layout. Identical operation sequence to
-// backSolve.
-func (c *Cholesky) backSolveDirect(y []float64) {
-	n := c.n
-	l := c.l
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[rowOffset(k)+i] * y[k]
-		}
-		y[i] = s / l[rowOffset(i)+i]
-	}
-}
-
-// SolveMat solves A·X = B column-wise and returns X. The solve path is
-// chosen once up front via pathFast, so a fresh factor runs every column
-// on the direct layout without building the transpose cache or advancing
-// the fast-path trigger.
-func (c *Cholesky) SolveMat(b *Dense) *Dense {
-	if b.rows != c.n {
-		panic(fmt.Sprintf("mat: cholesky solve rows %d != %d", b.rows, c.n))
-	}
-	fast := c.pathFast()
-	n := c.n
-	x := NewDense(b.rows, b.cols, nil)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		if fast {
-			c.forwardSolve(col)
-			c.backSolve(col)
-		} else {
-			c.forwardSolveDirect(col)
-			c.backSolveDirect(col)
-		}
-		for i := 0; i < n; i++ {
-			x.data[i*b.cols+j] = col[i]
-		}
-	}
-	return x
 }
 
 // Inverse returns A⁻¹ explicitly via the triangular inverse
@@ -641,24 +398,17 @@ func (c *Cholesky) InverseInto(inv, wt *Dense) *Dense {
 }
 
 // invTransposeRows fills rows [lo, hi) of wt with L⁻ᵀ: row i of wt is
-// column i of L⁻¹, kept contiguous so both phases stream memory
-// linearly. Each row is a self-contained triangular solve reading only
-// the factor and its own entries, so rows split freely across bands.
+// column i of L⁻¹, the solution of L·x = e_i, kept contiguous so both
+// phases stream memory linearly. x[:i] is zero and never read, so each
+// row solves only its trailing system, starting from a tail of zeros —
+// which is why dirty scratch is harmless. Each row reads only the factor
+// and its own entries, so rows split freely across bands.
 func (c *Cholesky) invTransposeRows(wt *Dense, lo, hi int) {
-	n := c.n
-	l := c.l
 	for i := lo; i < hi; i++ {
 		wrow := wt.Row(i)
-		wrow[i] = 1 / l[rowOffset(i)+i]
-		for k := i + 1; k < n; k++ {
-			koff := rowOffset(k)
-			lrow := l[koff : koff+k]
-			var s float64
-			for j := i; j < k; j++ {
-				s -= lrow[j] * wrow[j]
-			}
-			wrow[k] = s / l[koff+k]
-		}
+		wrow[i] = 1
+		clear(wrow[i+1:])
+		c.forwardSolve(wrow, i)
 	}
 }
 
@@ -687,49 +437,18 @@ func (c *Cholesky) invProductRows(inv, wt *Dense, lo, hi int) {
 	}
 }
 
-// Extend returns a new Cholesky of the (n+m)×(n+m) matrix
+// ExtendCols returns a new Cholesky of the (n+m)×(n+m) matrix
 //
 //	[ A   B ]
 //	[ Bᵀ  C ]
 //
-// given the factor of A, the n×m cross block B and the m×m block C. It costs
-// O(n²m + m³) instead of O((n+m)³), which makes Kriging-Believer fantasy
-// updates cheap. The same jitter escalation as NewCholesky is applied to the
-// new diagonal block if needed.
-func (c *Cholesky) Extend(b *Dense, cc *Dense) (*Cholesky, error) {
-	n, m := c.n, cc.rows
-	if b.rows != n || b.cols != m || cc.cols != m {
-		panic(fmt.Sprintf("mat: extend dims B=%d×%d C=%d×%d for n=%d", b.rows, b.cols, cc.rows, cc.cols, n))
-	}
-	// Transpose B once, over square tiles, into the contiguous layout the
-	// extension solves consume: w row j holds column j of B. The per-column
-	// At striding of the old implementation is gone — each solve now
-	// streams one contiguous row.
-	w := NewDense(m, n, nil)
-	const tile = 32
-	bd := b.data
-	wd := w.data
-	for ib := 0; ib < n; ib += tile {
-		imax := min(ib+tile, n)
-		for jb := 0; jb < m; jb += tile {
-			jmax := min(jb+tile, m)
-			for i := ib; i < imax; i++ {
-				row := bd[i*m+jb : i*m+jmax]
-				for jo, v := range row {
-					wd[(jb+jo)*n+i] = v
-				}
-			}
-		}
-	}
-	return c.extendW(w, cc)
-}
-
-// ExtendCols is Extend taking the cross block B as a flat column-major
-// slice: column j of B occupies bcols[j*n : (j+1)*n]. This is the
-// contiguous fast path for callers that already hold columns — a k★
-// vector from a fantasy update is exactly one such column — and skips
-// the transpose pass Extend performs on a row-major B. bcols is left
-// unmodified.
+// given the factor of A, the n×m cross block B as a flat column-major
+// slice — column j of B occupies bcols[j*n : (j+1)*n] — and the m×m block
+// C. It costs O(n²m + m³) instead of O((n+m)³), which makes
+// Kriging-Believer fantasy updates cheap: the k★ vector of a fantasy
+// point is exactly one such column. The same jitter escalation as
+// NewCholesky is applied to the new diagonal block if needed. bcols is
+// left unmodified.
 func (c *Cholesky) ExtendCols(bcols []float64, cc *Dense) (*Cholesky, error) {
 	n, m := c.n, cc.rows
 	if cc.cols != m {
@@ -738,43 +457,14 @@ func (c *Cholesky) ExtendCols(bcols []float64, cc *Dense) (*Cholesky, error) {
 	if len(bcols) != n*m {
 		panic(fmt.Sprintf("mat: extend column block length %d != n %d × m %d", len(bcols), n, m))
 	}
+	// Off-diagonal block W = L⁻¹B: row j of w is column j of B, solved in
+	// place.
 	w := NewDense(m, n, nil)
 	copy(w.data, bcols)
-	return c.extendW(w, cc)
-}
-
-// extendW implements the extension given w, whose row j holds column j
-// of the cross block B on entry; rows are overwritten in place with the
-// solved W = L⁻¹B rows (the single reused solve buffer). The forward
-// solve path is chosen once up front via pathFast: a fresh factor runs
-// every column on the direct layout without building the transpose cache
-// or advancing the fast-path trigger, so Extend on a single-solve parent
-// never pays the O(n²) build — both paths produce identical bits.
-//
-// When the parent does hold a transpose cache, the child inherits it: the
-// packed column-major prefix covers exactly the leading parent rows the
-// child's packed rows replicate, so the child solves on the fast path
-// from birth and a Kriging-Believer fantasy chain of any length shares
-// the single root cache build instead of paying one per link.
-func (c *Cholesky) extendW(w *Dense, cc *Dense) (*Cholesky, error) {
-	n, m := c.n, cc.rows
-	nm := n + m
-	out := &Cholesky{n: nm, l: make([]float64, packedLen(nm))}
-	// The packed row-major layout is prefix-closed: rows 0..n−1 of the
-	// extended factor are one contiguous copy.
-	copy(out.l[:packedLen(n)], c.l)
-	// Off-diagonal block: solve L·w_j = B[:,j] in place for each column.
-	fast := c.pathFast()
 	for j := 0; j < m; j++ {
-		row := w.Row(j)
-		if fast {
-			c.forwardSolve(row)
-		} else {
-			c.forwardSolveDirect(row)
-		}
-		copy(out.l[rowOffset(n+j):rowOffset(n+j)+n], row)
+		c.forwardSolve(w.Row(j), 0)
 	}
-	// Schur complement S = C − W·Wᵀ, then factorize it into the new corner.
+	// Schur complement S = C − W·Wᵀ, factorized into the new corner.
 	s := NewDense(m, m, nil)
 	for i := 0; i < m; i++ {
 		for j := 0; j <= i; j++ {
@@ -787,17 +477,20 @@ func (c *Cholesky) extendW(w *Dense, cc *Dense) (*Cholesky, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < m; i++ {
-		soff := rowOffset(i)
-		copy(out.l[rowOffset(n+i)+n:rowOffset(n+i)+n+i+1], sc.l[soff:soff+i+1])
+	nm := n + m
+	out := &Cholesky{n: nm, l: make([]float64, packedLen(nm)), jitter: math.Max(c.jitter, sc.jitter)}
+	// Column k < n is the parent's column k followed by its m new entries
+	// W[0..m)[k].
+	for k := 0; k < n; k++ {
+		col := out.l[colOffset(k, nm):colOffset(k+1, nm)]
+		copy(col, c.l[colOffset(k, n):colOffset(k+1, n)])
+		ext := col[n-k:]
+		for j := range ext {
+			ext[j] = w.data[j*n+k]
+		}
 	}
-	out.jitter = math.Max(c.jitter, sc.jitter)
-	if fast {
-		// pathFast guaranteed the parent's cache exists; share it. The
-		// prefix is immutable, so the child (and its own children, which
-		// propagate the same pointer) reads it without synchronization.
-		out.ltp.Store(c.ltp.Load())
-	}
+	// The last m columns are the corner factor's packed columns, in order.
+	copy(out.l[colOffset(n, nm):], sc.l)
 	return out, nil
 }
 
@@ -813,13 +506,14 @@ func CholeskyFromLower(l *Dense) (*Cholesky, error) {
 	}
 	n := l.rows
 	c := &Cholesky{n: n, l: make([]float64, packedLen(n))}
-	for i := 0; i < n; i++ {
-		d := l.data[i*n+i]
-		if !(d > 0) || math.IsInf(d, 1) {
+	for k := 0; k < n; k++ {
+		col := c.l[colOffset(k, n):colOffset(k+1, n)]
+		for i := range col {
+			col[i] = l.data[(k+i)*n+k]
+		}
+		if d := col[0]; !(d > 0) || math.IsInf(d, 1) {
 			return nil, ErrNotPositiveDefinite
 		}
-		off := rowOffset(i)
-		copy(c.l[off:off+i+1], l.Row(i)[:i+1])
 	}
 	return c, nil
 }

@@ -1,11 +1,14 @@
 package mat
 
 import (
+	"context"
 	"math"
 	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 // newTestRand returns a fixed-seed PCG stream for in-package property
@@ -171,7 +174,7 @@ func TestCholeskyExtend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := ca.Extend(b, cc)
+		ext, err := ca.ExtendCols(colMajor(b), cc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +211,7 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ca.Extend(b, cc)
+	ext, err := ca.ExtendCols(colMajor(b), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +222,46 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 		if !almostEq(back[i], rhs[i], 1e-8) {
 			t.Fatalf("extend solve mismatch: %v vs %v", back[i], rhs[i])
 		}
+	}
+}
+
+// TestConcurrentSolvesMatchSerial: solves and extensions only read the
+// factor, so one fresh factor may serve many goroutines at once, and each
+// must get the bits the same call gets serially. Run under -race by
+// scripts/check.sh, this pins the read-only claim.
+func TestConcurrentSolvesMatchSerial(t *testing.T) {
+	rng := newTestRand(101, 29)
+	const n, calls = 70, 24
+	c, err := NewCholesky(randomSPD(rng, n), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([][]float64, calls)
+	for i := range rhs {
+		rhs[i] = randomVec(rng, n)
+	}
+	cc := spdBlock(rng, 1, float64(n))
+	type result struct{ fwd, back, full, ext []float64 }
+	solve := func(b []float64) result {
+		ext, err := c.ExtendCols(b, cc)
+		if err != nil {
+			t.Errorf("ExtendCols: %v", err) // may run off the test goroutine
+			return result{}
+		}
+		return result{c.ForwardSolveVec(b), c.BackSolveVec(b), c.SolveVec(b), ext.L().Data()}
+	}
+	got := make([]result, calls)
+	if err := parallel.ForEach(context.Background(), 4, calls, func(i int) {
+		got[i] = solve(rhs[i])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range rhs {
+		want := solve(b)
+		vecBitsEqual(t, got[i].fwd, want.fwd, "concurrent ForwardSolveVec")
+		vecBitsEqual(t, got[i].back, want.back, "concurrent BackSolveVec")
+		vecBitsEqual(t, got[i].full, want.full, "concurrent SolveVec")
+		vecBitsEqual(t, got[i].ext, want.ext, "concurrent ExtendCols")
 	}
 }
 
@@ -302,9 +345,10 @@ func BenchmarkCholeskyExtend100x4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	bcols := colMajor(bb)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ca.Extend(bb, cc); err != nil {
+		if _, err := ca.ExtendCols(bcols, cc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// This file pins the packed-triangular refactor to the dense reference
+// This file pins the packed column-major factor to the dense reference
 // implementation it replaced: in-test dense re-implementations of
-// factorize, both solve layouts, Inverse and Extend evaluate the exact
-// floating-point operation DAG the pre-packed code ran, and every packed
-// result must match them bit for bit on random SPD inputs. The packed
-// layout is allowed to change addresses, never arithmetic.
+// factorize, the two triangular solves, Inverse and the extension
+// evaluate the exact floating-point operation DAG the dense code ran, and
+// every packed result must match them bit for bit on random SPD inputs.
+// The packed layout is allowed to change addresses, never arithmetic.
 
 // denseRefFactor is the pre-packed textbook factorization of a + jitter·I
 // into a dense lower triangle.
@@ -137,12 +137,11 @@ func TestPackedFactorizeMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPackedSolvesMatchDense: both solve layouts — the direct packed-row
-// kernels and the packed column-major fast path built on the second
-// solve — must match the dense reference kernels bitwise. This is the
-// bit-identity argument for the layout change: per element, updates
-// arrive in increasing k with the division at the same point, so storage
-// cannot touch the result.
+// TestPackedSolvesMatchDense: the forward, back and full solves on the
+// packed column-major factor must match the dense reference kernels
+// bitwise. This is the bit-identity argument for the layout: per element,
+// updates arrive in increasing k with the division at the same point, so
+// storage cannot touch the result.
 func TestPackedSolvesMatchDense(t *testing.T) {
 	rng := newTestRand(41, 9)
 	for _, n := range []int{1, 2, 3, 7, 30, 65, 129} {
@@ -156,38 +155,21 @@ func TestPackedSolvesMatchDense(t *testing.T) {
 
 		want := append([]float64(nil), b...)
 		denseRefForward(ref, want)
-		fwdDirect := c.ForwardSolveVec(b) // first solve: direct layout
-		vecBitsEqual(t, fwdDirect, want, "direct forward solve")
-		fwdFast := c.ForwardSolveVec(b) // second solve: builds + uses the cache
-		if !c.HasTransposeCache() {
-			t.Fatalf("n=%d: second solve did not build the cache", n)
-		}
-		vecBitsEqual(t, fwdFast, want, "fast forward solve")
+		vecBitsEqual(t, c.ForwardSolveVec(b), want, "forward solve")
 
 		wantBack := append([]float64(nil), b...)
 		denseRefBack(ref, wantBack)
-		vecBitsEqual(t, c.BackSolveVec(b), wantBack, "fast back solve")
+		vecBitsEqual(t, c.BackSolveVec(b), wantBack, "back solve")
 
-		full := append([]float64(nil), b...)
-		denseRefForward(ref, full)
-		denseRefBack(ref, full)
-		vecBitsEqual(t, c.SolveVec(b), full, "full solve")
-
-		// A factor denied the cache must produce the same bits direct.
-		c2, err := NewCholesky(a, 0, 0)
-		if err != nil {
-			t.Fatalf("n=%d: NewCholesky: %v", n, err)
-		}
-		vecBitsEqual(t, c2.BackSolveVec(b), wantBack, "direct back solve")
-		vecBitsEqual(t, c2.SolveVec(b), full, "direct full solve")
+		denseRefBack(ref, want)
+		vecBitsEqual(t, c.SolveVec(b), want, "full solve")
 	}
 }
 
-// TestPackedSolveMatAndInverseMatchDense: the multi-column entry points
-// run the same kernels column by column; Inverse runs the two-phase
-// triangular inverse on packed reads. Both must match the dense
-// references bitwise, and InverseInto must be indifferent to dirty
-// scratch.
+// TestPackedSolveMatAndInverseMatchDense: solving a multi-column
+// right-hand side one column at a time, and the two-phase triangular
+// inverse on packed columns, must match the dense references bitwise,
+// and InverseInto must be indifferent to dirty scratch.
 func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 	rng := newTestRand(51, 3)
 	const n, m = 23, 4
@@ -199,19 +181,21 @@ func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 	ref := denseRefFactor(t, a, c.Jitter())
 
 	b := randomDense(rng, n, m)
-	want := NewDense(n, m, nil)
+	got, want := NewDense(n, m, nil), NewDense(n, m, nil)
 	col := make([]float64, n)
 	for j := 0; j < m; j++ {
 		for i := 0; i < n; i++ {
 			col[i] = b.At(i, j)
 		}
+		x := c.SolveVec(col)
 		denseRefForward(ref, col)
 		denseRefBack(ref, col)
 		for i := 0; i < n; i++ {
+			got.Set(i, j, x[i])
 			want.Set(i, j, col[i])
 		}
 	}
-	bitsEqual(t, c.SolveMat(b), want, "SolveMat vs dense reference")
+	bitsEqual(t, got, want, "column solves vs dense reference")
 
 	wantInv := denseRefInverse(ref)
 	bitsEqual(t, c.Inverse(), wantInv, "Inverse vs dense reference")
@@ -225,11 +209,10 @@ func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 	bitsEqual(t, c.InverseInto(inv, wt), wantInv, "InverseInto with dirty scratch")
 }
 
-// TestPackedExtendMatchesDenseReference: Extend on the packed layout must
-// reproduce the dense reference extension — parent copy, per-column
-// forward solves, Schur complement, corner factorization — bit for bit,
-// through both the direct path (fresh parent) and the cached path
-// (pre-solved parent), matching TestExtendPathsAgree's contract.
+// TestPackedExtendMatchesDenseReference: the extension on the packed
+// layout must reproduce the dense reference extension — parent copy,
+// per-column forward solves, Schur complement, corner factorization — bit
+// for bit.
 func TestPackedExtendMatchesDenseReference(t *testing.T) {
 	rng := newTestRand(61, 13)
 	const n, m = 27, 3
@@ -274,109 +257,52 @@ func TestPackedExtendMatchesDenseReference(t *testing.T) {
 		copy(want.Row(n + j)[n:n+j+1], sc.Row(j)[:j+1])
 	}
 
-	ext, err := c.Extend(b, cc)
+	ext, err := c.ExtendCols(colMajor(b), cc)
 	if err != nil {
-		t.Fatalf("Extend: %v", err)
+		t.Fatalf("ExtendCols: %v", err)
 	}
-	bitsEqual(t, ext.L(), want, "packed Extend vs dense reference")
+	bitsEqual(t, ext.L(), want, "packed extension vs dense reference")
+}
 
-	solvedParent, err := NewCholesky(a, 0, 0)
+// TestExtendChainSolvesMatchDense: down a three-link extension chain
+// (m = 1, 2, 1 new columns per link) every link's forward, back and full
+// solves must match the dense reference kernels run on the link's own
+// L(), bit for bit — an extended factor is an ordinary factor, with no
+// state inherited from its parent.
+func TestExtendChainSolvesMatchDense(t *testing.T) {
+	rng := newTestRand(71, 17)
+	const n = 33
+	cur, err := NewCholesky(randomSPD(rng, n), 0, 0)
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
-	solvedParent.SolveVec(randomVec(rng, n))
-	extFast, err := solvedParent.Extend(b, cc)
-	if err != nil {
-		t.Fatalf("Extend (fast): %v", err)
-	}
-	bitsEqual(t, extFast.L(), want, "packed Extend (cached parent) vs dense reference")
-}
-
-// TestInheritedPrefixSolveBitIdentity pins the mixed solve kernels: a
-// child carrying its parent's cache prefix (np < n) reads rows below np
-// from the shared packed columns and the extension rows from packed row
-// storage, and must produce exactly the bits a cache-less child produces
-// on the direct layout — down a three-link chain sharing one root cache.
-func TestInheritedPrefixSolveBitIdentity(t *testing.T) {
-	rng := newTestRand(71, 17)
-	const n = 33
-	a := randomSPD(rng, n)
-
-	build := func(withCache bool) *Cholesky {
-		c, err := NewCholesky(a, 0, 0)
-		if err != nil {
-			t.Fatalf("NewCholesky: %v", err)
-		}
-		if withCache {
-			c.SolveVec(randomVec(rng, n)) // advance the trigger...
-			c.SolveVec(randomVec(rng, n)) // ...and build the cache
-			if !c.HasTransposeCache() {
-				t.Fatal("cache not built")
-			}
-		}
-		return c
-	}
-
-	root := build(true)
-	plain := build(false)
-
-	curFast, curDirect := root, plain
 	for link := 0; link < 3; link++ {
 		m := 1 + link%2
-		bc := randomDense(rng, curFast.Size(), m)
-		cc := spdBlock(rng, m, float64(n))
-		extFast, err := curFast.Extend(bc, cc)
+		next, err := cur.ExtendCols(colMajor(randomDense(rng, cur.Size(), m)), spdBlock(rng, m, float64(n)))
 		if err != nil {
-			t.Fatalf("link %d: Extend (fast): %v", link, err)
+			t.Fatalf("link %d: ExtendCols: %v", link, err)
 		}
-		extDirect, err := curDirect.Extend(bc, cc)
-		if err != nil {
-			t.Fatalf("link %d: Extend (direct): %v", link, err)
-		}
-		if !extFast.SharesTransposeCache(root) {
-			t.Fatalf("link %d did not inherit the root cache", link)
-		}
-		if extDirect.HasTransposeCache() {
-			t.Fatalf("link %d of the cache-less chain built a cache", link)
-		}
+		ref := next.L()
+		rhs := randomVec(rng, next.Size())
 
-		nn := extFast.Size()
-		rhs := randomVec(rng, nn)
-		// The inherited factor solves on the mixed prefix+packed-row path
-		// from its first solve. The reference bits come from throwaway
-		// siblings of the cache-less child, each serving exactly one solve
-		// so none ever crosses the fast-path trigger — pure direct layout.
-		sibling := func() *Cholesky {
-			e, err := curDirect.Extend(bc, cc)
-			if err != nil {
-				t.Fatalf("link %d: Extend (sibling): %v", link, err)
-			}
-			return e
-		}
-		vecBitsEqual(t, extFast.SolveVec(rhs), sibling().SolveVec(rhs), "chain SolveVec")
-		vecBitsEqual(t, extFast.ForwardSolveVec(rhs), sibling().ForwardSolveVec(rhs), "chain ForwardSolveVec")
-		vecBitsEqual(t, extFast.BackSolveVec(rhs), sibling().BackSolveVec(rhs), "chain BackSolveVec")
-		if math.Float64bits(extFast.LogDet()) != math.Float64bits(extDirect.LogDet()) {
-			t.Fatalf("link %d: LogDet differs", link)
-		}
-		curFast, curDirect = extFast, extDirect
-	}
+		want := append([]float64(nil), rhs...)
+		denseRefForward(ref, want)
+		vecBitsEqual(t, next.ForwardSolveVec(rhs), want, "chain ForwardSolveVec")
 
-	// The shared prefix belongs to the root: FactorBytes charges it there
-	// and nowhere else.
-	rootBytes := root.FactorBytes()
-	if want := (packedLen(n) + packedLen(n)) * 8; rootBytes != want {
-		t.Fatalf("root FactorBytes = %d, want %d", rootBytes, want)
-	}
-	if got, want := curFast.FactorBytes(), packedLen(curFast.Size())*8; got != want {
-		t.Fatalf("chain FactorBytes = %d, want %d (inherited prefix must not be double-counted)", got, want)
+		wantBack := append([]float64(nil), rhs...)
+		denseRefBack(ref, wantBack)
+		vecBitsEqual(t, next.BackSolveVec(rhs), wantBack, "chain BackSolveVec")
+
+		denseRefBack(ref, want)
+		vecBitsEqual(t, next.SolveVec(rhs), want, "chain SolveVec")
+		cur = next
 	}
 }
 
 // TestRefactorizeMatchesNew: recycling a factor through Refactorize must
-// be indistinguishable — bits, jitter, trigger state — from a fresh
-// NewCholesky, across size changes and after the previous life built a
-// cache and shared it with a child.
+// be indistinguishable — bits, jitter, size, footprint — from a fresh
+// NewCholesky across size changes, and must not disturb a factor extended
+// from an earlier life.
 func TestRefactorizeMatchesNew(t *testing.T) {
 	rng := newTestRand(81, 19)
 	c := &Cholesky{}
@@ -394,30 +320,22 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 		if c.Jitter() != fresh.Jitter() || c.Size() != fresh.Size() {
 			t.Fatalf("round %d: jitter/size mismatch", round)
 		}
-		bitsEqual(t, c.L(), fresh.L(), "Refactorize vs NewCholesky")
-		if c.HasTransposeCache() {
-			t.Fatalf("round %d: Refactorize kept a stale cache", round)
+		if got, want := c.FactorBytes(), packedLen(n)*8; got != want {
+			t.Fatalf("round %d: FactorBytes = %d, want %d", round, got, want)
 		}
+		bitsEqual(t, c.L(), fresh.L(), "Refactorize vs NewCholesky")
 		b := randomVec(rng, n)
 		vecBitsEqual(t, c.SolveVec(b), fresh.SolveVec(b), "recycled solve")
 
 		if round == 1 {
-			// Build the cache and hand it to a child; later rounds must not
-			// disturb the child's snapshot.
-			c.SolveVec(b)
-			bc := randomDense(rng, n, 1)
-			cc := spdBlock(rng, 1, float64(n))
-			child, err = c.Extend(bc, cc)
+			child, err = c.ExtendCols(colMajor(randomDense(rng, n, 1)), spdBlock(rng, 1, float64(n)))
 			if err != nil {
-				t.Fatalf("Extend: %v", err)
+				t.Fatalf("ExtendCols: %v", err)
 			}
 			childA = NewDense(n+1, n+1, nil)
 			lc := child.L()
 			MulInto(childA, lc, lc.T())
 		}
-	}
-	if child == nil || !child.HasTransposeCache() {
-		t.Fatal("child lost its inherited cache after parent Refactorize")
 	}
 	// The child still solves correctly against its own matrix.
 	rhs := randomVec(rng, child.Size())
@@ -433,7 +351,6 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 	}
 }
 
-// TestLRow exposes packed rows without materializing L.
 // TestInverseIntoParallelBitIdentity forces InverseInto down its banded
 // branch on a small factor and checks it reproduces the serial branch
 // byte for byte at GOMAXPROCS 1 and 8. Unlike the banded LML gradient
@@ -466,17 +383,4 @@ func TestInverseIntoParallelBitIdentity(t *testing.T) {
 		}
 		invParallelN = old
 	}
-}
-
-func TestLRow(t *testing.T) {
-	rng := newTestRand(91, 23)
-	const n = 9
-	c := freshFactor(t, rng, n)
-	l := c.L()
-	for i := 0; i < n; i++ {
-		row := c.LRow(i, make([]float64, i+1))
-		vecBitsEqual(t, row, l.Row(i)[:i+1], "LRow")
-	}
-	mustPanic(t, "row out of range", func() { c.LRow(n, make([]float64, n+1)) })
-	mustPanic(t, "bad dst length", func() { c.LRow(2, make([]float64, 2)) })
 }

@@ -1,10 +1,9 @@
 // Package optim provides the optimizers used inside the BO stack: a
 // bound-constrained limited-memory BFGS (the role SciPy's L-BFGS-B plays in
-// BoTorch's optimize_acqf), a multi-start driver, Nelder–Mead for
-// derivative-free refinement, and the classical population baselines the
-// paper's introduction cites (random search, a real-coded genetic algorithm
-// and particle swarm optimization). All optimizers minimize; callers
-// maximize by negating their objective.
+// BoTorch's optimize_acqf), a multi-start driver, and the classical
+// population baselines the paper's introduction cites (random search, a
+// real-coded genetic algorithm and particle swarm optimization). All
+// optimizers minimize; callers maximize by negating their objective.
 package optim
 
 import (

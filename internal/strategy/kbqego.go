@@ -53,9 +53,8 @@ func (s *KBQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *cor
 		// observation and condition on it (O(n²) partial update, no
 		// hyperparameter re-estimation — the paper's "reduced budget"
 		// intermediate fit). Every fantasy link extends the previous
-		// factor, inheriting the root model's transpose-cache prefix, so
-		// the whole chain pays for one O(n²) cache build instead of one
-		// per link (mat.Cholesky prefix propagation, DESIGN.md §9).
+		// factor by one row: one O(n²) copy and solve per link
+		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
 		mu, _ := cur.Predict(x)
 		fg, err := cur.Fantasize(x, mu)
 		if err != nil {

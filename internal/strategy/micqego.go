@@ -94,11 +94,9 @@ func (s *MICQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *co
 		if len(batch) >= q {
 			break
 		}
-		// Partial fit on believed values (line 11) once per round. The
-		// per-round chain of Fantasize extensions shares the root model's
-		// transpose-cache prefix — one O(n²) cache build serves every
-		// believed point of the batch (mat.Cholesky prefix propagation,
-		// DESIGN.md §9).
+		// Partial fit on believed values (line 11) once per round: one
+		// O(n²) factor extension per believed point
+		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
 		for _, x := range roundPts {
 			mu, _ := cur.Predict(x)
 			fg, err := cur.Fantasize(x, mu)

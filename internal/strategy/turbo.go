@@ -167,9 +167,8 @@ func (s *TuRBO) proposeMultiInfill(ctx context.Context, model surrogate.Surrogat
 		if i == q-1 {
 			break
 		}
-		// Believer chain: each extension inherits the root factor's
-		// transpose-cache prefix, so the fill pays one O(n²) cache build
-		// for the whole batch (mat.Cholesky prefix propagation, DESIGN.md §9).
+		// Believer chain: each extension is one O(n²) factor extension
+		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
 		mu, _ := cur.Predict(x)
 		if fg, err := cur.Fantasize(x, mu); err == nil {
 			cur = fg

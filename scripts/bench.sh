@@ -7,8 +7,9 @@
 #
 #   hotpath  — the steady-state prediction/acquisition benchmarks whose
 #              zero-allocation budgets DESIGN.md §9 pins -> BENCH_hotpath.json
-#   linalg   — the large-n linear-algebra suite (blocked MulInto, Extend,
-#              batched k★ fills, n=4096 prediction) -> BENCH_linalg.json
+#   linalg   — the large-n linear-algebra suite (blocked MulInto,
+#              ExtendCols, batched k★ fills, n=4096 prediction)
+#              -> BENCH_linalg.json
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes) -> BENCH_snapshot.json
 #   fit      — the per-iteration LML objective cost (parallel vs forced-
@@ -66,8 +67,9 @@
 #     forced-serial path at the same n (bit-identity makes the branches
 #     interchangeable, so parallel dispatch may never cost more than it
 #     saves); the pooled small-n objective must stay at 0 allocs/op; and
-#     the n=4096 factor footprint must stay at or under 60% of the dense
-#     2·n² baseline (161061273 bytes) it replaced.
+#     the n=4096 factor footprint must stay at the one packed triangle,
+#     n·(n+1)/2·8 = 67125248 bytes, so a second layout cannot return
+#     unnoticed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -103,7 +105,7 @@ go test -run '^$' \
     -bench 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|QEIBatch' \
     -benchmem -benchtime "$BENCHTIME" ./internal/gp/ ./internal/acq/ >"$raw"
 
-go test -run '^$' -bench 'MulInto|Extend1024$|ExtendCols1024$|EvalRowFill' \
+go test -run '^$' -bench 'MulInto|ExtendCols1024$|EvalRowFill' \
     -benchmem -benchtime "$BENCHTIME_LINALG" ./internal/mat/ ./internal/kernel/ >"$rawlin"
 go test -run '^$' -bench 'LargeN' \
     -benchmem -benchtime "$BENCHTIME_LINALG" ./internal/gp/ >>"$rawlin"
@@ -113,7 +115,7 @@ go test -run '^$' -bench 'SnapshotEncode1024$|SnapshotDecode1024$' \
 
 # The fit suite: per-iteration LML objective cost plus the factor
 # footprint and fantasy-chain extension at n=4096 (the fantasy bench also
-# runs in the linalg suite; here it evidences the shared-prefix chain).
+# runs in the linalg suite).
 go test -run '^$' -bench 'FitLML128$|FitLML1024$|FitLML1024Serial$|FitFactorBytes4096$|LargeNFantasize4096$' \
     -benchmem -benchtime "$BENCHTIME_FIT" ./internal/gp/ >"$rawfit"
 
@@ -259,20 +261,20 @@ if [ "$CHECK" = "1" ]; then
         fail=1
     fi
 
-    # Packed factor footprint at n=4096: at most 60% of the dense 2·n²·8
-    # baseline (268435456 B) the packed layout replaced. The packed value
-    # is 2·(n·(n+1)/2)·8 = 134250496 B, exactly 50% + one diagonal.
+    # Packed factor footprint at n=4096: one packed lower triangle,
+    # n·(n+1)/2·8 = 67125248 B. Anything above it means the factor holds
+    # a second copy of itself again.
     factor=$(awk '$1 ~ "^BenchmarkFitFactorBytes4096(-[0-9]+)?$" { for (i=2;i<=NF;i++) if ($(i+1)=="factor-bytes") print $i }' "$rawfit")
     if [ -z "$factor" ]; then
         echo "bench.sh: FAIL: BenchmarkFitFactorBytes4096 did not run or did not report factor-bytes" >&2
         fail=1
-    elif awk -v f="$factor" 'BEGIN { exit !(f > 161061273) }'; then
-        echo "bench.sh: FAIL: n=4096 factor footprint $factor B exceeds 60% of the dense baseline (161061273 B)" >&2
+    elif awk -v f="$factor" 'BEGIN { exit !(f > 67125248) }'; then
+        echo "bench.sh: FAIL: n=4096 factor footprint $factor B exceeds the packed triangle (67125248 B)" >&2
         fail=1
     fi
 
     # The fantasy-chain bench must be present in the fit evidence so the
-    # shared-prefix extension cost can never silently go stale.
+    # extension cost can never silently go stale.
     if [ -z "$(getfitns BenchmarkLargeNFantasize4096)" ]; then
         echo "bench.sh: FAIL: BenchmarkLargeNFantasize4096 did not run in the fit suite" >&2
         fail=1

@@ -6,7 +6,8 @@
 # named re-run of the bit-identity property tests for the parallel and
 # blocked linear-algebra paths (still under -race), a named re-run of
 # the kill-and-resume determinism tests for the session/serving stack
-# (still under -race), the hot-path
+# (still under -race; each named group fails if a listed name matches no
+# test), the hot-path
 # allocation-regression tests without the race detector (alloc counts
 # are only meaningful uninstrumented), a single-iteration pass over
 # every benchmark so bench code cannot rot uncompiled, and one fast
@@ -18,6 +19,29 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# named_race_group NAMES PKG...: runs the tests NAMES (a '|'-separated
+# -run alternation) in PKG... under -race. `go test -run 'A|B'` exits 0
+# even when a listed name no longer matches any test, which would drop
+# that contract from the gate unnoticed, so every name is first checked
+# against `go test -list` over the same packages.
+named_race_group() {
+    names=$1
+    shift
+    # Test names hold no whitespace; the per-package "ok" lines do.
+    listed=$(go test -list . "$@")
+    missing=""
+    for name in $(printf '%s\n' "$names" | tr '|' ' '); do
+        if ! printf '%s\n' "$listed" | grep -v '[[:space:]]' | grep -Eq -- "$name"; then
+            missing="$missing $name"
+        fi
+    done
+    if [ -n "$missing" ]; then
+        echo "check.sh: named tests match no test in $*:$missing" >&2
+        exit 1
+    fi
+    go test -race -run "$names" -count 1 "$@"
+}
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)
@@ -60,21 +84,22 @@ echo "== bit-identity property tests under -race"
 # Redundant with the full -race sweep above, but named explicitly so the
 # parallel/blocked linear-algebra contracts cannot be silently dropped
 # from the gate: the blocked MulInto vs ikj reference, the parallel k★
-# fill vs serial, the PredictJoint parallel branch vs serial, the Extend
-# fast-path regression, and the unbounded-pool goroutine clamp.
-go test -race \
-    -run 'TestMulBlocked|TestMulIntoDispatch|TestAnyZero|TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendFreshFactorSkipsTransposeBuild|TestExtendColsMatchesExtend|TestExtendPathsAgree|TestEvalBatchUnboundedClampsGoroutines' \
-    -count 1 ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
+# fill vs serial, the PredictJoint parallel branch vs serial, the
+# extension's input contract, concurrent solves on one factor vs serial,
+# and the unbounded-pool goroutine clamp.
+named_race_group \
+    'TestMulBlocked|TestMulIntoDispatch|TestAnyZero|TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendColsMatchesExtend|TestConcurrentSolvesMatchSerial|TestEvalBatchUnboundedClampsGoroutines' \
+    ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
 
 echo "== fit-path bit-identity property tests under -race"
 # The fit-path scaling contracts (DESIGN.md §9): packed factorize/solve/
-# inverse/Extend vs the dense reference DAG, prefix inheritance along
-# fantasy chains, in-place refactorization, the banded parallel Gram /
-# gradient / inverse fills vs serial at GOMAXPROCS 1 and 8, and pooled
-# fit-workspace reuse.
-go test -race \
-    -run 'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestInheritedPrefixSolveBitIdentity|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestLRow|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestFantasyChainSharesPrefix' \
-    -count 1 ./internal/mat/ ./internal/gp/
+# inverse/extension vs the dense reference DAG, solves down an extension
+# chain, in-place refactorization, the banded parallel Gram / gradient /
+# inverse fills vs serial at GOMAXPROCS 1 and 8, and pooled fit-workspace
+# reuse.
+named_race_group \
+    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity' \
+    ./internal/mat/ ./internal/gp/
 
 echo "== kill-and-resume determinism under -race"
 # Named explicitly so the crash-safe serving contracts cannot be silently
@@ -93,9 +118,9 @@ echo "== kill-and-resume determinism under -race"
 # its two contracts here too: the rolling-horizon golden trace (same seed
 # → bit-identical year schedule and revenue) and the fleet driver's
 # mid-day kill-and-resume against a live in-process pboserver.
-go test -race \
-    -run 'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
-    -count 1 ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
+named_race_group \
+    'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
+    ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== alloc-regression tests (no race detector)"
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/
