@@ -139,9 +139,9 @@ func BenchmarkAblation_RefitEvery(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_Strategies compares the three batch APs implemented
-// beyond the paper (TS-RFF, LP-EGO, BNN-GA) against the paper's best UPHES
-// performer on a matched short budget.
+// BenchmarkExtension_Strategies compares the batch APs implemented beyond
+// the paper (strategy.ExtendedNames: the UCB1 acquisition portfolio)
+// against the paper's best UPHES performer on a matched short budget.
 func BenchmarkExtension_Strategies(b *testing.B) {
 	names := append([]string{"mic-q-EGO"}, strategy.ExtendedNames...)
 	for _, name := range names {

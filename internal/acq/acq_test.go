@@ -210,30 +210,3 @@ func TestQEIBadBatchSizePanics(t *testing.T) {
 	}()
 	q.EvalBatch(g, [][]float64{{0.5}})
 }
-
-func TestThompsonSample(t *testing.T) {
-	g := fit1D(t, 0.05, 0.25, 0.45, 0.65, 0.85)
-	cands := [][]float64{{0.1}, {0.4}, {0.78}, {0.95}}
-	counts := make([]int, len(cands))
-	stream := rng.New(8, 8)
-	for i := 0; i < 200; i++ {
-		idx, err := ThompsonSample(g, cands, true, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	// The point near the true minimum (x≈0.78) should win most draws.
-	if counts[2] < 100 {
-		t.Fatalf("thompson counts = %v, expected index 2 to dominate", counts)
-	}
-}
-
-func TestCloneVecs(t *testing.T) {
-	a := [][]float64{{1, 2}, {3, 4}}
-	b := CloneVecs(a)
-	b[0][0] = 99
-	if a[0][0] != 1 {
-		t.Fatal("CloneVecs shares storage")
-	}
-}

@@ -80,7 +80,9 @@ type AskTell struct {
 
 	// The rng streams are split from the master in the same fixed order as
 	// the closed loop always has (design=1, acq=2, jitter=3, fit=4), so
-	// traces replay bit-identically.
+	// traces replay bit-identically. Nothing draws from fitStream (every
+	// fit goes through the ModelFactory); it stays in the checkpoint so
+	// the frame layout holds and v1–v3 snapshots decode unchanged.
 	designStream *rng.Stream
 	acqStream    *rng.Stream
 	jitterStream *rng.Stream
@@ -103,8 +105,8 @@ type AskTell struct {
 	order   []int // pending batch IDs in ask order, for deterministic snapshots
 
 	// fantasyFallbacks counts asynchronous cycles whose busy points could
-	// not be fantasized (surrogate.ErrUnsupported) and were handled by the
-	// local-penalty surrogate instead.
+	// not be fantasized and were handled by the local-penalty surrogate
+	// instead.
 	fantasyFallbacks int
 
 	failed error // sticky fatal error (model fit failure)
@@ -276,7 +278,6 @@ type cycleRollback struct {
 	elapsed          time.Duration
 	model            surrogate.Surrogate
 	fantasyFallbacks int
-	fitStream        []byte
 	acqStream        []byte
 	jitterStream     []byte
 	factoryState     []byte
@@ -291,7 +292,6 @@ func (at *AskTell) captureCycle() (*cycleRollback, error) {
 		elapsed:          at.clock.Elapsed(),
 		model:            at.model,
 		fantasyFallbacks: at.fantasyFallbacks,
-		fitStream:        at.fitStream.State(),
 		acqStream:        at.acqStream.State(),
 		jitterStream:     at.jitterStream.State(),
 	}
@@ -320,10 +320,7 @@ func (at *AskTell) rollbackCycle(rb *cycleRollback) error {
 		at.failed = errors.New("core: cancelled cycle has no rollback state")
 		return at.failed
 	}
-	err := at.fitStream.Restore(rb.fitStream)
-	if err == nil {
-		err = at.acqStream.Restore(rb.acqStream)
-	}
+	err := at.acqStream.Restore(rb.acqStream)
 	if err == nil {
 		err = at.jitterStream.Restore(rb.jitterStream)
 	}
@@ -428,15 +425,7 @@ func (at *AskTell) removePending(id int) {
 // FitTime) — the same phase the closed loop ran, moved behind Ask.
 func (at *AskTell) fitModel(ctx context.Context, cycle int) (time.Duration, error) {
 	fitStart := at.now()
-	var (
-		model surrogate.Surrogate
-		err   error
-	)
-	if mp, ok := at.cfg.Strategy.(ModelProvider); ok {
-		model, err = mp.FitModel(ctx, at.st, cycle, at.fitStream.Split(uint64(cycle)))
-	} else {
-		model, err = at.factory.Fit(ctx, at.st, cycle)
-	}
+	model, err := at.factory.Fit(ctx, at.st, cycle)
 	fitReal := at.now().Sub(fitStart)
 	if err != nil {
 		return 0, err
@@ -586,8 +575,8 @@ func runAskTell(ctx context.Context, at *AskTell) (*Result, error) {
 
 // StrategyCheckpointer is an optional Strategy capability: strategies
 // whose internal state evolves across cycles (TuRBO's trust region,
-// BSP-EGO's partition tree, TS-RFF's hyperparameter model) implement it so
-// a resumed run replays byte-for-byte. Stateless strategies need not.
+// BSP-EGO's partition tree, the portfolio's arm statistics) implement it
+// so a resumed run replays byte-for-byte. Stateless strategies need not.
 type StrategyCheckpointer interface {
 	// StrategyState serializes the run-specific state.
 	StrategyState() ([]byte, error)
@@ -624,7 +613,7 @@ type Checkpoint struct {
 	Cycle    int   `json:"cycle"`
 	Recorded int   `json:"recorded"`
 	// FantasyFallbacks counts async cycles that used the local-penalty
-	// surrogate because the model family cannot fantasize.
+	// surrogate because a busy point could not be fantasized.
 	FantasyFallbacks int `json:"fantasy_fallbacks,omitempty"`
 
 	Design      [][]float64 `json:"design"`

@@ -14,9 +14,10 @@ import (
 // up to BatchSize points are in flight at once, and a replacement Ask
 // becomes available the moment any Tell lands — the aphBO-2GP-3B schedule.
 // Points that are still busy when a new proposal is made are treated as
-// Kriging-Believer fantasy observations (Ginsbourger et al.); model
-// families without a conditioning update (the deep ensemble) fall back to
-// a local-penalty surrogate in the spirit of González et al.'s local
+// Kriging-Believer fantasy observations (Ginsbourger et al.); when a
+// fantasy cannot be formed (a failed Cholesky extension, or a surrogate
+// without a conditioning update) the proposal falls back to a
+// local-penalty surrogate in the spirit of González et al.'s local
 // penalization, tracked by FantasyFallbacks.
 
 // askAsync is the cycle phase of Ask in asynchronous mode. Guard order,
@@ -103,12 +104,12 @@ func (at *AskTell) busyPoints() [][]float64 {
 // conditionOnBusy returns the acquisition model for a replacement
 // proposal: the current surrogate conditioned on every busy point via a
 // Kriging-Believer fantasy chain (each busy point believed at its own
-// posterior mean, in ask order). If any link cannot fantasize —
-// surrogate.ErrUnsupported from the deep ensemble, or a degenerate
-// extension — the whole chain is abandoned for a local-penalty wrapper
-// over the unconditioned model, which deflates the posterior standard
-// deviation near busy points so acquisition maximizers are pushed away
-// from them. The fallback is counted in FantasyFallbacks.
+// posterior mean, in ask order). If any link cannot fantasize — a
+// degenerate Cholesky extension, or surrogate.ErrUnsupported from a model
+// without a conditioning update — the whole chain is abandoned for a
+// local-penalty wrapper over the unconditioned model, which deflates the
+// posterior standard deviation near busy points so acquisition maximizers
+// are pushed away from them. The fallback is counted in FantasyFallbacks.
 func (at *AskTell) conditionOnBusy(busy [][]float64) surrogate.Surrogate {
 	if len(busy) == 0 {
 		return at.model
@@ -128,8 +129,8 @@ func (at *AskTell) conditionOnBusy(busy [][]float64) surrogate.Surrogate {
 
 // FantasyFallbacks reports how many asynchronous proposals fell back to
 // the local-penalty surrogate because busy points could not be fantasized.
-// Zero for synchronous runs and for model families with a conditioning
-// update (the exact GP and RFF).
+// Zero for synchronous runs, and for the exact GP unless a fantasy's
+// Cholesky extension fails.
 func (at *AskTell) FantasyFallbacks() int { return at.fantasyFallbacks }
 
 // Mode reports the engine's protocol mode.
@@ -261,8 +262,5 @@ func (s *penaltySurrogate) Fantasize([]float64, float64) (surrogate.Surrogate, e
 func (s *penaltySurrogate) BestObserved(minimize bool) (int, []float64, float64) {
 	return s.base.BestObserved(minimize)
 }
-
-// Info implements surrogate.Surrogate by delegation.
-func (s *penaltySurrogate) Info() surrogate.Info { return s.base.Info() }
 
 var _ surrogate.Surrogate = (*penaltySurrogate)(nil)

@@ -256,7 +256,7 @@ func TestAsyncModeIsCheckpointIdentity(t *testing.T) {
 }
 
 // noFantasySurrogate is a minimal surrogate whose Fantasize is
-// unsupported, standing in for the deep ensemble: mean = Σx, sd = 2.
+// unsupported, forcing the penalty fallback: mean = Σx, sd = 2.
 type noFantasySurrogate struct{}
 
 func (noFantasySurrogate) Predict(x []float64) (float64, float64) {
@@ -291,15 +291,13 @@ func (noFantasySurrogate) Fantasize([]float64, float64) (surrogate.Surrogate, er
 
 func (noFantasySurrogate) BestObserved(bool) (int, []float64, float64) { return 0, nil, 0 }
 
-func (noFantasySurrogate) Info() surrogate.Info { return surrogate.Info{Family: "stub"} }
-
 type noFantasyFactory struct{}
 
 func (noFantasyFactory) Fit(context.Context, *State, int) (surrogate.Surrogate, error) {
 	return noFantasySurrogate{}, nil
 }
 
-// TestAsyncFantasyFallback: with a model family that cannot fantasize,
+// TestAsyncFantasyFallback: with a surrogate that cannot fantasize,
 // replacement proposals fall back to the local-penalty surrogate, the
 // fallback counter reflects it, and the counter survives checkpoint.
 func TestAsyncFantasyFallback(t *testing.T) {

@@ -9,13 +9,12 @@
 // implementation (see DESIGN.md §2).
 //
 // The engine is model-agnostic: strategies consume the surrogate.Surrogate
-// interface, the per-cycle fit schedule lives behind ModelFactory (default:
-// the paper's GP with periodic hyperparameter refits), and strategies that
-// train their own surrogate (deep ensembles, random-feature models)
-// implement ModelProvider so their training is charged to FitTime. Runs are
-// cancellable: Engine.Run takes a context and, once cancelled, drains
-// in-flight evaluations, stops within the current cycle and returns the
-// partial Result together with an error wrapping ErrInterrupted.
+// interface, and every cycle's fit goes through ModelFactory (default: the
+// paper's GP with periodic hyperparameter refits), whose wall time is
+// charged to FitTime. Runs are cancellable: Engine.Run takes a context
+// and, once cancelled, drains in-flight evaluations, stops within the
+// current cycle and returns the partial Result together with an error
+// wrapping ErrInterrupted.
 package core
 
 import (
@@ -49,7 +48,7 @@ const (
 	// batches up to BatchSize in flight, and a replacement point becomes
 	// available the moment any Tell lands. Still-busy points are treated
 	// as Kriging-Believer fantasy observations during acquisition (or via
-	// a local-penalty surrogate when the model family cannot fantasize),
+	// a local-penalty surrogate when a fantasy cannot be formed),
 	// following aphBO-2GP-3B and GP-UCB-PE. Each Tell advances the
 	// virtual clock to the told point's completion time, so a run charges
 	// the same event-driven schedule a real asynchronous worker pool
@@ -180,11 +179,11 @@ type Strategy interface {
 	// Name identifies the AP (e.g. "KB-q-EGO").
 	Name() string
 	// Propose returns q candidate points inside the problem bounds. The
-	// surrogate is whatever the engine's fit phase produced — the paper's
-	// GP by default, or the strategy's own model when it implements
-	// ModelProvider. Cancelling ctx may end inner optimizer restarts
-	// early; Propose should then return promptly with whatever it has
-	// (the engine discards the batch and stops the run).
+	// surrogate is whatever the engine's fit phase produced through its
+	// ModelFactory — the paper's GP by default. Cancelling ctx may end
+	// inner optimizer restarts early; Propose should then return promptly
+	// with whatever it has (the engine discards the batch and stops the
+	// run).
 	Propose(ctx context.Context, model surrogate.Surrogate, st *State, q int, stream *rng.Stream) ([][]float64, error)
 	// Observe notifies the strategy of the evaluated batch so it can
 	// evolve internal state (trust region, space partition). Called after
@@ -201,18 +200,6 @@ type Strategy interface {
 	// (including single-core CI machines where goroutines cannot deliver
 	// real speedup).
 	APParallelism(q int) int
-}
-
-// ModelProvider is an optional Strategy capability. A strategy that trains
-// its own surrogate each cycle (BNN-GA's deep ensemble, TS-RFF's random
-// feature model) implements it; the engine then skips the engine-side fit
-// entirely and charges FitModel's wall time to the cycle's FitTime — the
-// paper's convention that model training is "fitting", whatever the model
-// family — instead of letting training leak into AcqTime inside Propose.
-// stream is a per-cycle substream of the engine's dedicated fit stream,
-// independent of the acquisition stream.
-type ModelProvider interface {
-	FitModel(ctx context.Context, st *State, cycle int, stream *rng.Stream) (surrogate.Surrogate, error)
 }
 
 // ModelFactory produces the engine-side surrogate each cycle. It owns the
@@ -426,12 +413,10 @@ type Engine struct {
 	Pool *parallel.Pool
 	// Model configures GP fitting. Zero values select defaults
 	// (Matérn-5/2, fitted noise, 1 restart, MaxIter 15, subset cap 128,
-	// refit every 3rd cycle). Ignored when Factory is set or the
-	// Strategy implements ModelProvider.
+	// refit every 3rd cycle). Ignored when Factory is set.
 	Model ModelConfig
 	// Factory overrides the engine-side surrogate fit (default: the
-	// paper's GP with the Model schedule). Ignored when the Strategy
-	// implements ModelProvider.
+	// paper's GP with the Model schedule).
 	Factory ModelFactory
 	// Hook observes lifecycle phases; nil means NopHook.
 	Hook CycleHook

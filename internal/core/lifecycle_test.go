@@ -2,7 +2,7 @@ package core
 
 // Tests for the engine lifecycle decomposition: hook ordering, fallback
 // reporting, context cancellation (partial results, drained workers) and
-// fit-time attribution for self-modeled strategies.
+// attribution of model training to FitTime.
 
 import (
 	"context"
@@ -263,16 +263,7 @@ func TestEngineCancelBetweenCycles(t *testing.T) {
 	}
 }
 
-// countingFactory fails loudly if the engine asks it for a surrogate; used
-// to prove ModelProvider strategies bypass the engine-side fit entirely.
-type countingFactory struct{ calls atomic.Int32 }
-
-func (f *countingFactory) Fit(context.Context, *State, int) (surrogate.Surrogate, error) {
-	f.calls.Add(1)
-	return nil, errors.New("engine-side fit must not run for ModelProvider strategies")
-}
-
-// stubSurrogate is a minimal surrogate for provider tests.
+// stubSurrogate is a minimal surrogate for the fit-attribution test.
 type stubSurrogate struct{}
 
 func (stubSurrogate) Predict([]float64) (float64, float64) { return 0, 1 }
@@ -290,35 +281,40 @@ func (stubSurrogate) Fantasize([]float64, float64) (surrogate.Surrogate, error) 
 	return nil, surrogate.ErrUnsupported
 }
 func (stubSurrogate) BestObserved(bool) (int, []float64, float64) { return 0, nil, 0 }
-func (stubSurrogate) Info() surrogate.Info                        { return surrogate.Info{Family: "stub"} }
 
-// providerStrategy brings its own model, burning measurable time in
-// FitModel so the attribution of training to FitTime can be asserted.
-type providerStrategy struct {
-	randomStrategy
-	trainDelay time.Duration
-	fits       int
-	sawStub    bool
+// slowFactory burns measurable time in Fit and returns the stub, so the
+// attribution of model training to FitTime can be asserted.
+type slowFactory struct {
+	delay time.Duration
+	fits  atomic.Int32
 }
 
-func (s *providerStrategy) FitModel(_ context.Context, _ *State, cycle int, _ *rng.Stream) (surrogate.Surrogate, error) {
-	s.fits++
-	time.Sleep(s.trainDelay)
+func (f *slowFactory) Fit(context.Context, *State, int) (surrogate.Surrogate, error) {
+	f.fits.Add(1)
+	time.Sleep(f.delay)
 	return stubSurrogate{}, nil
 }
 
-func (s *providerStrategy) Propose(ctx context.Context, model surrogate.Surrogate, st *State, q int, stream *rng.Stream) ([][]float64, error) {
+// stubSeeingStrategy records whether Propose received the factory's model.
+type stubSeeingStrategy struct {
+	randomStrategy
+	sawStub bool
+}
+
+func (s *stubSeeingStrategy) Propose(ctx context.Context, model surrogate.Surrogate, st *State, q int, stream *rng.Stream) ([][]float64, error) {
 	if _, ok := model.(stubSurrogate); ok {
 		s.sawStub = true
 	}
 	return s.randomStrategy.Propose(ctx, model, st, q, stream)
 }
 
-func TestModelProviderFitTimeAttribution(t *testing.T) {
+// TestFactoryFitTimeAttribution pins the paper's time split: the
+// ModelFactory's training time lands in FitTime and never in AcqTime.
+func TestFactoryFitTimeAttribution(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	p := sphereProblem(time.Second)
-	s := &providerStrategy{trainDelay: delay}
-	f := &countingFactory{}
+	s := &stubSeeingStrategy{}
+	f := &slowFactory{delay: delay}
 	e := quickEngine(p, s)
 	e.Budget = time.Hour
 	e.MaxCycles = 2
@@ -327,14 +323,11 @@ func TestModelProviderFitTimeAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.calls.Load(); got != 0 {
-		t.Fatalf("engine performed %d GP fits for a ModelProvider strategy", got)
-	}
-	if s.fits != 2 {
-		t.Fatalf("FitModel called %d times, want 2", s.fits)
+	if got := f.fits.Load(); got != 2 {
+		t.Fatalf("Fit called %d times, want one per cycle (2)", got)
 	}
 	if !s.sawStub {
-		t.Fatal("Propose did not receive the strategy's own surrogate")
+		t.Fatal("Propose did not receive the factory's surrogate")
 	}
 	for _, rec := range res.History {
 		// OverheadFactor is 1 in quickEngine, so FitTime is the measured

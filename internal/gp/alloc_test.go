@@ -72,39 +72,6 @@ func TestFitObjectiveAllocs(t *testing.T) {
 	}
 }
 
-// TestRFFPredictAllocs holds the RFF feature-space posterior to the same
-// zero-allocation contract as the exact GP.
-func TestRFFPredictAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are perturbed under -race")
-	}
-	X, y, cfg := benchData(64)
-	g, err := Fit(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := FitRFF(X, y, RFFConfig{Config: cfg, Features: 64}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := X[7]
-	dMu := make([]float64, len(x))
-	dSD := make([]float64, len(x))
-	r.Predict(x)
-	r.PredictWithGrad(x, dMu, dSD)
-
-	if got := testing.AllocsPerRun(200, func() {
-		r.Predict(x)
-	}); got > 0 {
-		t.Fatalf("rff.Predict allocates %v times per call, want 0", got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		r.PredictWithGrad(x, dMu, dSD)
-	}); got > 0 {
-		t.Fatalf("rff.PredictWithGrad allocates %v times per call, want 0", got)
-	}
-}
-
 // TestPredictJointEmptyBatch checks the surrogate contract: an empty
 // batch is a caller error reported as a wrapped surrogate.ErrEmptyBatch,
 // not a panic (the pre-refactor behavior was an index panic inside the
@@ -120,13 +87,5 @@ func TestPredictJointEmptyBatch(t *testing.T) {
 	}
 	if _, err := g.PredictJoint([][]float64{}); !errors.Is(err, surrogate.ErrEmptyBatch) {
 		t.Fatalf("gp.PredictJoint(empty) err = %v, want ErrEmptyBatch", err)
-	}
-
-	r, err := FitRFF(X, y, RFFConfig{Config: cfg, Features: 32}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.PredictJoint(nil); !errors.Is(err, surrogate.ErrEmptyBatch) {
-		t.Fatalf("rff.PredictJoint(nil) err = %v, want ErrEmptyBatch", err)
 	}
 }

@@ -185,11 +185,7 @@ func (g *GP) initWorkspacePool() {
 // ErrEmptyData is returned when fitting with no observations.
 var ErrEmptyData = errors.New("gp: no training data")
 
-// Both model families in this package are full surrogates.
-var (
-	_ surrogate.Surrogate = (*GP)(nil)
-	_ surrogate.Surrogate = (*RFF)(nil)
-)
+var _ surrogate.Surrogate = (*GP)(nil)
 
 // Fit trains a GP on the given raw-space observations.
 func Fit(xs [][]float64, ys []float64, cfg Config) (*GP, error) {
@@ -783,17 +779,6 @@ func (g *GP) Fantasize(x []float64, y float64) (surrogate.Surrogate, error) {
 	ng.alpha = ext.SolveVec(ng.ys)
 	ng.initWorkspacePool()
 	return ng, nil
-}
-
-// Info implements surrogate.Surrogate.
-func (g *GP) Info() surrogate.Info {
-	return surrogate.Info{
-		Family:          "GP",
-		N:               g.N(),
-		Dim:             g.d,
-		Score:           g.fitLML,
-		Hyperparameters: g.Hyperparameters(),
-	}
 }
 
 // BestObserved returns the index, point (raw space) and value of the best

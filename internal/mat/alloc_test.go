@@ -1,11 +1,10 @@
 package mat
 
 import (
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
 
 	"repro/internal/fp"
+	"repro/internal/rng"
 	"repro/internal/testutil"
 )
 
@@ -17,16 +16,16 @@ func TestSolveIntoAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
-	rng := rand.New(rand.NewPCG(21, 21))
+	src := rng.New(21, 21)
 	const n = 32
-	a := randomSPD(rng, n)
+	a := randomSPD(src, n)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := make([]float64, n)
 	for i := range b {
-		b[i] = rng.NormFloat64()
+		b[i] = src.Norm()
 	}
 	dst := make([]float64, n)
 
@@ -53,13 +52,13 @@ func TestMulIntoAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
-	rng := rand.New(rand.NewPCG(22, 22))
-	a := randomDense(rng, 16, 24)
-	bm := randomDense(rng, 24, 8)
+	src := rng.New(22, 22)
+	a := randomDense(src, 16, 24)
+	bm := randomDense(src, 24, 8)
 	dst := NewDense(16, 8, nil)
 	x := make([]float64, 24)
 	for i := range x {
-		x[i] = rng.NormFloat64()
+		x[i] = src.Norm()
 	}
 	v := make([]float64, 16)
 	vt := make([]float64, 24)
@@ -87,16 +86,16 @@ func TestMulIntoAllocs(t *testing.T) {
 // shims over the Into forms, so any drift here means the shim copied
 // state it should not have.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 23))
+	src := rng.New(23, 23)
 	const n = 17
-	a := randomSPD(rng, n)
+	a := randomSPD(src, n)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := make([]float64, n)
 	for i := range b {
-		b[i] = rng.NormFloat64()
+		b[i] = src.Norm()
 	}
 	dst := make([]float64, n)
 

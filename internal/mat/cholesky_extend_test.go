@@ -2,19 +2,19 @@ package mat
 
 import (
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestExtendColsMatchesExtend pins ExtendCols' input contract: the
 // column block comes back unmodified, and bad shapes panic.
 func TestExtendColsMatchesExtend(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 2))
+	src := rng.New(9, 2)
 	const n, m = 19, 4
-	parent := randomSPD(rng, n)
-	bcols := colMajor(randomDense(rng, n, m))
-	cc := spdBlock(rng, m, float64(n))
+	parent := randomSPD(src, n)
+	bcols := colMajor(randomDense(src, n, m))
+	cc := spdBlock(src, m, float64(n))
 	orig := append([]float64(nil), bcols...)
 
 	if _, err := factorOf(t, parent).ExtendCols(bcols, cc); err != nil {
@@ -35,9 +35,9 @@ func TestExtendColsMatchesExtend(t *testing.T) {
 // TestCholeskyFromLower covers the test-fixture constructor used to build
 // large synthetic factors without an O(n³) factorization.
 func TestCholeskyFromLower(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 8))
+	src := rng.New(17, 8)
 	const n = 16
-	ref := freshFactor(t, rng, n)
+	ref := freshFactor(t, src, n)
 
 	c, err := CholeskyFromLower(ref.L())
 	if err != nil {
@@ -46,7 +46,7 @@ func TestCholeskyFromLower(t *testing.T) {
 	if c.Size() != n {
 		t.Fatalf("Size = %d, want %d", c.Size(), n)
 	}
-	rhs := randomVec(rng, n)
+	rhs := randomVec(src, n)
 	got, want := c.SolveVec(rhs), ref.SolveVec(rhs)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -88,9 +88,9 @@ func mustPanic(t *testing.T, label string, fn func()) {
 }
 
 // freshFactor builds the factor of a random n×n SPD matrix.
-func freshFactor(t *testing.T, rng *rand.Rand, n int) *Cholesky {
+func freshFactor(t *testing.T, src *rng.Stream, n int) *Cholesky {
 	t.Helper()
-	return factorOf(t, randomSPD(rng, n))
+	return factorOf(t, randomSPD(src, n))
 }
 
 // factorOf factors a; calling it twice on the same matrix yields two
@@ -118,11 +118,11 @@ func colMajor(b *Dense) []float64 {
 }
 
 // spdBlock builds an m×m SPD corner block with diagonal dominance ~diag.
-func spdBlock(rng *rand.Rand, m int, diag float64) *Dense {
+func spdBlock(src *rng.Stream, m int, diag float64) *Dense {
 	cc := NewDense(m, m, nil)
 	for i := 0; i < m; i++ {
 		for j := 0; j <= i; j++ {
-			v := rng.NormFloat64()
+			v := src.Norm()
 			cc.Set(i, j, v)
 			cc.Set(j, i, v)
 		}

@@ -3,23 +3,16 @@ package mat
 import (
 	"context"
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
-// newTestRand returns a fixed-seed PCG stream for in-package property
-// tests. Living here keeps the math/rand/v2 import (and its norand
-// waiver) in one place; sibling test files call this and let type
-// inference carry the stream.
-func newTestRand(seed1, seed2 uint64) *rand.Rand { return rand.New(rand.NewPCG(seed1, seed2)) }
-
 // randomSPD builds a random symmetric positive-definite matrix A = GᵀG + n·I.
-func randomSPD(rng *rand.Rand, n int) *Dense {
-	g := randomDense(rng, n, n)
+func randomSPD(src *rng.Stream, n int) *Dense {
+	g := randomDense(src, n, n)
 	a := Mul(g.T(), g)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
@@ -40,9 +33,9 @@ func maxDiff(a, b *Dense) float64 {
 }
 
 func TestCholeskyReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
+	src := rng.New(7, 7)
 	for _, n := range []int{1, 2, 5, 20, 50} {
-		a := randomSPD(rng, n)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -55,9 +48,9 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskySolveVec(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	a := randomSPD(rng, 12)
-	xTrue := randomVec(rng, 12)
+	src := rng.New(8, 8)
+	a := randomSPD(src, 12)
+	xTrue := randomVec(src, 12)
 	b := MulVec(a, xTrue)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
@@ -72,8 +65,8 @@ func TestCholeskySolveVec(t *testing.T) {
 }
 
 func TestCholeskySolveMatAndInverse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	a := randomSPD(rng, 8)
+	src := rng.New(9, 9)
+	a := randomSPD(src, 8)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +95,13 @@ func TestCholeskyLogDet(t *testing.T) {
 }
 
 func TestCholeskyForwardBack(t *testing.T) {
-	rng := rand.New(rand.NewPCG(10, 10))
-	a := randomSPD(rng, 6)
+	src := rng.New(10, 10)
+	a := randomSPD(src, 6)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randomVec(rng, 6)
+	b := randomVec(src, 6)
 	// back(forward(b)) should equal SolveVec(b).
 	y := c.ForwardSolveVec(b)
 	x := c.BackSolveVec(y)
@@ -130,7 +123,7 @@ func TestCholeskyForwardBack(t *testing.T) {
 func TestCholeskyJitterRecovery(t *testing.T) {
 	// Rank-deficient matrix needs jitter; it must factorize with jitter > 0.
 	n := 5
-	x := randomVec(rand.New(rand.NewPCG(11, 11)), n)
+	x := randomVec(rng.New(11, 11), n)
 	a := NewDense(n, n, nil)
 	a.SymOuterUpdate(1, x) // rank one
 	c, err := NewCholesky(a, 1e-8, 1)
@@ -150,9 +143,9 @@ func TestCholeskyNotPD(t *testing.T) {
 }
 
 func TestCholeskyExtend(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 12))
+	src := rng.New(12, 12)
 	for _, tc := range []struct{ n, m int }{{3, 1}, {5, 2}, {10, 4}, {1, 1}} {
-		full := randomSPD(rng, tc.n+tc.m)
+		full := randomSPD(src, tc.n+tc.m)
 		// Split into blocks.
 		a := NewDense(tc.n, tc.n, nil)
 		b := NewDense(tc.n, tc.m, nil)
@@ -189,8 +182,8 @@ func TestCholeskyExtend(t *testing.T) {
 }
 
 func TestCholeskyExtendSolveConsistency(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 13))
-	full := randomSPD(rng, 9)
+	src := rng.New(13, 13)
+	full := randomSPD(src, 9)
 	a := NewDense(6, 6, nil)
 	b := NewDense(6, 3, nil)
 	cc := NewDense(3, 3, nil)
@@ -215,7 +208,7 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := randomVec(rng, 9)
+	rhs := randomVec(src, 9)
 	x := ext.SolveVec(rhs)
 	back := MulVec(full, x)
 	for i := range rhs {
@@ -230,17 +223,17 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 // must get the bits the same call gets serially. Run under -race by
 // scripts/check.sh, this pins the read-only claim.
 func TestConcurrentSolvesMatchSerial(t *testing.T) {
-	rng := newTestRand(101, 29)
+	src := rng.New(101, 29)
 	const n, calls = 70, 24
-	c, err := NewCholesky(randomSPD(rng, n), 0, 0)
+	c, err := NewCholesky(randomSPD(src, n), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rhs := make([][]float64, calls)
 	for i := range rhs {
-		rhs[i] = randomVec(rng, n)
+		rhs[i] = randomVec(src, n)
 	}
-	cc := spdBlock(rng, 1, float64(n))
+	cc := spdBlock(src, 1, float64(n))
 	type result struct{ fwd, back, full, ext []float64 }
 	solve := func(b []float64) result {
 		ext, err := c.ExtendCols(b, cc)
@@ -268,14 +261,14 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 // Property: for any SPD matrix, solving then multiplying round-trips.
 func TestCholeskySolveProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 99))
-		n := 1 + int(rng.Uint64()%12)
-		a := randomSPD(rng, n)
+		src := rng.New(seed, 99)
+		n := 1 + int(src.Uint64()%12)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			return false
 		}
-		b := randomVec(rng, n)
+		b := randomVec(src, n)
 		x := c.SolveVec(b)
 		ax := MulVec(a, x)
 		for i := range b {
@@ -293,9 +286,9 @@ func TestCholeskySolveProperty(t *testing.T) {
 // Property: LogDet matches the product of squared diagonal factor entries.
 func TestCholeskyLogDetProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 7))
-		n := 1 + int(rng.Uint64()%8)
-		a := randomSPD(rng, n)
+		src := rng.New(seed, 7)
+		n := 1 + int(src.Uint64()%8)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			return false
@@ -312,8 +305,8 @@ func TestCholeskyLogDetProperty(t *testing.T) {
 }
 
 func BenchmarkCholesky100(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	a := randomSPD(rng, 100)
+	src := rng.New(1, 1)
+	a := randomSPD(src, 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewCholesky(a, 0, 0); err != nil {
@@ -323,8 +316,8 @@ func BenchmarkCholesky100(b *testing.B) {
 }
 
 func BenchmarkCholeskyExtend100x4(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	full := randomSPD(rng, 104)
+	src := rng.New(2, 2)
+	full := randomSPD(src, 104)
 	a := NewDense(100, 100, nil)
 	bb := NewDense(100, 4, nil)
 	cc := NewDense(4, 4, nil)

@@ -2,10 +2,10 @@ package mat
 
 import (
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -102,8 +102,8 @@ func TestMul(t *testing.T) {
 }
 
 func TestMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	a := randomDense(rng, 5, 5)
+	src := rng.New(1, 2)
+	a := randomDense(src, 5, 5)
 	c := Mul(a, Identity(5))
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
@@ -177,9 +177,9 @@ func TestNorm2Overflow(t *testing.T) {
 }
 
 func TestTraceAndTraceMul(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	a := randomDense(rng, 4, 6)
-	b := randomDense(rng, 6, 4)
+	src := rng.New(3, 4)
+	a := randomDense(src, 4, 6)
+	b := randomDense(src, 6, 4)
 	direct := Mul(a, b).Trace()
 	if !almostEq(TraceMul(a, b), direct, 1e-12) {
 		t.Fatalf("traceMul = %v, want %v", TraceMul(a, b), direct)
@@ -229,12 +229,12 @@ func TestMaxAbs(t *testing.T) {
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ for random matrices.
 func TestMulTransposeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-		r := 1 + int(rng.Uint64()%6)
-		k := 1 + int(rng.Uint64()%6)
-		c := 1 + int(rng.Uint64()%6)
-		a := randomDense(rng, r, k)
-		b := randomDense(rng, k, c)
+		src := rng.New(seed, seed^0x9e3779b9)
+		r := 1 + int(src.Uint64()%6)
+		k := 1 + int(src.Uint64()%6)
+		c := 1 + int(src.Uint64()%6)
+		a := randomDense(src, r, k)
+		b := randomDense(src, k, c)
 		lhs := Mul(a, b).T()
 		rhs := Mul(b.T(), a.T())
 		for i := 0; i < lhs.Rows(); i++ {
@@ -254,13 +254,13 @@ func TestMulTransposeProperty(t *testing.T) {
 // Property: MulVec is linear: A(αx+βy) = αAx + βAy.
 func TestMulVecLinearity(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 17))
-		r := 1 + int(rng.Uint64()%5)
-		c := 1 + int(rng.Uint64()%5)
-		a := randomDense(rng, r, c)
-		x := randomVec(rng, c)
-		y := randomVec(rng, c)
-		alpha, beta := rng.NormFloat64(), rng.NormFloat64()
+		src := rng.New(seed, 17)
+		r := 1 + int(src.Uint64()%5)
+		c := 1 + int(src.Uint64()%5)
+		a := randomDense(src, r, c)
+		x := randomVec(src, c)
+		y := randomVec(src, c)
+		alpha, beta := src.Norm(), src.Norm()
 		z := make([]float64, c)
 		for i := range z {
 			z[i] = alpha*x[i] + beta*y[i]
@@ -279,26 +279,26 @@ func TestMulVecLinearity(t *testing.T) {
 	}
 }
 
-func randomDense(rng *rand.Rand, r, c int) *Dense {
+func randomDense(src *rng.Stream, r, c int) *Dense {
 	m := NewDense(r, c, nil)
 	for i := range m.data {
-		m.data[i] = rng.NormFloat64()
+		m.data[i] = src.Norm()
 	}
 	return m
 }
 
-func randomVec(rng *rand.Rand, n int) []float64 {
+func randomVec(src *rng.Stream, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
-		v[i] = rng.NormFloat64()
+		v[i] = src.Norm()
 	}
 	return v
 }
 
 func BenchmarkMul64(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	a := randomDense(rng, 64, 64)
-	c := randomDense(rng, 64, 64)
+	src := rng.New(1, 1)
+	a := randomDense(src, 64, 64)
+	c := randomDense(src, 64, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Mul(a, c)

@@ -1,9 +1,9 @@
 package mat
 
 import (
-	//lint:ignore norand in-package mat benches cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // The MulInto trio pins the blocked path's speedup over the ikj
@@ -12,8 +12,8 @@ import (
 // time, so the dispatch can never silently regress to slower-than-naive.
 
 func benchMulFixture(n int) (a, b, dst *Dense) {
-	rng := rand.New(rand.NewPCG(42, uint64(n)))
-	return randomDense(rng, n, n), randomDense(rng, n, n), NewDense(n, n, nil)
+	src := rng.New(42, uint64(n))
+	return randomDense(src, n, n), randomDense(src, n, n), NewDense(n, n, nil)
 }
 
 func BenchmarkMulIntoNaive1024(b *testing.B) {
@@ -45,7 +45,7 @@ func BenchmarkMulInto1024(b *testing.B) {
 // and its m×m corner.
 func benchExtendFixture(b *testing.B, n, m int) (*Cholesky, []float64, *Dense) {
 	b.Helper()
-	rng := rand.New(rand.NewPCG(7, uint64(n)))
+	src := rng.New(7, uint64(n))
 	l := NewDense(n, n, nil)
 	for i := 0; i < n; i++ {
 		row := l.Row(i)
@@ -58,7 +58,7 @@ func benchExtendFixture(b *testing.B, n, m int) (*Cholesky, []float64, *Dense) {
 	if err != nil {
 		b.Fatalf("CholeskyFromLower: %v", err)
 	}
-	bm := randomDense(rng, n, m)
+	bm := randomDense(src, n, m)
 	for i, v := range bm.Data() {
 		bm.Data()[i] = 0.1 * v // keep the Schur complement comfortably PD
 	}

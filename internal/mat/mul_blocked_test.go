@@ -2,21 +2,20 @@ package mat
 
 import (
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"repro/internal/fp"
+	"repro/internal/rng"
 )
 
 // sprinkleZeros zeroes ~frac of m's entries so the fp.Zero skip in the
 // ikj reference actually fires, forcing the blocked path onto its
 // per-k fallback for affected panels.
-func sprinkleZeros(rng *rand.Rand, m *Dense, frac float64) {
+func sprinkleZeros(src *rng.Stream, m *Dense, frac float64) {
 	d := m.Data()
 	for i := range d {
-		if rng.Float64() < frac {
+		if src.Float64() < frac {
 			d[i] = 0
 		}
 	}
@@ -43,7 +42,7 @@ func bitsEqual(t *testing.T, got, want *Dense, label string) {
 // every per-output-element add in the same increasing-k order as the
 // reference, so any divergence at all is a bug.
 func TestMulBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
+	src := rng.New(7, 11)
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
 		{3, 5, 7},
@@ -55,12 +54,12 @@ func TestMulBlockedMatchesNaive(t *testing.T) {
 		{65, 67, 63},
 	}
 	for _, s := range shapes {
-		a := randomDense(rng, s.m, s.k)
-		b := randomDense(rng, s.k, s.n)
-		sprinkleZeros(rng, a, 0.2) // exercise the fp.Zero panel fallback
+		a := randomDense(src, s.m, s.k)
+		b := randomDense(src, s.k, s.n)
+		sprinkleZeros(src, a, 0.2) // exercise the fp.Zero panel fallback
 		want := NewDense(s.m, s.n, nil)
 		mulIKJ(want, a, b)
-		got := randomDense(rng, s.m, s.n) // pre-filled garbage: kernels must zero their rows
+		got := randomDense(src, s.m, s.n) // pre-filled garbage: kernels must zero their rows
 		mulBlockedRows(got, a, b, 0, s.m)
 		bitsEqual(t, got, want, "blocked")
 	}
@@ -113,11 +112,11 @@ func TestMulBlockedZeroSkipSemantics(t *testing.T) {
 // partition depends only on the row count and every chunk writes a
 // disjoint destination range.
 func TestMulIntoDispatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
+	src := rng.New(3, 9)
 
 	// Small B: stays on the ikj path.
-	a := randomDense(rng, 20, 30)
-	b := randomDense(rng, 30, 10)
+	a := randomDense(src, 20, 30)
+	b := randomDense(src, 30, 10)
 	want := NewDense(20, 10, nil)
 	mulIKJ(want, a, b)
 	bitsEqual(t, MulInto(NewDense(20, 10, nil), a, b), want, "small dispatch")
@@ -126,9 +125,9 @@ func TestMulIntoDispatch(t *testing.T) {
 	// stays fast: takes the blocked path.
 	const k, n = 300, 300 // 90000 > mulBlockCrossover
 	const m = 2*mulRowChunk + 7
-	a = randomDense(rng, m, k)
-	sprinkleZeros(rng, a, 0.1)
-	b = randomDense(rng, k, n)
+	a = randomDense(src, m, k)
+	sprinkleZeros(src, a, 0.1)
+	b = randomDense(src, k, n)
 	want = NewDense(m, n, nil)
 	mulIKJ(want, a, b)
 	bitsEqual(t, MulInto(NewDense(m, n, nil), a, b), want, "blocked dispatch")

@@ -4,6 +4,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // This file pins the packed column-major factor to the dense reference
@@ -116,9 +118,9 @@ func vecBitsEqual(t *testing.T, got, want []float64, label string) {
 // dense reference bit for bit across sizes, including the odd sizes that
 // exercise every remainder path of the blocked kernels.
 func TestPackedFactorizeMatchesDense(t *testing.T) {
-	rng := newTestRand(31, 7)
+	src := rng.New(31, 7)
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 33, 64, 101} {
-		a := randomSPD(rng, n)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)
@@ -143,15 +145,15 @@ func TestPackedFactorizeMatchesDense(t *testing.T) {
 // updates arrive in increasing k with the division at the same point, so
 // storage cannot touch the result.
 func TestPackedSolvesMatchDense(t *testing.T) {
-	rng := newTestRand(41, 9)
+	src := rng.New(41, 9)
 	for _, n := range []int{1, 2, 3, 7, 30, 65, 129} {
-		a := randomSPD(rng, n)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)
 		}
 		ref := denseRefFactor(t, a, c.Jitter())
-		b := randomVec(rng, n)
+		b := randomVec(src, n)
 
 		want := append([]float64(nil), b...)
 		denseRefForward(ref, want)
@@ -171,16 +173,16 @@ func TestPackedSolvesMatchDense(t *testing.T) {
 // inverse on packed columns, must match the dense references bitwise,
 // and InverseInto must be indifferent to dirty scratch.
 func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
-	rng := newTestRand(51, 3)
+	src := rng.New(51, 3)
 	const n, m = 23, 4
-	a := randomSPD(rng, n)
+	a := randomSPD(src, n)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
 	ref := denseRefFactor(t, a, c.Jitter())
 
-	b := randomDense(rng, n, m)
+	b := randomDense(src, n, m)
 	got, want := NewDense(n, m, nil), NewDense(n, m, nil)
 	col := make([]float64, n)
 	for j := 0; j < m; j++ {
@@ -214,11 +216,11 @@ func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 // per-column forward solves, Schur complement, corner factorization — bit
 // for bit.
 func TestPackedExtendMatchesDenseReference(t *testing.T) {
-	rng := newTestRand(61, 13)
+	src := rng.New(61, 13)
 	const n, m = 27, 3
-	a := randomSPD(rng, n)
-	b := randomDense(rng, n, m)
-	cc := spdBlock(rng, m, float64(n))
+	a := randomSPD(src, n)
+	b := randomDense(src, n, m)
+	cc := spdBlock(src, m, float64(n))
 
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
@@ -270,20 +272,20 @@ func TestPackedExtendMatchesDenseReference(t *testing.T) {
 // L(), bit for bit — an extended factor is an ordinary factor, with no
 // state inherited from its parent.
 func TestExtendChainSolvesMatchDense(t *testing.T) {
-	rng := newTestRand(71, 17)
+	src := rng.New(71, 17)
 	const n = 33
-	cur, err := NewCholesky(randomSPD(rng, n), 0, 0)
+	cur, err := NewCholesky(randomSPD(src, n), 0, 0)
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
 	for link := 0; link < 3; link++ {
 		m := 1 + link%2
-		next, err := cur.ExtendCols(colMajor(randomDense(rng, cur.Size(), m)), spdBlock(rng, m, float64(n)))
+		next, err := cur.ExtendCols(colMajor(randomDense(src, cur.Size(), m)), spdBlock(src, m, float64(n)))
 		if err != nil {
 			t.Fatalf("link %d: ExtendCols: %v", link, err)
 		}
 		ref := next.L()
-		rhs := randomVec(rng, next.Size())
+		rhs := randomVec(src, next.Size())
 
 		want := append([]float64(nil), rhs...)
 		denseRefForward(ref, want)
@@ -304,12 +306,12 @@ func TestExtendChainSolvesMatchDense(t *testing.T) {
 // NewCholesky across size changes, and must not disturb a factor extended
 // from an earlier life.
 func TestRefactorizeMatchesNew(t *testing.T) {
-	rng := newTestRand(81, 19)
+	src := rng.New(81, 19)
 	c := &Cholesky{}
 	var child *Cholesky
 	var childA *Dense
 	for round, n := range []int{12, 29, 29, 8} {
-		a := randomSPD(rng, n)
+		a := randomSPD(src, n)
 		if err := c.Refactorize(a, 0, 0); err != nil {
 			t.Fatalf("round %d: Refactorize: %v", round, err)
 		}
@@ -324,11 +326,11 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 			t.Fatalf("round %d: FactorBytes = %d, want %d", round, got, want)
 		}
 		bitsEqual(t, c.L(), fresh.L(), "Refactorize vs NewCholesky")
-		b := randomVec(rng, n)
+		b := randomVec(src, n)
 		vecBitsEqual(t, c.SolveVec(b), fresh.SolveVec(b), "recycled solve")
 
 		if round == 1 {
-			child, err = c.ExtendCols(colMajor(randomDense(rng, n, 1)), spdBlock(rng, 1, float64(n)))
+			child, err = c.ExtendCols(colMajor(randomDense(src, n, 1)), spdBlock(src, 1, float64(n)))
 			if err != nil {
 				t.Fatalf("ExtendCols: %v", err)
 			}
@@ -338,7 +340,7 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 		}
 	}
 	// The child still solves correctly against its own matrix.
-	rhs := randomVec(rng, child.Size())
+	rhs := randomVec(src, child.Size())
 	x := child.SolveVec(rhs)
 	back := make([]float64, len(rhs))
 	for i := 0; i < child.Size(); i++ {
@@ -358,9 +360,9 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 // computed independently — so banded and serial must agree at every n,
 // not just across worker counts.
 func TestInverseIntoParallelBitIdentity(t *testing.T) {
-	rng := newTestRand(97, 17)
+	src := rng.New(97, 17)
 	for _, n := range []int{1, 5, 63, 64, 70, 129} {
-		a := randomSPD(rng, n)
+		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)

@@ -1,6 +1,6 @@
 // Package rng provides the deterministic randomness infrastructure of the
-// library: seed-splittable PRNG streams, Gaussian and multivariate-normal
-// sampling, Sobol' low-discrepancy sequences and Latin Hypercube designs.
+// library: seed-splittable PRNG streams, Gaussian sampling, Sobol'
+// low-discrepancy sequences and Latin Hypercube designs.
 //
 // Every stochastic component of the BO stack draws from a Stream derived
 // from a master seed, so whole experiments replay bit-identically.
@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"repro/internal/mat"
 )
 
 // Stream is a deterministic pseudo-random stream. It wraps a PCG generator
@@ -123,29 +121,6 @@ func (s *Stream) NormVec(n int) []float64 {
 
 // Perm returns a random permutation of [0,n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// MVN draws one sample from N(mean, L·Lᵀ) where l is a lower-triangular
-// Cholesky factor of the covariance.
-func (s *Stream) MVN(mean []float64, l *mat.Dense) []float64 {
-	n := len(mean)
-	if l.Rows() != n || l.Cols() != n {
-		panic(fmt.Sprintf("rng: MVN factor %d×%d for mean of length %d", l.Rows(), l.Cols(), n))
-	}
-	z := s.NormVec(n)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		acc := mean[i]
-		for k := 0; k <= i; k++ {
-			acc += row[k] * z[k]
-		}
-		out[i] = acc
-	}
-	return out
-}
 
 // NormICDF returns the inverse CDF (quantile function) of the standard
 // normal distribution, using the Acklam rational approximation refined by a

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/mat"
 )
 
 func TestStreamDeterminism(t *testing.T) {
@@ -84,35 +82,6 @@ func TestNormVecMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Fatalf("normal variance = %v", variance)
-	}
-}
-
-func TestMVNCovariance(t *testing.T) {
-	// Covariance [[4,2],[2,3]]; Cholesky factor computed via mat.
-	cov := mat.NewDense(2, 2, []float64{4, 2, 2, 3})
-	ch, err := mat.NewCholesky(cov, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(5, 5)
-	mean := []float64{1, -2}
-	const n = 100000
-	var m0, m1, c00, c01, c11 float64
-	for i := 0; i < n; i++ {
-		x := s.MVN(mean, ch.L())
-		m0 += x[0]
-		m1 += x[1]
-		c00 += (x[0] - mean[0]) * (x[0] - mean[0])
-		c01 += (x[0] - mean[0]) * (x[1] - mean[1])
-		c11 += (x[1] - mean[1]) * (x[1] - mean[1])
-	}
-	m0, m1 = m0/n, m1/n
-	c00, c01, c11 = c00/n, c01/n, c11/n
-	if math.Abs(m0-1) > 0.05 || math.Abs(m1+2) > 0.05 {
-		t.Fatalf("MVN means = %v, %v", m0, m1)
-	}
-	if math.Abs(c00-4) > 0.15 || math.Abs(c01-2) > 0.15 || math.Abs(c11-3) > 0.15 {
-		t.Fatalf("MVN covariance = [[%v,%v],[,%v]]", c00, c01, c11)
 	}
 }
 

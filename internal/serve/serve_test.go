@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -355,6 +359,61 @@ func TestServerAPIErrors(t *testing.T) {
 	}
 	if _, err := c.Tell(ctx, spec.ID, []session.EvalResult{{BatchID: b.ID, Member: 0, Y: 1}}); err != nil {
 		t.Errorf("valid member rejected after failed group tell: %v", err)
+	}
+}
+
+// TestServerRejectsOversizedBodies: create and tell bodies above the
+// 1 MiB cap get 413 with the JSON error body and change nothing — no
+// session directory on create, no ingested result on tell — even though
+// each body would otherwise decode into a valid request.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "snaps")
+	srv := &Server{SnapRoot: root}
+	h := srv.Handler()
+	pad := `"pad": "` + strings.Repeat("x", 2<<20) + `", `
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+			t.Errorf("POST %s: error body %q (%v)", path, rec.Body.String(), err)
+		}
+		return rec
+	}
+
+	spec := testSpecs()[3]
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := append([]byte("{"+pad), raw[1:]...)
+	if rec := post("/v1/sessions", big); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: HTTP %d, want 413", rec.Code)
+	}
+	if _, err := os.Stat(filepath.Join(root, spec.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("oversized create left a session directory (stat err %v)", err)
+	}
+
+	sess, err := srv.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sess.Ask(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Status()
+	tell, err := json.Marshal(TellRequest{Results: []session.EvalResult{{BatchID: b.ID, Member: 0, Y: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big = append([]byte("{"+pad), tell[1:]...)
+	if rec := post("/v1/sessions/"+spec.ID+"/tell", big); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized tell: HTTP %d, want 413", rec.Code)
+	}
+	if after := sess.Status(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("oversized tell changed the session:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

@@ -465,10 +465,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes caps the create and tell request bodies (HTTP 413 beyond
+// it). A legitimate spec or q-point tell is a few KB; the cap stops a
+// broken or hostile client from making the server buffer an unbounded
+// body.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	sess, err := s.Create(spec)
@@ -557,8 +568,13 @@ func (s *Server) handleAskWait(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTell(w http.ResponseWriter, r *http.Request) {
 	s.withSession(w, r, func(e *entry) {
 		var req TellRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad tell: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, fmt.Errorf("bad tell: %w", err))
 			return
 		}
 		if err := e.sess.Tell(r.Context(), req.Results); err != nil {

@@ -56,7 +56,9 @@ type SessionSpec struct {
 	// must match [A-Za-z0-9._-]+.
 	ID      string      `json:"id"`
 	Problem ProblemSpec `json:"problem"`
-	// Strategy is a registry name (strategy.Names or ExtendedNames).
+	// Strategy is a registry name: one of strategy.Names, or "Portfolio"
+	// (strategy.ExtendedNames). A name the registry does not know fails
+	// create and resume alike with "strategy: unknown strategy".
 	Strategy string `json:"strategy"`
 	// Mode selects the engine protocol: "" or "sync" for the
 	// batch-synchronous schedule, "async" for the asynchronous one

@@ -6,18 +6,17 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/gp"
 	"repro/internal/mat"
 )
 
 // This file implements core.StrategyCheckpointer for the strategies whose
 // behavior depends on state accumulated across cycles. KB-q-EGO, mic-EGO
 // and MC-based q-EGO derive each proposal purely from (model, state,
-// stream) and need no codec; TuRBO carries its trust-region geometry,
-// BSP-EGO its space partition, and TS-RFF its hyperparameter model. Every
-// codec round-trips through encoding/json (float64 survives exactly), so a
-// resumed run replays the uninterrupted run bit-for-bit — the property the
-// kill-and-resume tests pin per strategy.
+// stream) and need no codec; TuRBO carries its trust-region geometry and
+// BSP-EGO its space partition. Every codec round-trips through
+// encoding/json (float64 survives exactly), so a resumed run replays the
+// uninterrupted run bit-for-bit — the property the kill-and-resume tests
+// pin per strategy.
 
 // ErrStrategyState reports a malformed serialized strategy state.
 var ErrStrategyState = errors.New("strategy: invalid checkpoint state")
@@ -126,38 +125,4 @@ func decodeBSPNode(st *bspNodeState, parent *bspNode) (*bspNode, error) {
 		return nil, err
 	}
 	return n, nil
-}
-
-// tsrffState is TS-RFF's serialized hyperparameter-model state.
-type tsrffState struct {
-	Hyper *gp.HyperState `json:"hyper,omitempty"`
-}
-
-// StrategyState implements core.StrategyCheckpointer. The hyperparameter
-// GP is captured as a warm-start donor: FitModel only ever feeds it to
-// gp.Refit/gp.WithData, which read nothing but the donor fields.
-func (s *TSRFF) StrategyState() ([]byte, error) {
-	var st tsrffState
-	if s.hyperGP != nil {
-		st.Hyper = s.hyperGP.HyperState()
-	}
-	return json.Marshal(&st)
-}
-
-// RestoreStrategyState implements core.StrategyCheckpointer.
-func (s *TSRFF) RestoreStrategyState(data []byte) error {
-	var st tsrffState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: ts-rff: %v", ErrStrategyState, err)
-	}
-	if st.Hyper == nil {
-		s.hyperGP = nil
-		return nil
-	}
-	m, err := gp.RestoreHyperDonor(st.Hyper)
-	if err != nil {
-		return fmt.Errorf("%w: ts-rff: %v", ErrStrategyState, err)
-	}
-	s.hyperGP = m
-	return nil
 }

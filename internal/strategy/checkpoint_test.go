@@ -61,16 +61,14 @@ func runAskTellLoop(t *testing.T, e *core.Engine, at *core.AskTell, stopAfterTel
 }
 
 // TestStrategyKillAndResume is the per-strategy resume-determinism
-// property for every paper strategy plus TS-RFF (the stateful
-// ModelProvider): a run killed after the k-th tell and resumed from its
-// checkpoint — through a JSON round-trip — must finish with a Result
-// bit-identical to the uninterrupted reference, including the History
-// (pinned by the injected deterministic clock). k=4 interrupts after the
-// first cycle (fresh strategy state), k=5 after the second (evolved trust
-// region / partition / hyper model).
+// property for every paper strategy: a run killed after the k-th tell and
+// resumed from its checkpoint — through a JSON round-trip — must finish
+// with a Result bit-identical to the uninterrupted reference, including
+// the History (pinned by the injected deterministic clock). k=4
+// interrupts after the first cycle (fresh strategy state), k=5 after the
+// second (evolved trust region / partition).
 func TestStrategyKillAndResume(t *testing.T) {
-	strategies := append(All(), NewTSRFF())
-	for _, s := range strategies {
+	for _, s := range All() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			refEngine := checkpointEngine(mustByName(t, s.Name()))
@@ -129,7 +127,7 @@ func mustByName(t *testing.T, name string) core.Strategy {
 // the strategies with cross-cycle state must expose the codec, and a fresh
 // instance must round-trip its (empty and evolved) state.
 func TestStatefulStrategiesImplementCheckpointer(t *testing.T) {
-	for _, name := range []string{"TuRBO", "BSP-EGO", "TS-RFF"} {
+	for _, name := range []string{"TuRBO", "BSP-EGO"} {
 		s := mustByName(t, name)
 		if _, ok := s.(core.StrategyCheckpointer); !ok {
 			t.Errorf("%s does not implement StrategyCheckpointer", name)
@@ -219,50 +217,5 @@ func TestBSPEGOStateRoundTrip(t *testing.T) {
 		if err := NewBSPEGO().RestoreStrategyState([]byte(bad)); err == nil {
 			t.Errorf("malformed state %q accepted", bad)
 		}
-	}
-}
-
-func TestTSRFFStateRoundTrip(t *testing.T) {
-	p := sphereProblem()
-	m, st := fitState(t, p, 12)
-	_ = st
-
-	s := NewTSRFF()
-	s.hyperGP = m
-	data, err := s.StrategyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewTSRFF()
-	if err := s2.RestoreStrategyState(data); err != nil {
-		t.Fatal(err)
-	}
-	if s2.hyperGP == nil {
-		t.Fatal("hyper model not restored")
-	}
-	wp, gp2 := m.Hyperparameters(), s2.hyperGP.Hyperparameters()
-	for i := range wp {
-		//lint:ignore floatcmp restored hyperparameters must be bit-identical
-		if wp[i] != gp2[i] {
-			t.Fatalf("hyperparameter %d differs: %v vs %v", i, wp[i], gp2[i])
-		}
-	}
-
-	// Nil hyper model round-trips to nil.
-	empty, err := NewTSRFF().StrategyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3 := NewTSRFF()
-	s3.hyperGP = m
-	if err := s3.RestoreStrategyState(empty); err != nil {
-		t.Fatal(err)
-	}
-	if s3.hyperGP != nil {
-		t.Fatal("empty state did not clear the hyper model")
-	}
-
-	if err := NewTSRFF().RestoreStrategyState([]byte(`{"hyper": {"config": {}}}`)); err == nil {
-		t.Error("malformed hyper state accepted")
 	}
 }

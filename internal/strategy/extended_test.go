@@ -2,14 +2,11 @@ package strategy
 
 import (
 	"context"
-	"errors"
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
-	"repro/internal/surrogate"
 )
 
 func TestExtendedRegistry(t *testing.T) {
@@ -41,89 +38,12 @@ func TestExtendedStrategiesProposeValidBatches(t *testing.T) {
 	}
 }
 
-func TestTSRFFBatchDiversity(t *testing.T) {
-	p := sphereProblem()
-	m, st := fitState(t, p, 12) // few points: posterior wide, paths differ
-	s := NewTSRFF()
-	batch, err := s.Propose(context.Background(), m, st, 4, rng.New(32, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := 0
-	for i := range batch {
-		unique := true
-		for j := 0; j < i; j++ {
-			if math.Hypot(batch[i][0]-batch[j][0], batch[i][1]-batch[j][1]) < 1e-6 {
-				unique = false
-			}
-		}
-		if unique {
-			distinct++
-		}
-	}
-	if distinct < 3 {
-		t.Fatalf("TS-RFF produced only %d distinct candidates", distinct)
-	}
-}
-
-func TestLocalPenalizationSpreadsBatch(t *testing.T) {
-	p := sphereProblem()
-	m, st := fitState(t, p, 20)
-	s := NewLocalPenalization()
-	batch, err := s.Propose(context.Background(), m, st, 3, rng.New(33, 33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pairwise separation: the penalizers must push members apart.
-	for i := range batch {
-		for j := 0; j < i; j++ {
-			if math.Hypot(batch[i][0]-batch[j][0], batch[i][1]-batch[j][1]) < 1e-4 {
-				t.Fatalf("LP batch members %d and %d collapsed: %v vs %v", i, j, batch[i], batch[j])
-			}
-		}
-	}
-}
-
-func TestLocalPenalizationLipschitzPositive(t *testing.T) {
-	p := sphereProblem()
-	m, _ := fitState(t, p, 20)
-	s := NewLocalPenalization()
-	l := s.estimateLipschitz(m, p.Lo, p.Hi, rng.New(34, 34))
-	if l <= 0 || math.IsNaN(l) {
-		t.Fatalf("lipschitz estimate %v", l)
-	}
-}
-
-func TestBNNGABatchDistinct(t *testing.T) {
-	p := sphereProblem()
-	m, st := fitState(t, p, 24)
-	s := NewBNNGA()
-	s.Net.Epochs = 30 // keep the test fast
-	batch, err := s.Propose(context.Background(), m, st, 4, rng.New(35, 35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inBounds(t, p, batch, 4)
-	for i := range batch {
-		for j := 0; j < i; j++ {
-			d := math.Hypot(batch[i][0]-batch[j][0], batch[i][1]-batch[j][1])
-			if d < 1e-6 {
-				t.Fatalf("BNN-GA batch members identical")
-			}
-		}
-	}
-}
-
 func TestExtendedStrategiesEndToEnd(t *testing.T) {
 	// Each extended strategy must drive the engine on the sphere.
 	for _, name := range ExtendedNames {
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if b, ok := s.(*BNNGA); ok {
-			b.Net.Epochs = 25
-			b.Net.Members = 3
 		}
 		p := sphereProblem()
 		e := &core.Engine{
@@ -143,59 +63,5 @@ func TestExtendedStrategiesEndToEnd(t *testing.T) {
 		if res.BestY > 3 {
 			t.Fatalf("%s: final best %v too poor", name, res.BestY)
 		}
-	}
-}
-
-// tripwireFactory fails the test if the engine ever asks it for a
-// surrogate: ModelProvider strategies must bypass the engine-side GP fit.
-type tripwireFactory struct{ calls int }
-
-func (f *tripwireFactory) Fit(context.Context, *core.State, int) (surrogate.Surrogate, error) {
-	f.calls++
-	return nil, errors.New("engine-side fit must not run for ModelProvider strategies")
-}
-
-func TestBNNGATrainingChargedToFitTime(t *testing.T) {
-	s := NewBNNGA()
-	s.Net.Epochs = 25
-	s.Net.Members = 3
-	f := &tripwireFactory{}
-	e := &core.Engine{
-		Problem:        sphereProblem(),
-		Strategy:       s,
-		BatchSize:      2,
-		InitSamples:    8,
-		Budget:         time.Hour,
-		MaxCycles:      2,
-		OverheadFactor: 1,
-		Factory:        f,
-		Seed:           37,
-	}
-	res, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.calls != 0 {
-		t.Fatalf("engine performed %d GP fits for BNN-GA", f.calls)
-	}
-	if len(res.History) != 2 {
-		t.Fatalf("history = %d", len(res.History))
-	}
-	for _, rec := range res.History {
-		if rec.FitTime <= 0 {
-			t.Fatalf("cycle %d: ensemble training not charged to FitTime: %+v", rec.Cycle, rec)
-		}
-	}
-}
-
-func TestExtendedAPParallelism(t *testing.T) {
-	if NewTSRFF().APParallelism(4) != 4 {
-		t.Fatal("TS-RFF parallelism should equal q")
-	}
-	if NewLocalPenalization().APParallelism(4) != 1 {
-		t.Fatal("LP is sequential")
-	}
-	if NewBNNGA().APParallelism(4) != 5 {
-		t.Fatal("BNN-GA parallelism should equal ensemble size")
 	}
 }

@@ -9,18 +9,14 @@ import (
 // Names of the five paper strategies, in the paper's presentation order.
 var Names = []string{"KB-q-EGO", "mic-q-EGO", "MC-based q-EGO", "BSP-EGO", "TuRBO"}
 
-// Interface conformance: every strategy satisfies core.Strategy, and the
-// self-modeled ones additionally provide their own surrogate fit.
+// Interface conformance: every strategy satisfies core.Strategy.
 var (
-	_ core.Strategy      = (*KBQEGO)(nil)
-	_ core.Strategy      = (*MICQEGO)(nil)
-	_ core.Strategy      = (*MCQEGO)(nil)
-	_ core.Strategy      = (*BSPEGO)(nil)
-	_ core.Strategy      = (*TuRBO)(nil)
-	_ core.Strategy      = (*LocalPenalization)(nil)
-	_ core.Strategy      = (*Portfolio)(nil)
-	_ core.ModelProvider = (*TSRFF)(nil)
-	_ core.ModelProvider = (*BNNGA)(nil)
+	_ core.Strategy = (*KBQEGO)(nil)
+	_ core.Strategy = (*MICQEGO)(nil)
+	_ core.Strategy = (*MCQEGO)(nil)
+	_ core.Strategy = (*BSPEGO)(nil)
+	_ core.Strategy = (*TuRBO)(nil)
+	_ core.Strategy = (*Portfolio)(nil)
 
 	_ core.StrategyCheckpointer = (*Portfolio)(nil)
 )
@@ -38,26 +34,16 @@ func ByName(name string) (core.Strategy, error) {
 		return NewBSPEGO(), nil
 	case "TuRBO", "turbo":
 		return NewTuRBO(), nil
-	case "TS-RFF", "ts-rff", "ts":
-		return NewTSRFF(), nil
-	case "LP-EGO", "lp-ego", "lp":
-		return NewLocalPenalization(), nil
-	case "BNN-GA", "bnn-ga", "bnn":
-		return NewBNNGA(), nil
 	case "Portfolio", "portfolio", "aph":
 		return NewPortfolio(), nil
 	}
 	return nil, fmt.Errorf("strategy: unknown strategy %q", name)
 }
 
-// ExtendedNames lists the additional batch APs implemented beyond the
-// paper's five: Thompson sampling over random-Fourier-feature sample paths,
-// Local Penalization (González et al., surveyed by the paper), the
-// Bayesian-neural-network-assisted GA of the authors' companion study
-// (Briffoteaux et al. 2020, the paper's reference [8]), and the UCB1
-// acquisition portfolio in the spirit of aphBO-2GP-3B — the natural partner
-// of the asynchronous engine mode.
-var ExtendedNames = []string{"TS-RFF", "LP-EGO", "BNN-GA", "Portfolio"}
+// ExtendedNames lists the batch APs implemented beyond the paper's five:
+// the UCB1 acquisition portfolio in the spirit of aphBO-2GP-3B, the natural
+// partner of the asynchronous engine mode.
+var ExtendedNames = []string{"Portfolio"}
 
 // All returns fresh instances of the five strategies under comparison.
 func All() []core.Strategy {

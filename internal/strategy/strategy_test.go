@@ -286,8 +286,12 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("ByName(%s).Name() = %s", name, s.Name())
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("expected error for unknown strategy")
+	// "nope", plus the names and aliases of strategies the package no
+	// longer provides: a spec naming one of them must fail loudly.
+	for _, name := range []string{"nope", "TS-RFF", "ts-rff", "ts", "LP-EGO", "lp-ego", "lp", "BNN-GA", "bnn-ga", "bnn"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName(%q) accepted an unknown strategy", name)
+		}
 	}
 	if len(All()) != 5 {
 		t.Fatalf("All() = %d strategies", len(All()))

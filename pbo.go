@@ -186,8 +186,9 @@ func CustomProblem(name string, f func(x []float64) float64, lo, hi []float64, m
 }
 
 // ExtendedStrategies lists the batch acquisition processes implemented
-// beyond the paper's five (see DESIGN.md §5): "TS-RFF", "LP-EGO" and
-// "BNN-GA". They are accepted by Options.Strategy like the core five.
+// beyond the paper's five (see DESIGN.md §5): "Portfolio", the UCB1
+// acquisition portfolio. They are accepted by Options.Strategy like the
+// core five.
 func ExtendedStrategies() []string {
 	return append([]string(nil), strategy.ExtendedNames...)
 }

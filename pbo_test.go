@@ -145,7 +145,7 @@ func TestUPHESSimulatorBreakdown(t *testing.T) {
 
 func TestExtendedStrategiesAccepted(t *testing.T) {
 	names := ExtendedStrategies()
-	if len(names) != 4 {
+	if len(names) != 1 || names[0] != "Portfolio" {
 		t.Fatalf("extended strategies = %v", names)
 	}
 	p, err := CustomProblem("s1", func(x []float64) float64 { return x[0] * x[0] },
@@ -154,13 +154,13 @@ func TestExtendedStrategiesAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Optimize(p, Options{
-		Strategy: "TS-RFF", BatchSize: 2, InitSamples: 6,
+		Strategy: names[0], BatchSize: 2, InitSamples: 6,
 		Budget: 30 * time.Second, OverheadFactor: 1, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != "TS-RFF" {
+	if res.Strategy != names[0] {
 		t.Fatalf("strategy = %s", res.Strategy)
 	}
 }
