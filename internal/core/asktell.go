@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/gp"
@@ -35,6 +36,13 @@ var ErrDone = errors.New("core: optimization complete")
 // asynchronous mode — all BatchSize in-flight slots are occupied. Callers
 // should tell outstanding results and ask again.
 var ErrNoBatchReady = errors.New("core: no batch ready until outstanding results are told")
+
+// ErrNonFinite is wrapped by Tell when a told objective value is NaN or
+// ±Inf. One such value would poison the GP's output standardization and
+// every later fit, so the batch is rejected whole: it stays pending, and
+// the run is left exactly as it was before the call. Tell the batch again
+// with finite values to continue.
+var ErrNonFinite = errors.New("core: non-finite objective value")
 
 // Batch is one unit of work handed out by Ask: q points to evaluate.
 // Cycle 0 identifies initial-design waves; acquisition batches carry their
@@ -147,10 +155,7 @@ func NewAskTell(e *Engine) (*AskTell, error) {
 		},
 	}
 	if at.factory == nil {
-		// gpConfig reads the caller's Model verbatim (zero values defer to
-		// gp-side defaults), exactly as the closed loop always constructed
-		// its factory; only RefitEvery comes from the defaulted copy.
-		at.factory = &gpFactory{cfg: e.gpConfig(cfg.Seed), refitEvery: cfg.Model.RefitEvery}
+		at.factory = cfg.defaultFactory()
 	}
 	at.design = rng.ScaleToBounds(
 		rng.LatinHypercube(cfg.InitSamples, cfg.Problem.Dim(), at.designStream),
@@ -363,7 +368,8 @@ func (at *AskTell) addPending(cycle int, points [][]float64, fitVirtual, acqVirt
 // engine Pool's worker model — exactly the value the closed loop's
 // EvalBatch reports — then observe, notify the strategy and record the
 // cycle. Initial-design waves only observe (the design never consumes
-// budget). Batches may be told in any order.
+// budget). Batches may be told in any order. A NaN or ±Inf value rejects
+// the whole tell with an error wrapping ErrNonFinite.
 func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	if at.failed != nil {
 		return at.failed
@@ -378,6 +384,11 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	}
 	if costs != nil && len(costs) != n {
 		return fmt.Errorf("core: tell batch %d: %d costs for %d points", id, len(costs), n)
+	}
+	for m, y := range ys {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("core: tell batch %d member %d: value %v: %w", id, m, y, ErrNonFinite)
+		}
 	}
 	if costs == nil {
 		costs = make([]time.Duration, n)
@@ -469,8 +480,8 @@ func (at *AskTell) acquire(ctx context.Context, cycle int, model surrogate.Surro
 	}
 	batch = dedupeBatch(batch, at.st, busy, at.jitterStream)
 	speedup := cfg.Strategy.APParallelism(q)
-	if speedup > cfg.Cores {
-		speedup = cfg.Cores
+	if speedup > cfg.BatchSize {
+		speedup = cfg.BatchSize
 	}
 	if speedup < 1 {
 		speedup = 1
@@ -814,7 +825,7 @@ func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 	}
 	at.clock.elapsed = time.Duration(c.ClockNS)
 	if at.factory == nil {
-		at.factory = &gpFactory{cfg: e.gpConfig(cfg.Seed), refitEvery: cfg.Model.RefitEvery}
+		at.factory = cfg.defaultFactory()
 	}
 	if c.FactoryState != nil {
 		fc, ok := at.factory.(FactoryCheckpointer)

@@ -532,7 +532,7 @@ func TestAskTellCancelledAskRollsBack(t *testing.T) {
 		cf := &cancellingFactory{
 			// Mirror NewAskTell's default factory so the inner fits match
 			// the reference run's exactly.
-			inner:  &gpFactory{cfg: e.gpConfig(cfg.Seed), refitEvery: cfg.Model.RefitEvery},
+			inner:  cfg.defaultFactory(),
 			fireAt: 2,
 		}
 		e.Factory = cf

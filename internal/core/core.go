@@ -195,7 +195,7 @@ type Strategy interface {
 	// acquisition process for batch size q: 1 for the sequential APs
 	// (KB, mic, MC, TuRBO), 2·q for BSP-EGO's per-leaf parallel
 	// acquisition. The engine divides measured acquisition time by
-	// min(APParallelism, Cores) when charging the virtual clock, which
+	// min(APParallelism, BatchSize) when charging the virtual clock, which
 	// reproduces the paper's multi-core time accounting on any host
 	// (including single-core CI machines where goroutines cannot deliver
 	// real speedup).
@@ -403,17 +403,12 @@ type Engine struct {
 	// the paper's batch sizes match Figure 9b; use 1 for honest native
 	// timing). See DESIGN.md §2.
 	OverheadFactor float64
-	// Cores is the assumed parallel-worker count for time accounting
-	// (default BatchSize, as in the paper where one MPI rank serves each
-	// batch member). It caps the virtual speedup of parallel acquisition
-	// processes.
-	Cores int
 	// Pool evaluates batches; nil means an unbounded pool with the
 	// default parallel-call overhead.
 	Pool *parallel.Pool
-	// Model configures GP fitting. Zero values select defaults
-	// (Matérn-5/2, fitted noise, 1 restart, MaxIter 15, subset cap 128,
-	// refit every 3rd cycle). Ignored when Factory is set.
+	// Model configures GP fitting. Zero values select gp's own defaults
+	// (2 restarts, 1 on warm refits; 50 L-BFGS iterations; no subset
+	// cap) and a refit every 3rd cycle. Ignored when Factory is set.
 	Model ModelConfig
 	// Factory overrides the engine-side surrogate fit (default: the
 	// paper's GP with the Model schedule).
@@ -425,9 +420,10 @@ type Engine struct {
 }
 
 // ModelConfig tunes surrogate fitting without exposing gp.Config directly.
+// The surrogate is always the paper's Matérn-5/2 GP with fitted noise.
+// Restarts, MaxIter and FitSubsetMax pass to gp.Config unchanged, so a
+// zero value takes gp's default.
 type ModelConfig struct {
-	Kernel       gp.KernelKind
-	Noise        float64
 	Restarts     int
 	MaxIter      int
 	FitSubsetMax int
@@ -451,20 +447,8 @@ func (e *Engine) defaults() Engine {
 	if d.OverheadFactor <= 0 {
 		d.OverheadFactor = 6
 	}
-	if d.Cores <= 0 {
-		d.Cores = d.BatchSize
-	}
 	if d.Pool == nil {
 		d.Pool = &parallel.Pool{Overhead: parallel.LinearOverhead(100*time.Millisecond, 50*time.Millisecond)}
-	}
-	if d.Model.Restarts == 0 {
-		d.Model.Restarts = 1
-	}
-	if d.Model.MaxIter == 0 {
-		d.Model.MaxIter = 15
-	}
-	if d.Model.FitSubsetMax == 0 {
-		d.Model.FitSubsetMax = 128
 	}
 	if d.Model.RefitEvery <= 0 {
 		d.Model.RefitEvery = 3
@@ -475,16 +459,18 @@ func (e *Engine) defaults() Engine {
 	return d
 }
 
-func (e *Engine) gpConfig(seed uint64) gp.Config {
-	return gp.Config{
-		Kernel:       e.Model.Kernel,
-		Lo:           e.Problem.Lo,
-		Hi:           e.Problem.Hi,
-		Noise:        e.Model.Noise,
-		Restarts:     e.Model.Restarts,
-		MaxIter:      e.Model.MaxIter,
-		FitSubsetMax: e.Model.FitSubsetMax,
-		Seed:         seed,
+// defaultFactory returns the paper's GP factory for a defaulted engine.
+func (e *Engine) defaultFactory() *gpFactory {
+	return &gpFactory{
+		cfg: gp.Config{
+			Lo:           e.Problem.Lo,
+			Hi:           e.Problem.Hi,
+			Restarts:     e.Model.Restarts,
+			MaxIter:      e.Model.MaxIter,
+			FitSubsetMax: e.Model.FitSubsetMax,
+			Seed:         e.Seed,
+		},
+		refitEvery: e.Model.RefitEvery,
 	}
 }
 

@@ -136,24 +136,3 @@ func TestReadResultJSONBadInput(t *testing.T) {
 		t.Fatal("expected decode error")
 	}
 }
-
-func TestWriteTraceCSV(t *testing.T) {
-	r := sampleResult()
-	var buf bytes.Buffer
-	if err := r.WriteTraceCSV(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "eval,x0,x1,y,best\n") {
-		t.Fatalf("header wrong: %q", out[:30])
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	// Best-so-far column of row 4 (y=0.04) must be 0.04 and stay 0.04 on
-	// row 5 (y=0.05).
-	if !strings.HasSuffix(lines[4], ",0.04") || !strings.HasSuffix(lines[5], ",0.04") {
-		t.Fatalf("best column wrong:\n%s", out)
-	}
-}

@@ -25,19 +25,18 @@ func (s *sleepyStrategy) Propose(_ context.Context, _ surrogate.Surrogate, st *S
 	return rng.UniformDesign(q, st.Problem.Lo, st.Problem.Hi, stream), nil
 }
 
-// runOneCycle runs a single engine cycle with the given strategy and
-// returns the recorded virtual acquisition time.
-func runOneCycle(t *testing.T, s Strategy, cores int) time.Duration {
+// runOneCycle runs a single engine cycle of batch size q with the given
+// strategy and returns the recorded virtual acquisition time.
+func runOneCycle(t *testing.T, s Strategy, q int) time.Duration {
 	t.Helper()
 	e := &Engine{
 		Problem:        sphereProblem(time.Second),
 		Strategy:       s,
-		BatchSize:      4,
+		BatchSize:      q,
 		InitSamples:    8,
 		Budget:         time.Hour,
 		MaxCycles:      1,
 		OverheadFactor: 1,
-		Cores:          cores,
 		Model:          ModelConfig{Restarts: 1, MaxIter: 10, FitSubsetMax: 32},
 		Seed:           3,
 	}
@@ -66,7 +65,7 @@ func TestAPParallelismDividesAcqTime(t *testing.T) {
 
 func TestAPParallelismCappedByCores(t *testing.T) {
 	const delay = 300 * time.Millisecond
-	// Parallel degree 8 but only 2 cores: speedup must cap at 2.
+	// Parallel degree 8 but a batch of 2, so 2 cores: speedup must cap at 2.
 	capped := runOneCycle(t, &sleepyStrategy{delay: delay, parallelism: 8}, 2)
 	if capped < delay/3 {
 		t.Fatalf("AP charged %v, below the 2-core floor %v", capped, delay/2)

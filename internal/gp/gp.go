@@ -62,21 +62,9 @@ var lmlGradBandN = 512
 // lmlGradBand is the row-band granularity of the banded gradient trace.
 const lmlGradBand = 64
 
-// KernelKind selects the covariance family for Config.
-type KernelKind int
-
-// Supported kernel families.
-const (
-	Matern52 KernelKind = iota // paper default
-	Matern32
-	SE
-)
-
-// Config controls GP construction and hyperparameter fitting.
+// Config controls GP construction and hyperparameter fitting. The
+// covariance is always the paper's ARD Matérn-5/2 kernel.
 type Config struct {
-	// Kernel selects the covariance family (default Matern52, as in the
-	// paper).
-	Kernel KernelKind
 	// Bounds are the lower/upper corners of the design space, used to
 	// normalize inputs to the unit cube. Required.
 	Lo, Hi []float64
@@ -109,17 +97,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) newKernel(d int) kernel.Kernel {
-	switch c.Kernel {
-	case Matern32:
-		return kernel.NewMatern32(d)
-	case SE:
-		return kernel.NewSE(d)
-	default:
-		return kernel.NewMatern52(d)
-	}
-}
-
 // Hyperparameter bounds in log space on normalized inputs/outputs.
 var (
 	logVarLo, logVarHi     = math.Log(0.02), math.Log(20.0)
@@ -131,7 +108,7 @@ var (
 // Fantasize returns derived models sharing hyperparameters.
 type GP struct {
 	cfg  Config
-	kern kernel.Kernel
+	kern *kernel.Matern52
 	d    int
 
 	x     *mat.Dense // normalized inputs, n×d
@@ -251,7 +228,7 @@ func fitWarm(xs [][]float64, ys []float64, cfg Config, warm []float64) (*GP, err
 		return nil, ErrEmptyData
 	}
 	d := len(cfg.Lo)
-	g := &GP{cfg: cfg, d: d, kern: cfg.newKernel(d)}
+	g := &GP{cfg: cfg, d: d, kern: kernel.NewMatern52(d)}
 
 	// Normalize inputs and standardize outputs.
 	g.x = mat.NewDense(n, d, nil)
@@ -600,7 +577,7 @@ func (g *GP) Noise() float64 { return g.noise }
 
 // Lengthscales returns the fitted ARD lengthscales on the normalized unit
 // cube, one per input dimension. TuRBO uses these to shape its trust region.
-func (g *GP) Lengthscales() []float64 { return kernel.Lengthscales(g.kern) }
+func (g *GP) Lengthscales() []float64 { return g.kern.Lengthscales() }
 
 // Hyperparameters returns the packed log-hyperparameters (kernel params
 // followed by log-noise when fitted).

@@ -434,14 +434,3 @@ func TestLengthscalesLength(t *testing.T) {
 		}
 	}
 }
-
-func TestKernelKinds(t *testing.T) {
-	X, y := sample1D(math.Sin, 0.1, 0.4, 0.7)
-	for _, kind := range []KernelKind{Matern52, Matern32, SE} {
-		c := cfg1d()
-		c.Kernel = kind
-		if _, err := Fit(X, y, c); err != nil {
-			t.Fatalf("kernel %v: %v", kind, err)
-		}
-	}
-}

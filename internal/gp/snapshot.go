@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -55,7 +56,7 @@ func RestoreHyperDonor(hs *HyperState) (*GP, error) {
 		return nil, fmt.Errorf("%w: %v", ErrHyperState, err)
 	}
 	d := len(cfg.Lo)
-	g := &GP{cfg: cfg, d: d, kern: cfg.newKernel(d)}
+	g := &GP{cfg: cfg, d: d, kern: kernel.NewMatern52(d)}
 	np := g.kern.NumParams()
 	if cfg.Noise <= 0 {
 		np++ // fitted noise is packed after the kernel parameters

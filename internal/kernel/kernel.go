@@ -1,9 +1,8 @@
-// Package kernel implements stationary covariance kernels with Automatic
-// Relevance Determination (ARD) lengthscales for Gaussian process
-// regression: Matérn-5/2 (the paper's choice), Matérn-3/2 and the squared
-// exponential. All kernels expose analytic derivatives with respect to
-// their log-hyperparameters (for marginal-likelihood fitting) and with
-// respect to the input point (for gradient-based acquisition optimization).
+// Package kernel implements the ARD Matérn-5/2 covariance kernel, the
+// paper's choice and the one kernel the Gaussian process runs. It exposes
+// analytic derivatives with respect to the log-hyperparameters (for
+// marginal-likelihood fitting) and with respect to the input point (for
+// gradient-based acquisition optimization).
 package kernel
 
 import (
@@ -11,58 +10,16 @@ import (
 	"math"
 )
 
-// Kernel is a stationary ARD covariance function k(x, y) parameterized by a
-// log-output-scale and per-dimension log-lengthscales.
+// Matern52 is the stationary ARD Matérn-5/2 kernel
 //
-// Hyperparameters are always handled on the log scale, packed as
-// [log σ², log ℓ_1, …, log ℓ_d].
-type Kernel interface {
-	// Dim returns the input dimension d.
-	Dim() int
-	// NumParams returns the number of hyperparameters (1 + d).
-	NumParams() int
-	// Params appends the packed log-hyperparameters to dst.
-	Params(dst []float64) []float64
-	// SetParams unpacks log-hyperparameters from p.
-	SetParams(p []float64)
-	// Eval returns k(x, y).
-	Eval(x, y []float64) float64
-	// EvalRow writes k(x, X_i) into dst[i] for every row X_i of the
-	// row-major block xs, which holds len(dst) contiguous rows of Dim()
-	// values each. It is the batched form of Eval used to fill the k★
-	// cross-covariance vector in one pass over the training block, and
-	// produces bitwise-identical values to per-row Eval calls.
-	EvalRow(dst []float64, x []float64, xs []float64)
-	// EvalRowWithGrad is EvalRow plus input gradients: it additionally
-	// writes ∂k(x, X_i)/∂x into gradx[i*Dim() : (i+1)*Dim()] for each row,
-	// matching per-row GradX bitwise. gradx must have length
-	// len(dst)·Dim().
-	EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64)
-	// EvalWithGrad returns k(x, y) and writes ∂k/∂θ_j for each
-	// log-hyperparameter θ_j into grad, which must have length NumParams().
-	EvalWithGrad(x, y []float64, grad []float64) float64
-	// GradX writes ∂k(x,y)/∂x into grad, which must have length Dim().
-	GradX(x, y []float64, grad []float64)
-	// Clone returns an independent copy.
-	Clone() Kernel
-	// Name identifies the kernel family.
-	Name() string
-}
-
-// profile is the radial part of a stationary kernel: given the squared
-// scaled distance r², it returns φ(r²) with φ(0)=1, and dφ/d(r²).
-type profile interface {
-	val(r2 float64) float64
-	valDeriv(r2 float64) (phi, dPhiDr2 float64)
-	name() string
-}
-
-// ard is the shared ARD machinery: k(x,y) = σ²·φ(Σ((x_i−y_i)/ℓ_i)²).
+//	k(x,y) = σ²·φ(r²),  r² = Σ((x_i−y_i)/ℓ_i)²,  φ(r²) = (1 + t + t²/3)·e^{−t},  t = √(5r²),
+//
+// parameterized by a log-output-scale and per-dimension log-lengthscales,
+// always handled on the log scale and packed as [log σ², log ℓ_1, …, log ℓ_d].
 // Derived quantities (variance, inverse lengthscales) are cached on
 // SetParams: kernel evaluation is the innermost loop of GP fitting and
 // must not call math.Exp per pair.
-type ard struct {
-	p           profile
+type Matern52 struct {
 	dim         int
 	logVariance float64   // log σ²
 	logLength   []float64 // log ℓ_i
@@ -72,12 +29,13 @@ type ard struct {
 	inv2Len  []float64 // 1/ℓ_i²
 }
 
-func newARD(p profile, dim int) *ard {
+// NewMatern52 returns a unit-variance, unit-lengthscale Matérn-5/2 kernel.
+func NewMatern52(dim int) *Matern52 {
 	if dim < 1 {
 		panic(fmt.Sprintf("kernel: dimension %d < 1", dim))
 	}
-	k := &ard{
-		p: p, dim: dim, logVariance: 0,
+	k := &Matern52{
+		dim:       dim,
 		logLength: make([]float64, dim),
 		invLen:    make([]float64, dim),
 		inv2Len:   make([]float64, dim),
@@ -86,8 +44,22 @@ func newARD(p profile, dim int) *ard {
 	return k
 }
 
+// phi is the radial part φ(r²), with φ(0) = 1.
+func phi(r2 float64) float64 {
+	t := math.Sqrt(5 * r2)
+	return (1 + t + t*t/3) * math.Exp(-t)
+}
+
+// phiDeriv returns φ(r²) and dφ/d(r²) = −(5/6)(1+t)e^{−t}, smooth
+// through r = 0.
+func phiDeriv(r2 float64) (float64, float64) {
+	t := math.Sqrt(5 * r2)
+	e := math.Exp(-t)
+	return (1 + t + t*t/3) * e, -(5.0 / 6.0) * (1 + t) * e
+}
+
 // refresh recomputes the cached derived parameters.
-func (k *ard) refresh() {
+func (k *Matern52) refresh() {
 	k.variance = math.Exp(k.logVariance)
 	for i, ll := range k.logLength {
 		inv := math.Exp(-ll)
@@ -96,16 +68,20 @@ func (k *ard) refresh() {
 	}
 }
 
-func (k *ard) Dim() int       { return k.dim }
-func (k *ard) NumParams() int { return 1 + k.dim }
-func (k *ard) Name() string   { return k.p.name() }
+// Dim returns the input dimension d.
+func (k *Matern52) Dim() int { return k.dim }
 
-func (k *ard) Params(dst []float64) []float64 {
+// NumParams returns the number of hyperparameters (1 + d).
+func (k *Matern52) NumParams() int { return 1 + k.dim }
+
+// Params appends the packed log-hyperparameters to dst.
+func (k *Matern52) Params(dst []float64) []float64 {
 	dst = append(dst, k.logVariance)
 	return append(dst, k.logLength...)
 }
 
-func (k *ard) SetParams(p []float64) {
+// SetParams unpacks log-hyperparameters from p.
+func (k *Matern52) SetParams(p []float64) {
 	if len(p) != 1+k.dim {
 		panic(fmt.Sprintf("kernel: %d params for dim %d", len(p), k.dim))
 	}
@@ -114,7 +90,16 @@ func (k *ard) SetParams(p []float64) {
 	k.refresh()
 }
 
-func (k *ard) r2(x, y []float64) float64 {
+// Lengthscales returns the linear-scale ARD lengthscales ℓ_i.
+func (k *Matern52) Lengthscales() []float64 {
+	out := make([]float64, k.dim)
+	for i, ll := range k.logLength {
+		out[i] = math.Exp(ll)
+	}
+	return out
+}
+
+func (k *Matern52) r2(x, y []float64) float64 {
 	if len(x) != k.dim || len(y) != k.dim {
 		panic(fmt.Sprintf("kernel: point dims %d,%d != %d", len(x), len(y), k.dim))
 	}
@@ -126,18 +111,21 @@ func (k *ard) r2(x, y []float64) float64 {
 	return s
 }
 
-func (k *ard) Eval(x, y []float64) float64 {
-	return k.variance * k.p.val(k.r2(x, y))
+// Eval returns k(x, y).
+func (k *Matern52) Eval(x, y []float64) float64 {
+	return k.variance * phi(k.r2(x, y))
 }
 
-func (k *ard) EvalWithGrad(x, y []float64, grad []float64) float64 {
+// EvalWithGrad returns k(x, y) and writes ∂k/∂θ_j for each
+// log-hyperparameter θ_j into grad, which must have length NumParams().
+func (k *Matern52) EvalWithGrad(x, y []float64, grad []float64) float64 {
 	if len(grad) != k.NumParams() {
 		panic(fmt.Sprintf("kernel: grad length %d != %d", len(grad), k.NumParams()))
 	}
 	r2 := k.r2(x, y)
-	phi, dphi := k.p.valDeriv(r2)
+	p, dphi := phiDeriv(r2)
 	v := k.variance
-	kv := v * phi
+	kv := v * p
 	grad[0] = kv // ∂k/∂ log σ² = k
 	vd := -2 * v * dphi
 	for i := 0; i < k.dim; i++ {
@@ -149,7 +137,7 @@ func (k *ard) EvalWithGrad(x, y []float64, grad []float64) float64 {
 }
 
 // checkRowBlock validates the batched-evaluation operands.
-func (k *ard) checkRowBlock(n int, x, xs []float64) {
+func (k *Matern52) checkRowBlock(n int, x, xs []float64) {
 	if len(x) != k.dim {
 		panic(fmt.Sprintf("kernel: point dim %d != %d", len(x), k.dim))
 	}
@@ -158,7 +146,12 @@ func (k *ard) checkRowBlock(n int, x, xs []float64) {
 	}
 }
 
-func (k *ard) EvalRow(dst []float64, x []float64, xs []float64) {
+// EvalRow writes k(x, X_i) into dst[i] for every row X_i of the row-major
+// block xs, which holds len(dst) contiguous rows of Dim() values each. It
+// is the batched form of Eval used to fill the k★ cross-covariance vector
+// in one pass over the training block, and produces bitwise-identical
+// values to per-row Eval calls.
+func (k *Matern52) EvalRow(dst []float64, x []float64, xs []float64) {
 	k.checkRowBlock(len(dst), x, xs)
 	d := k.dim
 	x = x[:d]
@@ -171,11 +164,14 @@ func (k *ard) EvalRow(dst []float64, x []float64, xs []float64) {
 			diff := (x[j] - rv) * inv[j]
 			s += diff * diff
 		}
-		dst[i] = v * k.p.val(s)
+		dst[i] = v * phi(s)
 	}
 }
 
-func (k *ard) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
+// EvalRowWithGrad is EvalRow plus input gradients: it additionally writes
+// ∂k(x, X_i)/∂x into gradx[i*Dim() : (i+1)*Dim()] for each row, matching
+// per-row GradX bitwise. gradx must have length len(dst)·Dim().
+func (k *Matern52) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
 	k.checkRowBlock(len(dst), x, xs)
 	d := k.dim
 	if len(gradx) != len(dst)*d {
@@ -192,8 +188,8 @@ func (k *ard) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
 			diff := (x[j] - rv) * inv[j]
 			s += diff * diff
 		}
-		phi, dphi := k.p.valDeriv(s)
-		dst[i] = v * phi
+		p, dphi := phiDeriv(s)
+		dst[i] = v * p
 		vd := 2 * v * dphi
 		grow := gradx[i*d : i*d+d]
 		grow = grow[:len(row)]
@@ -203,117 +199,16 @@ func (k *ard) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
 	}
 }
 
-func (k *ard) GradX(x, y []float64, grad []float64) {
+// GradX writes ∂k(x,y)/∂x into grad, which must have length Dim().
+func (k *Matern52) GradX(x, y []float64, grad []float64) {
 	if len(grad) != k.dim {
 		panic(fmt.Sprintf("kernel: gradX length %d != %d", len(grad), k.dim))
 	}
 	r2 := k.r2(x, y)
-	_, dphi := k.p.valDeriv(r2)
+	_, dphi := phiDeriv(r2)
 	vd := 2 * k.variance * dphi
 	for i := 0; i < k.dim; i++ {
 		// ∂r²/∂x_i = 2(x_i − y_i)/ℓ_i²
 		grad[i] = vd * (x[i] - y[i]) * k.inv2Len[i]
 	}
-}
-
-func (k *ard) clone() ard {
-	c := *k
-	c.logLength = append([]float64(nil), k.logLength...)
-	c.invLen = append([]float64(nil), k.invLen...)
-	c.inv2Len = append([]float64(nil), k.inv2Len...)
-	return c
-}
-
-// --- Matérn 5/2 -------------------------------------------------------------
-
-type matern52Profile struct{}
-
-func (matern52Profile) name() string { return "matern52" }
-
-func (matern52Profile) val(r2 float64) float64 {
-	t := math.Sqrt(5 * r2)
-	return (1 + t + t*t/3) * math.Exp(-t)
-}
-
-func (matern52Profile) valDeriv(r2 float64) (float64, float64) {
-	t := math.Sqrt(5 * r2)
-	e := math.Exp(-t)
-	phi := (1 + t + t*t/3) * e
-	// dφ/d(r²) = −(5/6)(1+t)e^{−t}, smooth through r=0.
-	return phi, -(5.0 / 6.0) * (1 + t) * e
-}
-
-// Matern52 is the ARD Matérn-5/2 kernel used throughout the paper.
-type Matern52 struct{ ard }
-
-// NewMatern52 returns a unit-variance, unit-lengthscale Matérn-5/2 kernel.
-func NewMatern52(dim int) *Matern52 {
-	return &Matern52{*newARD(matern52Profile{}, dim)}
-}
-
-// Clone returns an independent copy.
-func (k *Matern52) Clone() Kernel { return &Matern52{k.ard.clone()} }
-
-// --- Matérn 3/2 -------------------------------------------------------------
-
-type matern32Profile struct{}
-
-func (matern32Profile) name() string { return "matern32" }
-
-func (matern32Profile) val(r2 float64) float64 {
-	t := math.Sqrt(3 * r2)
-	return (1 + t) * math.Exp(-t)
-}
-
-func (matern32Profile) valDeriv(r2 float64) (float64, float64) {
-	t := math.Sqrt(3 * r2)
-	e := math.Exp(-t)
-	// dφ/d(r²) = −(3/2)e^{−t}
-	return (1 + t) * e, -1.5 * e
-}
-
-// Matern32 is the ARD Matérn-3/2 kernel.
-type Matern32 struct{ ard }
-
-// NewMatern32 returns a unit-variance, unit-lengthscale Matérn-3/2 kernel.
-func NewMatern32(dim int) *Matern32 {
-	return &Matern32{*newARD(matern32Profile{}, dim)}
-}
-
-// Clone returns an independent copy.
-func (k *Matern32) Clone() Kernel { return &Matern32{k.ard.clone()} }
-
-// --- Squared exponential ----------------------------------------------------
-
-type seProfile struct{}
-
-func (seProfile) name() string { return "se" }
-
-func (seProfile) val(r2 float64) float64 { return math.Exp(-0.5 * r2) }
-
-func (seProfile) valDeriv(r2 float64) (float64, float64) {
-	e := math.Exp(-0.5 * r2)
-	return e, -0.5 * e
-}
-
-// SE is the ARD squared-exponential (RBF) kernel.
-type SE struct{ ard }
-
-// NewSE returns a unit-variance, unit-lengthscale squared-exponential kernel.
-func NewSE(dim int) *SE {
-	return &SE{*newARD(seProfile{}, dim)}
-}
-
-// Clone returns an independent copy.
-func (k *SE) Clone() Kernel { return &SE{k.ard.clone()} }
-
-// Lengthscales returns the (linear-scale) ARD lengthscales of any kernel
-// built on the shared ARD machinery.
-func Lengthscales(k Kernel) []float64 {
-	p := k.Params(nil)
-	out := make([]float64, k.Dim())
-	for i := range out {
-		out[i] = math.Exp(p[1+i])
-	}
-	return out
 }

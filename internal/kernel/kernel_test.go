@@ -8,10 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-func kernels(dim int) []Kernel {
-	return []Kernel{NewMatern52(dim), NewMatern32(dim), NewSE(dim)}
-}
-
 func randPoint(stream *rng.Stream, d int) []float64 {
 	x := make([]float64, d)
 	for i := range x {
@@ -21,48 +17,44 @@ func randPoint(stream *rng.Stream, d int) []float64 {
 }
 
 func TestKernelAtZeroDistance(t *testing.T) {
-	for _, k := range kernels(4) {
-		x := []float64{0.1, 0.2, 0.3, 0.4}
-		got := k.Eval(x, x)
-		if !almostEq(got, 1, 1e-14) { // unit variance default
-			t.Fatalf("%s: k(x,x) = %v, want 1", k.Name(), got)
-		}
+	k := NewMatern52(4)
+	x := []float64{0.1, 0.2, 0.3, 0.4}
+	got := k.Eval(x, x)
+	if !almostEq(got, 1, 1e-14) { // unit variance default
+		t.Fatalf("k(x,x) = %v, want 1", got)
 	}
 }
 
 func TestKernelSymmetry(t *testing.T) {
 	stream := rng.New(1, 1)
-	for _, k := range kernels(5) {
-		for i := 0; i < 20; i++ {
-			x, y := randPoint(stream, 5), randPoint(stream, 5)
-			if !almostEq(k.Eval(x, y), k.Eval(y, x), 1e-14) {
-				t.Fatalf("%s not symmetric", k.Name())
-			}
+	k := NewMatern52(5)
+	for i := 0; i < 20; i++ {
+		x, y := randPoint(stream, 5), randPoint(stream, 5)
+		if !almostEq(k.Eval(x, y), k.Eval(y, x), 1e-14) {
+			t.Fatal("not symmetric")
 		}
 	}
 }
 
 func TestKernelDecreasing(t *testing.T) {
-	for _, k := range kernels(1) {
-		prev := k.Eval([]float64{0}, []float64{0})
-		for r := 0.1; r < 5; r += 0.1 {
-			cur := k.Eval([]float64{0}, []float64{r})
-			if cur >= prev {
-				t.Fatalf("%s not decreasing at r=%v", k.Name(), r)
-			}
-			prev = cur
+	k := NewMatern52(1)
+	prev := k.Eval([]float64{0}, []float64{0})
+	for r := 0.1; r < 5; r += 0.1 {
+		cur := k.Eval([]float64{0}, []float64{r})
+		if cur >= prev {
+			t.Fatalf("not decreasing at r=%v", r)
 		}
+		prev = cur
 	}
 }
 
 func TestKernelPositive(t *testing.T) {
 	stream := rng.New(2, 2)
-	for _, k := range kernels(3) {
-		for i := 0; i < 50; i++ {
-			x, y := randPoint(stream, 3), randPoint(stream, 3)
-			if k.Eval(x, y) <= 0 {
-				t.Fatalf("%s produced non-positive covariance", k.Name())
-			}
+	k := NewMatern52(3)
+	for i := 0; i < 50; i++ {
+		x, y := randPoint(stream, 3), randPoint(stream, 3)
+		if k.Eval(x, y) <= 0 {
+			t.Fatal("non-positive covariance")
 		}
 	}
 }
@@ -79,7 +71,7 @@ func TestOutputScale(t *testing.T) {
 }
 
 func TestLengthscaleEffect(t *testing.T) {
-	k := NewSE(1)
+	k := NewMatern52(1)
 	x, y := []float64{0}, []float64{1}
 	short := k.Eval(x, y)
 	p := k.Params(nil)
@@ -92,33 +84,21 @@ func TestLengthscaleEffect(t *testing.T) {
 }
 
 func TestParamsRoundTrip(t *testing.T) {
-	for _, k := range kernels(3) {
-		p := []float64{0.5, -0.1, 0.2, 0.3}
-		k.SetParams(p)
-		got := k.Params(nil)
-		for i := range p {
-			if got[i] != p[i] {
-				t.Fatalf("%s params round trip: %v != %v", k.Name(), got, p)
-			}
+	k := NewMatern52(3)
+	p := []float64{0.5, -0.1, 0.2, 0.3}
+	k.SetParams(p)
+	got := k.Params(nil)
+	for i := range p {
+		if got[i] != p[i] {
+			t.Fatalf("params round trip: %v != %v", got, p)
 		}
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	k := NewMatern52(2)
-	c := k.Clone()
-	p := k.Params(nil)
-	p[1] = 3
-	k.SetParams(p)
-	if c.Params(nil)[1] == 3 {
-		t.Fatal("clone shares lengthscale storage")
-	}
-}
-
 func TestLengthscalesHelper(t *testing.T) {
-	k := NewSE(2)
+	k := NewMatern52(2)
 	k.SetParams([]float64{0, math.Log(2), math.Log(3)})
-	ls := Lengthscales(k)
+	ls := k.Lengthscales()
 	if !almostEq(ls[0], 2, 1e-12) || !almostEq(ls[1], 3, 1e-12) {
 		t.Fatalf("lengthscales = %v", ls)
 	}
@@ -127,26 +107,25 @@ func TestLengthscalesHelper(t *testing.T) {
 // Gradients w.r.t. log-hyperparameters must match central finite differences.
 func TestHyperGradFiniteDiff(t *testing.T) {
 	stream := rng.New(3, 3)
-	for _, k := range kernels(4) {
-		p0 := []float64{0.3, -0.2, 0.1, 0.4, -0.5}
+	k := NewMatern52(4)
+	p0 := []float64{0.3, -0.2, 0.1, 0.4, -0.5}
+	k.SetParams(p0)
+	x, y := randPoint(stream, 4), randPoint(stream, 4)
+	grad := make([]float64, k.NumParams())
+	k.EvalWithGrad(x, y, grad)
+	const h = 1e-6
+	for j := range p0 {
+		p := append([]float64(nil), p0...)
+		p[j] += h
+		k.SetParams(p)
+		up := k.Eval(x, y)
+		p[j] -= 2 * h
+		k.SetParams(p)
+		dn := k.Eval(x, y)
 		k.SetParams(p0)
-		x, y := randPoint(stream, 4), randPoint(stream, 4)
-		grad := make([]float64, k.NumParams())
-		k.EvalWithGrad(x, y, grad)
-		const h = 1e-6
-		for j := range p0 {
-			p := append([]float64(nil), p0...)
-			p[j] += h
-			k.SetParams(p)
-			up := k.Eval(x, y)
-			p[j] -= 2 * h
-			k.SetParams(p)
-			dn := k.Eval(x, y)
-			k.SetParams(p0)
-			num := (up - dn) / (2 * h)
-			if math.Abs(num-grad[j]) > 1e-6*(1+math.Abs(num)) {
-				t.Fatalf("%s: hyper grad %d = %v, fd %v", k.Name(), j, grad[j], num)
-			}
+		num := (up - dn) / (2 * h)
+		if math.Abs(num-grad[j]) > 1e-6*(1+math.Abs(num)) {
+			t.Fatalf("hyper grad %d = %v, fd %v", j, grad[j], num)
 		}
 	}
 }
@@ -154,23 +133,22 @@ func TestHyperGradFiniteDiff(t *testing.T) {
 // Gradients w.r.t. x must match central finite differences.
 func TestGradXFiniteDiff(t *testing.T) {
 	stream := rng.New(4, 4)
-	for _, k := range kernels(3) {
-		k.SetParams([]float64{0.2, -0.3, 0.1, 0.25})
-		for trial := 0; trial < 10; trial++ {
-			x, y := randPoint(stream, 3), randPoint(stream, 3)
-			grad := make([]float64, 3)
-			k.GradX(x, y, grad)
-			const h = 1e-6
-			for j := 0; j < 3; j++ {
-				xp := append([]float64(nil), x...)
-				xp[j] += h
-				up := k.Eval(xp, y)
-				xp[j] -= 2 * h
-				dn := k.Eval(xp, y)
-				num := (up - dn) / (2 * h)
-				if math.Abs(num-grad[j]) > 1e-5*(1+math.Abs(num)) {
-					t.Fatalf("%s: gradX %d = %v, fd %v", k.Name(), j, grad[j], num)
-				}
+	k := NewMatern52(3)
+	k.SetParams([]float64{0.2, -0.3, 0.1, 0.25})
+	for trial := 0; trial < 10; trial++ {
+		x, y := randPoint(stream, 3), randPoint(stream, 3)
+		grad := make([]float64, 3)
+		k.GradX(x, y, grad)
+		const h = 1e-6
+		for j := 0; j < 3; j++ {
+			xp := append([]float64(nil), x...)
+			xp[j] += h
+			up := k.Eval(xp, y)
+			xp[j] -= 2 * h
+			dn := k.Eval(xp, y)
+			num := (up - dn) / (2 * h)
+			if math.Abs(num-grad[j]) > 1e-5*(1+math.Abs(num)) {
+				t.Fatalf("gradX %d = %v, fd %v", j, grad[j], num)
 			}
 		}
 	}
@@ -178,29 +156,27 @@ func TestGradXFiniteDiff(t *testing.T) {
 
 func TestGradXAtZeroFinite(t *testing.T) {
 	// Matérn gradients are defined (zero) at coincident points.
-	for _, k := range kernels(2) {
-		x := []float64{0.5, 0.5}
-		grad := make([]float64, 2)
-		k.GradX(x, x, grad)
-		for _, g := range grad {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				t.Fatalf("%s: gradX at zero distance = %v", k.Name(), grad)
-			}
+	k := NewMatern52(2)
+	x := []float64{0.5, 0.5}
+	grad := make([]float64, 2)
+	k.GradX(x, x, grad)
+	for _, g := range grad {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			t.Fatalf("gradX at zero distance = %v", grad)
 		}
 	}
 }
 
 func TestEvalWithGradMatchesEval(t *testing.T) {
 	stream := rng.New(5, 5)
-	for _, k := range kernels(4) {
-		for i := 0; i < 10; i++ {
-			x, y := randPoint(stream, 4), randPoint(stream, 4)
-			grad := make([]float64, k.NumParams())
-			v1 := k.EvalWithGrad(x, y, grad)
-			v2 := k.Eval(x, y)
-			if !almostEq(v1, v2, 1e-14) {
-				t.Fatalf("%s: EvalWithGrad %v != Eval %v", k.Name(), v1, v2)
-			}
+	k := NewMatern52(4)
+	for i := 0; i < 10; i++ {
+		x, y := randPoint(stream, 4), randPoint(stream, 4)
+		grad := make([]float64, k.NumParams())
+		v1 := k.EvalWithGrad(x, y, grad)
+		v2 := k.Eval(x, y)
+		if !almostEq(v1, v2, 1e-14) {
+			t.Fatalf("EvalWithGrad %v != Eval %v", v1, v2)
 		}
 	}
 }
@@ -211,16 +187,12 @@ func TestEvalWithGradMatchesEval(t *testing.T) {
 func TestCauchySchwarzProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		stream := rng.New(seed, 11)
-		for _, k := range kernels(3) {
-			k.SetParams([]float64{stream.Norm() * 0.3, stream.Norm() * 0.3, stream.Norm() * 0.3, stream.Norm() * 0.3})
-			x, y := randPoint(stream, 3), randPoint(stream, 3)
-			kxy := k.Eval(x, y)
-			bound := math.Sqrt(k.Eval(x, x)*k.Eval(y, y)) * (1 + 1e-12)
-			if math.Abs(kxy) > bound {
-				return false
-			}
-		}
-		return true
+		k := NewMatern52(3)
+		k.SetParams([]float64{stream.Norm() * 0.3, stream.Norm() * 0.3, stream.Norm() * 0.3, stream.Norm() * 0.3})
+		x, y := randPoint(stream, 3), randPoint(stream, 3)
+		kxy := k.Eval(x, y)
+		bound := math.Sqrt(k.Eval(x, x)*k.Eval(y, y)) * (1 + 1e-12)
+		return math.Abs(kxy) <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ const parallelRowChunk = 1024
 // exactly like k.EvalRow, splitting the fill across workers when the
 // block is at least ParallelRowThreshold rows. Bitwise-identical to the
 // serial form either way.
-func EvalRowAuto(k Kernel, dst, x, xs []float64) {
+func EvalRowAuto(k *Matern52, dst, x, xs []float64) {
 	n := len(dst)
 	if n < ParallelRowThreshold {
 		k.EvalRow(dst, x, xs)
@@ -44,7 +44,7 @@ func EvalRowAuto(k Kernel, dst, x, xs []float64) {
 // dst, input gradients into gradx (length len(dst)·Dim()), split across
 // workers above ParallelRowThreshold with the same deterministic
 // partition and bitwise-identical output.
-func EvalRowWithGradAuto(k Kernel, dst, gradx, x, xs []float64) {
+func EvalRowWithGradAuto(k *Matern52, dst, gradx, x, xs []float64) {
 	n := len(dst)
 	if n < ParallelRowThreshold {
 		k.EvalRowWithGrad(dst, gradx, x, xs)

@@ -14,7 +14,7 @@ import (
 
 const benchFillN = 8192
 
-func benchFillFixture(b *testing.B) (Kernel, []float64, []float64, []float64) {
+func benchFillFixture(b *testing.B) (*Matern52, []float64, []float64, []float64) {
 	b.Helper()
 	const d = 12
 	stream := rng.New(3, 17)

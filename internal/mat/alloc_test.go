@@ -46,41 +46,6 @@ func TestSolveIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestMulIntoAllocs pins the destination-passing matrix products at zero
-// allocations when dst is pre-sized.
-func TestMulIntoAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are perturbed under -race")
-	}
-	src := rng.New(22, 22)
-	a := randomDense(src, 16, 24)
-	bm := randomDense(src, 24, 8)
-	dst := NewDense(16, 8, nil)
-	x := make([]float64, 24)
-	for i := range x {
-		x[i] = src.Norm()
-	}
-	v := make([]float64, 16)
-	vt := make([]float64, 24)
-	xt := make([]float64, 16)
-
-	if got := testing.AllocsPerRun(100, func() {
-		MulInto(dst, a, bm)
-	}); got > 0 {
-		t.Fatalf("MulInto allocates %v times per call, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		MulVecInto(v, a, x)
-	}); got > 0 {
-		t.Fatalf("MulVecInto allocates %v times per call, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		MulVecTInto(vt, a, xt)
-	}); got > 0 {
-		t.Fatalf("MulVecTInto allocates %v times per call, want 0", got)
-	}
-}
-
 // TestIntoVariantsMatchAllocating checks that every *Into variant is
 // bitwise identical to its allocating wrapper — the wrappers are thin
 // shims over the Into forms, so any drift here means the shim copied

@@ -126,7 +126,7 @@ func spdBlock(src *rng.Stream, m int, diag float64) *Dense {
 			cc.Set(i, j, v)
 			cc.Set(j, i, v)
 		}
-		cc.Add(i, i, diag)
+		cc.Set(i, i, cc.At(i, i)+diag)
 	}
 	return cc
 }

@@ -13,9 +13,9 @@ import (
 // randomSPD builds a random symmetric positive-definite matrix A = GᵀG + n·I.
 func randomSPD(src *rng.Stream, n int) *Dense {
 	g := randomDense(src, n, n)
-	a := Mul(g.T(), g)
+	a := mul(transpose(g), g)
 	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n))
+		a.Set(i, i, a.At(i, i)+float64(n))
 	}
 	return a
 }
@@ -40,7 +40,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		recon := Mul(c.L(), c.L().T())
+		recon := mul(c.L(), transpose(c.L()))
 		if d := maxDiff(a, recon); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: reconstruction error %v", n, d)
 		}
@@ -51,7 +51,7 @@ func TestCholeskySolveVec(t *testing.T) {
 	src := rng.New(8, 8)
 	a := randomSPD(src, 12)
 	xTrue := randomVec(src, 12)
-	b := MulVec(a, xTrue)
+	b := mulVec(a, xTrue)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestCholeskySolveMatAndInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := c.Inverse()
-	prod := Mul(a, inv)
+	prod := mul(a, inv)
 	if d := maxDiff(prod, Identity(8)); d > 1e-9 {
 		t.Fatalf("A·A⁻¹ differs from I by %v", d)
 	}
@@ -112,7 +112,7 @@ func TestCholeskyForwardBack(t *testing.T) {
 		}
 	}
 	// L·forward(b) == b
-	lb := MulVec(c.L(), y)
+	lb := mulVec(c.L(), y)
 	for i := range lb {
 		if !almostEq(lb[i], b[i], 1e-10) {
 			t.Fatal("forward solve incorrect")
@@ -210,7 +210,7 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 	}
 	rhs := randomVec(src, 9)
 	x := ext.SolveVec(rhs)
-	back := MulVec(full, x)
+	back := mulVec(full, x)
 	for i := range rhs {
 		if !almostEq(back[i], rhs[i], 1e-8) {
 			t.Fatalf("extend solve mismatch: %v vs %v", back[i], rhs[i])
@@ -270,7 +270,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		}
 		b := randomVec(src, n)
 		x := c.SolveVec(b)
-		ax := MulVec(a, x)
+		ax := mulVec(a, x)
 		for i := range b {
 			if !almostEq(ax[i], b[i], 1e-7) {
 				return false

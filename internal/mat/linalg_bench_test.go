@@ -6,40 +6,6 @@ import (
 	"repro/internal/rng"
 )
 
-// The MulInto trio pins the blocked path's speedup over the ikj
-// reference at the ≥1024-point scale bench.sh gates on: the -check floor
-// requires BenchmarkMulInto1024 to stay at or below 1.10× the naive
-// time, so the dispatch can never silently regress to slower-than-naive.
-
-func benchMulFixture(n int) (a, b, dst *Dense) {
-	src := rng.New(42, uint64(n))
-	return randomDense(src, n, n), randomDense(src, n, n), NewDense(n, n, nil)
-}
-
-func BenchmarkMulIntoNaive1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mulIKJ(dst, x, y)
-	}
-}
-
-func BenchmarkMulIntoBlocked1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mulBlockedRows(dst, x, y, 0, x.rows)
-	}
-}
-
-func BenchmarkMulInto1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulInto(dst, x, y)
-	}
-}
-
 // benchExtendFixture builds a well-conditioned n×n factor without the
 // O(n³) factorization, plus an m-column cross block in column-major order
 // and its m×m corner.

@@ -334,9 +334,8 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ExtendCols: %v", err)
 			}
-			childA = NewDense(n+1, n+1, nil)
 			lc := child.L()
-			MulInto(childA, lc, lc.T())
+			childA = mul(lc, transpose(lc))
 		}
 	}
 	// The child still solves correctly against its own matrix.

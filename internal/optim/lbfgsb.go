@@ -27,27 +27,26 @@ type Result struct {
 	Iters      int       // iterations performed
 	Evals      int       // objective evaluations performed
 	Converged  bool      // true if a convergence tolerance was met
-	GradNorm   float64   // final projected gradient norm (gradient methods)
 	StopReason string    // human-readable stop cause
 }
+
+// Fixed L-BFGS-B settings.
+const (
+	lbfgsMemory  = 8     // curvature pairs kept
+	lbfgsFTol    = 1e-10 // stop when the relative objective decrease falls below it
+	lbfgsArmijoC = 1e-4  // sufficient-decrease constant
+)
 
 // LBFGSB is a bound-constrained limited-memory BFGS minimizer using gradient
 // projection and Armijo backtracking along the projected ray. It is a
 // practical simplification of Byrd–Lu–Nocedal L-BFGS-B that retains the box
 // handling BO acquisition optimization needs.
 type LBFGSB struct {
-	// Memory is the number of curvature pairs kept (default 8).
-	Memory int
 	// MaxIter bounds the number of outer iterations (default 100).
 	MaxIter int
 	// GTol stops when the projected gradient infinity-norm falls below it
 	// (default 1e-6).
 	GTol float64
-	// FTol stops when the relative objective decrease falls below it
-	// (default 1e-10).
-	FTol float64
-	// ArmijoC is the sufficient-decrease constant (default 1e-4).
-	ArmijoC float64
 	// MaxLineSearch bounds backtracking steps per iteration (default 30).
 	MaxLineSearch int
 	// MaxEvals bounds total objective evaluations (0 = unbounded). The
@@ -57,20 +56,11 @@ type LBFGSB struct {
 
 func (o *LBFGSB) defaults() LBFGSB {
 	d := *o
-	if d.Memory <= 0 {
-		d.Memory = 8
-	}
 	if d.MaxIter <= 0 {
 		d.MaxIter = 100
 	}
 	if d.GTol <= 0 {
 		d.GTol = 1e-6
-	}
-	if d.FTol <= 0 {
-		d.FTol = 1e-10
-	}
-	if d.ArmijoC <= 0 {
-		d.ArmijoC = 1e-4
 	}
 	if d.MaxLineSearch <= 0 {
 		d.MaxLineSearch = 30
@@ -110,7 +100,7 @@ func projGradNorm(x, g, lo, hi []float64) float64 {
 
 // lbfgsbWorkspace carries every buffer one Minimize call needs: the
 // iterate, gradient and line-search vectors plus the curvature-pair ring
-// (Memory vectors of s, y and their rho). Minimize is the inner loop of
+// (lbfgsMemory vectors of s, y and their rho). Minimize is the inner loop of
 // every acquisition maximization, so the buffers are pooled and recycled
 // instead of reallocated per start.
 type lbfgsbWorkspace struct {
@@ -122,10 +112,10 @@ type lbfgsbWorkspace struct {
 
 var lbfgsbPool = sync.Pool{New: func() any { return new(lbfgsbWorkspace) }}
 
-// grab resizes the workspace for an n-dimensional problem with mem
-// curvature pairs. Buffers grow monotonically and are reused across
-// Minimize calls through the pool.
-func (w *lbfgsbWorkspace) grab(n, mem int) {
+// grab resizes the workspace for an n-dimensional problem. Buffers grow
+// monotonically and are reused across Minimize calls through the pool.
+func (w *lbfgsbWorkspace) grab(n int) {
+	const mem = lbfgsMemory
 	if cap(w.x) < n {
 		w.x = make([]float64, n)
 		w.g = make([]float64, n)
@@ -172,7 +162,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 	}
 
 	ws := lbfgsbPool.Get().(*lbfgsbWorkspace)
-	ws.grab(n, cfg.Memory)
+	ws.grab(n)
 	x := ws.x
 	copy(x, x0)
 	clampToBox(x, lo, hi)
@@ -181,7 +171,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 	evals := 1
 
 	// Curvature pairs live in a ring of preallocated slots: logical pair i
-	// (0 = oldest) sits in slot (start+i) mod Memory.
+	// (0 = oldest) sits in slot (start+i) mod lbfgsMemory.
 	start, count := 0, 0
 
 	dir := ws.dir
@@ -196,9 +186,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 			break
 		}
 		res.Iters = iter + 1
-		pg := projGradNorm(x, g, lo, hi)
-		res.GradNorm = pg
-		if pg < cfg.GTol {
+		if projGradNorm(x, g, lo, hi) < cfg.GTol {
 			res.Converged = true
 			res.StopReason = "projected gradient below tolerance"
 			break
@@ -213,19 +201,19 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 			}
 		}
 		for i := count - 1; i >= 0; i-- {
-			slot := (start + i) % cfg.Memory
+			slot := (start + i) % lbfgsMemory
 			alphaBuf[i] = ws.rho[slot] * mat.Dot(ws.s[slot], dir)
 			mat.AxpyVec(-alphaBuf[i], ws.y[slot], dir)
 		}
 		if count > 0 {
-			last := (start + count - 1) % cfg.Memory
+			last := (start + count - 1) % lbfgsMemory
 			gamma := mat.Dot(ws.s[last], ws.y[last]) / mat.Dot(ws.y[last], ws.y[last])
 			if gamma > 0 && !math.IsInf(gamma, 0) && !math.IsNaN(gamma) {
 				mat.ScaleVec(gamma, dir)
 			}
 		}
 		for i := 0; i < count; i++ {
-			slot := (start + i) % cfg.Memory
+			slot := (start + i) % lbfgsMemory
 			beta := ws.rho[slot] * mat.Dot(ws.y[slot], dir)
 			mat.AxpyVec(alphaBuf[i]-beta, ws.s[slot], dir)
 		}
@@ -265,7 +253,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 			for i := range xNew {
 				gdx += g[i] * (xNew[i] - x[i])
 			}
-			if fNew <= fx+cfg.ArmijoC*gdx && gdx < 0 {
+			if fNew <= fx+lbfgsArmijoC*gdx && gdx < 0 {
 				accepted = true
 				break
 			}
@@ -294,12 +282,12 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 		sy := mat.Dot(s, yv)
 		if sy > 1e-10*mat.Norm2(s)*mat.Norm2(yv) {
 			var slot int
-			if count == cfg.Memory {
+			if count == lbfgsMemory {
 				// Ring full: the oldest slot is dropped and becomes the newest.
 				slot = start
-				start = (start + 1) % cfg.Memory
+				start = (start + 1) % lbfgsMemory
 			} else {
-				slot = (start + count) % cfg.Memory
+				slot = (start + count) % lbfgsMemory
 				count++
 			}
 			copy(ws.s[slot], s)
@@ -312,7 +300,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 		copy(g, gNew)
 		fx = fNew
 		res.X, res.F = x, fx
-		if math.Abs(fPrev-fx) <= cfg.FTol*(math.Abs(fx)+math.Abs(fPrev)+1e-12) {
+		if math.Abs(fPrev-fx) <= lbfgsFTol*(math.Abs(fx)+math.Abs(fPrev)+1e-12) {
 			res.Converged = true
 			res.StopReason = "objective decrease below tolerance"
 			break

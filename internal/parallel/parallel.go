@@ -258,34 +258,6 @@ func LinearOverhead(base, perEval time.Duration) func(int) time.Duration {
 	}
 }
 
-// CountingEvaluator wraps an Evaluator and counts evaluations; used by
-// experiment harnesses to report the paper's #simulations metric.
-type CountingEvaluator struct {
-	mu    sync.Mutex
-	inner Evaluator
-	n     int
-}
-
-// NewCounting wraps ev.
-func NewCounting(ev Evaluator) *CountingEvaluator {
-	return &CountingEvaluator{inner: ev}
-}
-
-// Eval implements Evaluator.
-func (c *CountingEvaluator) Eval(x []float64) (float64, time.Duration) {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-	return c.inner.Eval(x)
-}
-
-// Count returns the number of evaluations so far.
-func (c *CountingEvaluator) Count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // String describes the pool configuration.
 func (p *Pool) String() string {
 	return fmt.Sprintf("parallel.Pool{Workers: %d}", p.Workers)

@@ -153,16 +153,6 @@ func TestEvalBatchCancelMidBatchDrains(t *testing.T) {
 	}
 }
 
-func TestCountingEvaluator(t *testing.T) {
-	ce := NewCounting(FixedCost(sum, 0))
-	p := &Pool{}
-	mustEvalBatch(t, p, ce, [][]float64{{1}, {2}})
-	mustEvalBatch(t, p, ce, [][]float64{{3}})
-	if ce.Count() != 3 {
-		t.Fatalf("count = %d", ce.Count())
-	}
-}
-
 func TestLinearOverhead(t *testing.T) {
 	f := LinearOverhead(time.Second, 100*time.Millisecond)
 	if f(4) != time.Second+400*time.Millisecond {

@@ -451,8 +451,9 @@ func (s *Session) notifyLocked() {
 // Tell ingests evaluated members, in any order and any grouping; a batch
 // is forwarded to the engine exactly when its last member arrives.
 // Completed engine transitions are snapshotted. On a validation error
-// (unknown batch, out-of-range member, duplicate member) the session
-// state is unchanged.
+// (unknown batch, out-of-range member, duplicate member, negative cost, or
+// a NaN or ±Inf value, which wraps core.ErrNonFinite) the session state
+// is unchanged and no snapshot is written.
 func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -475,6 +476,9 @@ func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 		}
 		if r.CostNS < 0 {
 			return fmt.Errorf("session: negative cost for batch %d member %d", r.BatchID, r.Member)
+		}
+		if math.IsNaN(r.Y) || math.IsInf(r.Y, 0) {
+			return fmt.Errorf("session: batch %d member %d: value %v: %w", r.BatchID, r.Member, r.Y, core.ErrNonFinite)
 		}
 		if staged[r.BatchID] == nil {
 			staged[r.BatchID] = map[int]bool{}
@@ -588,41 +592,6 @@ func (s *Session) Metrics() Metrics {
 		m.PendingMembers += len(p.batch.Points) - p.n
 	}
 	return m
-}
-
-// Member is one in-flight point flattened out of the batch ledger, with a
-// deterministic ID — "<batchID>:<index>", stable across checkpoint and
-// resume because batch IDs are engine-assigned sequence numbers.
-type Member struct {
-	ID       string    `json:"id"`
-	BatchID  int       `json:"batch_id"`
-	Index    int       `json:"index"`
-	Cycle    int       `json:"cycle"`
-	Point    []float64 `json:"point"`
-	Received bool      `json:"received"`
-}
-
-// InFlight returns the flat member-level view of the in-flight set, in
-// ask order — the rolling work queue an asynchronous worker pool divides
-// among itself.
-func (s *Session) InFlight() []Member {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Member
-	for _, id := range s.order {
-		p := s.partials[id]
-		for m, x := range p.batch.Points {
-			out = append(out, Member{
-				ID:       fmt.Sprintf("%d:%d", id, m),
-				BatchID:  id,
-				Index:    m,
-				Cycle:    p.batch.Cycle,
-				Point:    append([]float64(nil), x...),
-				Received: p.got[m],
-			})
-		}
-	}
-	return out
 }
 
 // PendingBatch is an in-flight batch together with the member-level

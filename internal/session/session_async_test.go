@@ -305,8 +305,8 @@ func TestSessionMetricsPersist(t *testing.T) {
 	}
 }
 
-// TestSessionInFlightMembers: the flat member view carries deterministic
-// IDs, ask order, and per-member receipt state.
+// TestSessionInFlightMembers: the pending-work view of a half-told batch
+// carries the batch's points and its per-member receipt mask.
 func TestSessionInFlightMembers(t *testing.T) {
 	e := testEngine(t, "KB-q-EGO") // synchronous: 2-point batches
 	s, err := New(Config{ID: "members", Engine: e})
@@ -321,26 +321,14 @@ func TestSessionInFlightMembers(t *testing.T) {
 	if err := s.Tell(ctx, evalMembers(e, b)[:1]); err != nil {
 		t.Fatal(err)
 	}
-	members := s.InFlight()
-	if len(members) != len(b.Points) {
-		t.Fatalf("in-flight members = %d, want %d", len(members), len(b.Points))
+	pending := s.PendingWork()
+	if len(pending) != 1 || pending[0].Batch.ID != b.ID {
+		t.Fatalf("pending work = %+v, want batch %d alone", pending, b.ID)
 	}
-	for i, m := range members {
-		if m.BatchID != b.ID || m.Index != i {
-			t.Fatalf("member %d = %+v", i, m)
-		}
-		if m.ID == "" {
-			t.Fatalf("member %d has empty id", i)
-		}
-		if !reflect.DeepEqual(m.Point, b.Points[i]) {
-			t.Fatalf("member %d point %v != %v", i, m.Point, b.Points[i])
-		}
+	if !reflect.DeepEqual(pending[0].Batch.Points, b.Points) {
+		t.Fatalf("pending points %v != %v", pending[0].Batch.Points, b.Points)
 	}
-	if !members[0].Received || members[1].Received {
-		t.Fatalf("receipt mask wrong: %+v", members)
-	}
-	// IDs are a pure function of batch and index.
-	if members[0].ID == members[1].ID {
-		t.Fatal("member ids collide")
+	if want := []bool{true, false}; !reflect.DeepEqual(pending[0].Received, want) {
+		t.Fatalf("receipt mask = %v, want %v", pending[0].Received, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,6 +286,41 @@ func TestSessionTellValidation(t *testing.T) {
 	}
 	if err := s.Tell(ctx, []EvalResult{{BatchID: b.ID, Member: 0, Y: 1}}); err == nil {
 		t.Error("duplicate across calls accepted")
+	}
+}
+
+// TestSessionTellRejectsNonFinite: one NaN member in a group rejects the
+// whole group with core.ErrNonFinite. Nothing is recorded — receipt
+// counts, tell counters and snapshots stay as they were — and the same
+// members are still tellable with finite values.
+func TestSessionTellRejectsNonFinite(t *testing.T) {
+	e := testEngine(t, "KB-q-EGO")
+	s, err := New(Config{ID: "nan", Engine: e, Store: &snapshot.Store{Dir: t.TempDir()}, Now: detNow()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	b, err := s.Ask(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := evalMembers(e, b)
+	before := s.Metrics()
+	pending := s.PendingWork()
+
+	bad := append([]EvalResult(nil), results...)
+	bad[1].Y = math.NaN()
+	if err := s.Tell(ctx, bad); !errors.Is(err, core.ErrNonFinite) {
+		t.Fatalf("err = %v, want core.ErrNonFinite", err)
+	}
+	if after := s.Metrics(); after != before {
+		t.Fatalf("rejected tell changed the metrics:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if !reflect.DeepEqual(s.PendingWork(), pending) {
+		t.Fatal("rejected tell changed the pending work")
+	}
+	if err := s.Tell(ctx, results); err != nil {
+		t.Fatal(err)
 	}
 }
 

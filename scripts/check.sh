@@ -3,17 +3,16 @@
 #
 # Runs, in order: formatting, vet, build, the project's own invariant
 # linter (cmd/pbolint), the full test suite under the race detector, a
-# named re-run of the bit-identity property tests for the parallel and
-# blocked linear-algebra paths (still under -race), a named re-run of
-# the kill-and-resume determinism tests for the session/serving stack
-# (still under -race; each named group fails if a listed name matches no
-# test), the hot-path
-# allocation-regression tests without the race detector (alloc counts
-# are only meaningful uninstrumented), a single-iteration pass over
-# every benchmark so bench code cannot rot uncompiled, and one fast
-# bench.sh pass that enforces the zero-allocation budgets of DESIGN.md
-# §9 plus the blocked-MulInto performance floor. Any failure stops the
-# gate with a nonzero exit.
+# named re-run of the bit-identity property tests for the parallel
+# linear-algebra paths (still under -race), a named re-run of the
+# kill-and-resume determinism tests for the session/serving stack (still
+# under -race; each named group fails if a listed name matches no test),
+# the hot-path allocation-regression tests without the race detector
+# (alloc counts are only meaningful uninstrumented), a single-iteration
+# pass over every benchmark so bench code cannot rot uncompiled, and one
+# fast `bench.sh -check` pass that enforces the zero-allocation budgets
+# of DESIGN.md §9 and the snapshot, fit, async and fleet gates. Any
+# failure stops the gate with a nonzero exit.
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -82,13 +81,12 @@ go test -race ./...
 
 echo "== bit-identity property tests under -race"
 # Redundant with the full -race sweep above, but named explicitly so the
-# parallel/blocked linear-algebra contracts cannot be silently dropped
-# from the gate: the blocked MulInto vs ikj reference, the parallel k★
-# fill vs serial, the PredictJoint parallel branch vs serial, the
-# extension's input contract, concurrent solves on one factor vs serial,
-# and the unbounded-pool goroutine clamp.
+# parallel linear-algebra contracts cannot be silently dropped from the
+# gate: the parallel k★ fill vs serial, the PredictJoint parallel branch
+# vs serial, the extension's input contract, concurrent solves on one
+# factor vs serial, and the unbounded-pool goroutine clamp.
 named_race_group \
-    'TestMulBlocked|TestMulIntoDispatch|TestAnyZero|TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendColsMatchesExtend|TestConcurrentSolvesMatchSerial|TestEvalBatchUnboundedClampsGoroutines' \
+    'TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendColsMatchesExtend|TestConcurrentSolvesMatchSerial|TestEvalBatchUnboundedClampsGoroutines' \
     ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
 
 echo "== fit-path bit-identity property tests under -race"
@@ -128,16 +126,7 @@ go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/
 echo "== benchmarks compile and run once"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== bench.sh alloc budgets, linalg floor, snapshot, fit, async and scenario evidence"
-benchjson=$(mktemp)
-benchlinjson=$(mktemp)
-benchsnapjson=$(mktemp)
-benchfitjson=$(mktemp)
-benchasyncjson=$(mktemp)
-benchscenjson=$(mktemp)
-BENCHTIME=100x BENCHTIME_LINALG=1x BENCHTIME_SNAPSHOT=1x BENCHTIME_FIT=1x BENCHTIME_ASYNC=1x BENCHTIME_SCENARIO=1x \
-    OUT="$benchjson" OUT_LINALG="$benchlinjson" OUT_SNAPSHOT="$benchsnapjson" OUT_FIT="$benchfitjson" OUT_ASYNC="$benchasyncjson" OUT_SCENARIO="$benchscenjson" \
-    ./scripts/bench.sh -check
-rm -f "$benchjson" "$benchlinjson" "$benchsnapjson" "$benchfitjson" "$benchasyncjson" "$benchscenjson"
+echo "== bench.sh -check: alloc budgets, snapshot, fit, async and fleet gates"
+./scripts/bench.sh -check
 
 echo "check.sh: all gates passed"
