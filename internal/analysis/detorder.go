@@ -20,8 +20,9 @@ import (
 //     suppressions.
 //  3. No rng.Stream use lexically inside a parallel region. Stream
 //     methods (Split included) advance the parent stream's state, so
-//     calling one on a stream captured by a parallel.ForEach body or a
-//     `go` function literal is both a data race and a replay hazard —
+//     calling one on a stream captured by the body of an internal/parallel
+//     fan-out (ForEach, ForEachBand, Compute) or by a `go` function
+//     literal is both a data race and a replay hazard —
 //     the PR-1 BSP-EGO bug. Streams must be split serially before the
 //     region, one per index; draws on a per-index stream obtained by
 //     indexing (streams[i]) are allowed.
@@ -154,17 +155,18 @@ func mapOrderAccumulation(p *Pass, rng *ast.RangeStmt) (kind string, at ast.Node
 }
 
 // checkParallelRNG reports Stream method calls on captured streams inside
-// parallel regions: parallel.ForEach body literals and `go` literals.
+// parallel regions: the body literals of internal/parallel's fan-outs and
+// `go` literals.
 func checkParallelRNG(p *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			fn := callee(p, n)
-			if fn == nil || fn.Name() != "ForEach" || len(n.Args) == 0 {
+			if fn == nil || !isFanOut(fn) || len(n.Args) == 0 {
 				return true
 			}
 			if lit, ok := n.Args[len(n.Args)-1].(*ast.FuncLit); ok {
-				checkRegionRNG(p, lit, "parallel.ForEach body")
+				checkRegionRNG(p, lit, "parallel."+fn.Name()+" body")
 			}
 		case *ast.GoStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
@@ -173,6 +175,23 @@ func checkParallelRNG(p *Pass, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// isFanOut matches the package-level fan-outs of internal/parallel whose
+// last argument runs on several goroutines: ForEach, ForEachBand and
+// Compute. The fixture package mirrors them under its own path, as it
+// mirrors rng.Stream (isStreamType).
+func isFanOut(fn *types.Func) bool {
+	switch fn.Name() {
+	case "ForEach", "ForEachBand", "Compute":
+	default:
+		return false
+	}
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil || fn.Pkg() == nil {
+		return false
+	}
+	path := fn.Pkg().Path()
+	return pathHasSuffix(path, "internal/parallel") || strings.HasSuffix(path, "detorder")
 }
 
 // checkRegionRNG flags rng.Stream method calls whose receiver is a bare

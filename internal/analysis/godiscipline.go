@@ -7,9 +7,11 @@ import (
 
 // GoDiscipline forbids bare `go` statements outside internal/parallel.
 // The paper's protocol makes the batch size q ∈ {1,2,4,8,16} the only
-// parallelism knob; every goroutine must be spawned by the bounded worker
-// pool (parallel.Pool.EvalBatch, parallel.ForEach) so concurrency stays
-// accounted for in the virtual-time model and deterministic replay holds.
+// parallelism knob; every goroutine must be spawned by internal/parallel —
+// the evaluation pool (Pool.EvalBatch), ForEach for work that must run at
+// the same time, or the budgeted Compute and ForEachBand for CPU work —
+// so concurrency stays accounted for in the virtual-time model and the
+// process-wide helper budget, and deterministic replay holds.
 var GoDiscipline = &Analyzer{
 	Name: "godiscipline",
 	Doc:  "forbid bare go statements outside internal/parallel; goroutines go through the bounded worker pool",
@@ -23,7 +25,7 @@ func runGoDiscipline(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "bare go statement: route goroutines through internal/parallel (Pool.EvalBatch or ForEach) so the batch size stays the only parallelism knob")
+				p.Reportf(g.Pos(), "bare go statement: route goroutines through internal/parallel (Pool.EvalBatch, ForEach, or the budgeted Compute and ForEachBand) so the batch size stays the only parallelism knob")
 			}
 			return true
 		})

@@ -113,3 +113,55 @@ func Mix(s *Stream) float64 {
 	//lint:ignore determinism fixture: typoed analyzer name
 	return s.Float64()
 }
+
+// ForEachBand mirrors parallel.ForEachBand's shape: fn(lo, hi) per band.
+func ForEachBand(n, band int, fn func(lo, hi int)) {
+	for lo := 0; lo < n; lo += band {
+		fn(lo, min(lo+band, n))
+	}
+}
+
+// Compute mirrors parallel.Compute's shape: the budgeted per-index form.
+func Compute(n int, fn func(int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// BandDraw draws from a captured stream inside a band body — reported.
+func BandDraw(n int, s *Stream) []float64 {
+	out := make([]float64, n)
+	ForEachBand(n, 4, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = s.Float64()
+		}
+	})
+	return out
+}
+
+// ComputeDraw draws from a captured stream inside a budgeted per-index
+// body — reported; the per-index stream stays silent.
+func ComputeDraw(n int, s *Stream, streams []*Stream) []float64 {
+	out := make([]float64, n)
+	Compute(n, func(i int) {
+		out[i] = s.Float64() + streams[i].Float64()
+	})
+	return out
+}
+
+// ForEach on a value is not a parallel fan-out: its body runs serially.
+func (r *rec) ForEach(fn func(string)) {
+	for _, l := range r.lines {
+		fn(l)
+	}
+}
+
+// SerialMethod draws from a captured stream in a serial ForEach method —
+// silent.
+func SerialMethod(r *rec, s *Stream) float64 {
+	var sum float64
+	r.ForEach(func(string) {
+		sum += s.Float64()
+	})
+	return sum
+}

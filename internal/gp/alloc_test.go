@@ -60,11 +60,11 @@ func TestFitObjectiveAllocs(t *testing.T) {
 	p := append([]float64(nil), g.warmParams...)
 	ws := fitWorkspaceFor(g, g.x, len(p))
 	// Warm: the first evaluation settles any lazily grown buffer.
-	if _, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws); err != nil {
+	if _, _, err := ws.logMarginalLikelihood(g.x, g.ys, p); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if _, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws); err != nil {
+		if _, _, err := ws.logMarginalLikelihood(g.x, g.ys, p); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {

@@ -1,16 +1,18 @@
 package gp
 
 import (
+	"runtime"
 	"testing"
 )
 
 // The Fit suite measures the per-iteration cost of hyperparameter
 // optimization — one logMarginalLikelihood evaluation is exactly what
-// every L-BFGS iteration of every restart pays — plus the resident
-// factor footprint at n = 4096. scripts/bench.sh collects these into
-// BENCH_fit.json; the -check gates hold the parallel path to at worst
-// the serial path and the packed factor to well under the dense 2·n²
-// baseline it replaced.
+// every L-BFGS iteration of every restart pays — the whole cold fit at
+// the paper day's size, with its starts concurrent and forced serial,
+// plus the resident factor footprint at n = 4096. scripts/bench.sh
+// collects these into BENCH_fit.json; the -check gates hold the parallel
+// path to at worst the serial path and the packed factor to well under
+// the dense 2·n² baseline it replaced.
 
 // fitLMLBench builds a fitted GP over n synthetic points plus a probe
 // parameter vector and a sized workspace, mirroring the state
@@ -31,13 +33,13 @@ func fitLMLBench(b *testing.B, n int) (*GP, []float64, *fitWorkspace) {
 
 func benchFitLML(b *testing.B, n int) {
 	g, p, ws := fitLMLBench(b, n)
-	if _, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws); err != nil {
+	if _, _, err := ws.logMarginalLikelihood(g.x, g.ys, p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws); err != nil {
+		if _, _, err := ws.logMarginalLikelihood(g.x, g.ys, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,4 +83,33 @@ func BenchmarkFitFactorBytes4096(b *testing.B) {
 		g.chol.SolveVecInto(out, y)
 	}
 	b.ReportMetric(float64(g.chol.FactorBytes()), "factor-bytes")
+}
+
+// benchFitHyper184 times a cold Fit on paper-day-shaped data — n = 184
+// points in 12 dimensions under the default Config, so three
+// hyperparameter starts — at the current GOMAXPROCS.
+func benchFitHyper184(b *testing.B) {
+	xs, ys, cfg := paperDayData()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fit(xs, ys, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitHyper184 is the whole fit with its starts running on
+// whatever helpers the process-wide budget lends.
+func BenchmarkFitHyper184(b *testing.B) { benchFitHyper184(b) }
+
+// BenchmarkFitHyper184Serial is the same fit at GOMAXPROCS 1, where the
+// budget has no helper and the starts run one after another. Its ratio
+// to BenchmarkFitHyper184 is the concurrent starts' speed-up on the
+// recording host; bench.sh gates only its presence, because a timing
+// ratio flakes on a shared host.
+func BenchmarkFitHyper184Serial(b *testing.B) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	benchFitHyper184(b)
 }

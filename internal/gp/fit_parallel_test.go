@@ -12,9 +12,11 @@ import (
 // fitWorkspaceFor builds a fit workspace sized for evaluating the
 // marginal likelihood of g over x with np packed hyperparameters.
 func fitWorkspaceFor(g *GP, x *mat.Dense, np int) *fitWorkspace {
-	n := x.Rows()
+	if np != g.kern.NumParams()+1 {
+		panic("fitWorkspaceFor: fixtures fit the noise")
+	}
 	ws := new(fitWorkspace)
-	ws.ensure(n, np, g.kern.NumParams(), (n+lmlGradBand-1)/lmlGradBand)
+	ws.ensure(x.Rows(), g.d, g.cfg.Noise)
 	return ws
 }
 
@@ -36,33 +38,37 @@ func fitFixture(t *testing.T, n int) (*GP, []float64) {
 	return g, p
 }
 
-// TestGramIntoMatchesPerPair: the batched EvalRow Gram fill must
-// reproduce the per-pair kern.Eval loop it replaced exactly — fp.Exact,
-// not tolerance — including the noise on the diagonal and the mirrored
-// upper triangle. This is the exactness contract that makes the gram
-// migration (and with it every golden trace) safe at all sizes.
+// TestGramIntoMatchesPerPair: the batched Gram fill must reproduce the
+// per-pair kern.Eval loop it replaced exactly — fp.Exact, not tolerance —
+// including the noise on the diagonal, and its strict upper triangle must
+// hold each off-diagonal pair's radial derivative at the cell radialRow
+// names (the last i cells of row n−1−i for row i). This is the exactness
+// contract that makes the fill (and with it every golden trace) safe at
+// all sizes.
 func TestGramIntoMatchesPerPair(t *testing.T) {
 	g, p := fitFixture(t, 40)
 	g.applyParams(p)
 	n := g.x.Rows()
 
-	want := mat.NewDense(n, n, nil)
+	got := gramInto(g.kern, g.noise, mat.NewDense(n, n, nil), g.x)
+	kv, dphi := make([]float64, 1), make([]float64, 1)
 	for i := 0; i < n; i++ {
 		xi := g.x.Row(i)
 		for j := 0; j <= i; j++ {
-			v := g.kern.Eval(xi, g.x.Row(j))
+			want := g.kern.Eval(xi, g.x.Row(j))
 			if i == j {
-				v += g.noise
+				want += g.noise
 			}
-			want.Set(i, j, v)
-			want.Set(j, i, v)
-		}
-	}
-	got := g.gramInto(mat.NewDense(n, n, nil), g.x)
-	gd, wd := got.Data(), want.Data()
-	for i := range wd {
-		if !fp.Exact(gd[i], wd[i]) {
-			t.Fatalf("gram[%d] = %v, want %v", i, gd[i], wd[i])
+			if !fp.Exact(got.At(i, j), want) {
+				t.Fatalf("gram[%d][%d] = %v, want %v", i, j, got.At(i, j), want)
+			}
+			if i == j {
+				continue
+			}
+			g.kern.EvalRowRadial(kv, dphi, xi, g.x.Row(j))
+			if r, c := n-1-i, n-i+j; !fp.Exact(got.At(r, c), dphi[0]) {
+				t.Fatalf("radial derivative of pair (%d,%d) at [%d][%d] = %v, want %v", i, j, r, c, got.At(r, c), dphi[0])
+			}
 		}
 	}
 }
@@ -70,21 +76,21 @@ func TestGramIntoMatchesPerPair(t *testing.T) {
 // TestGramIntoParallelBitIdentity forces gramInto down its banded
 // parallel branch on a small fixture and checks it reproduces the serial
 // branch byte for byte at GOMAXPROCS 1 and 8: the row partition depends
-// only on n, every band writes disjoint rows, and the mirror pass copies
-// finished values.
+// only on n, and a band writes only its own rows' Gram values and radial
+// derivatives.
 func TestGramIntoParallelBitIdentity(t *testing.T) {
 	g, p := fitFixture(t, 56)
 	g.applyParams(p)
 	n := g.x.Rows()
 
-	want := g.gramInto(mat.NewDense(n, n, nil), g.x) // serial: n < gramParallelN
+	want := gramInto(g.kern, g.noise, mat.NewDense(n, n, nil), g.x) // serial: n < gramParallelN
 
 	old := gramParallelN
 	gramParallelN = 1
 	defer func() { gramParallelN = old }()
 	for _, procs := range []int{1, 8} {
 		oldProcs := runtime.GOMAXPROCS(procs)
-		got := g.gramInto(mat.NewDense(n, n, nil), g.x)
+		got := gramInto(g.kern, g.noise, mat.NewDense(n, n, nil), g.x)
 		runtime.GOMAXPROCS(oldProcs)
 		gd, wd := got.Data(), want.Data()
 		for i := range wd {
@@ -107,7 +113,7 @@ func TestLMLGradBandedBitIdentity(t *testing.T) {
 	g, p := fitFixture(t, 72)
 	ws := fitWorkspaceFor(g, g.x, len(p))
 
-	lmlSerial, gr, err := g.logMarginalLikelihood(g.x, g.ys, p, ws)
+	lmlSerial, gr, err := ws.logMarginalLikelihood(g.x, g.ys, p)
 	if err != nil {
 		t.Fatalf("logMarginalLikelihood (serial): %v", err)
 	}
@@ -121,7 +127,7 @@ func TestLMLGradBandedBitIdentity(t *testing.T) {
 	var lmlBanded float64
 	for _, procs := range []int{1, 8} {
 		oldProcs := runtime.GOMAXPROCS(procs)
-		lml, gr, err := g.logMarginalLikelihood(g.x, g.ys, p, ws)
+		lml, gr, err := ws.logMarginalLikelihood(g.x, g.ys, p)
 		runtime.GOMAXPROCS(oldProcs)
 		if err != nil {
 			t.Fatalf("logMarginalLikelihood (banded, procs=%d): %v", procs, err)
@@ -155,13 +161,16 @@ func TestLMLGradBandedBitIdentity(t *testing.T) {
 
 // TestFitWorkspaceReuseBitIdentity: evaluating the LML through a dirty,
 // recycled workspace must give exactly the bits a fresh workspace gives —
-// the pooled buffers carry no state between evaluations (InverseInto and
-// the accumulators overwrite before reading).
+// the pooled buffers carry no state between evaluations (the kernel is
+// set from the evaluated point, the Gram fill writes both its lower
+// triangle and the radial derivatives in its upper one, and InverseInto
+// and the accumulators overwrite before reading). That is what lets a
+// start run first, last or beside another and follow the same path.
 func TestFitWorkspaceReuseBitIdentity(t *testing.T) {
 	g, p := fitFixture(t, 33)
 
 	fresh := fitWorkspaceFor(g, g.x, len(p))
-	wantLML, gr, err := g.logMarginalLikelihood(g.x, g.ys, p, fresh)
+	wantLML, gr, err := fresh.logMarginalLikelihood(g.x, g.ys, p)
 	if err != nil {
 		t.Fatalf("logMarginalLikelihood: %v", err)
 	}
@@ -176,12 +185,23 @@ func TestFitWorkspaceReuseBitIdentity(t *testing.T) {
 	for i := range dirty.inv.Data() {
 		dirty.inv.Data()[i] = math.Inf(1)
 	}
+	for _, buf := range [][]float64{dirty.wt.Data(), dirty.alpha, dirty.grad, dirty.kg, dirty.bandGrad, dirty.bandKg} {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	junk := make([]float64, dirty.kern.NumParams())
+	for i := range junk {
+		junk[i] = 7
+	}
+	dirty.kern.SetParams(junk)
+	dirty.noise = math.NaN()
 	p2 := append([]float64(nil), p...)
 	p2[0] += 0.3
-	if _, _, err := g.logMarginalLikelihood(g.x, g.ys, p2, dirty); err != nil {
+	if _, _, err := dirty.logMarginalLikelihood(g.x, g.ys, p2); err != nil {
 		t.Fatalf("logMarginalLikelihood (warmup): %v", err)
 	}
-	gotLML, got, err := g.logMarginalLikelihood(g.x, g.ys, p, dirty)
+	gotLML, got, err := dirty.logMarginalLikelihood(g.x, g.ys, p)
 	if err != nil {
 		t.Fatalf("logMarginalLikelihood (reused): %v", err)
 	}

@@ -3,51 +3,76 @@ package gp
 import (
 	"sync"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
-// fitWorkspace is the per-fit scratch of the marginal-likelihood objective.
-// Every L-BFGS objective call used to build a fresh n×n Gram, a fresh
-// Inverse() Dense, and fresh gradient scratch — O(n²) garbage per
-// evaluation, dozens of evaluations per restart. One workspace now serves
-// every evaluation of an optimizeHyper run (the multi-start is serial, so
-// a single workspace is never shared) and is recycled through fitPool
-// across fits, resizing only when the fitted sizes change.
+// fitWorkspace is one hyperparameter start's private state: the kernel
+// and noise every marginal-likelihood evaluation sets from the point it
+// is asked about, and the evaluation's scratch. Each start of a fit owns
+// one for as long as its search runs, so there is one workspace per
+// running start and no evaluation ever sees another start's state.
+// Workspaces are recycled through fitPool across starts and fits,
+// resizing only when the fitted sizes change, which keeps a warm
+// evaluation at 0 allocations (TestFitObjectiveAllocs).
 //
 // The embedded Cholesky is reused via Refactorize, so the factor's packed
 // n²/2 storage is allocated once per size change rather than once per
 // objective call.
 type fitWorkspace struct {
-	n, np, nk int
+	n, d int
 
-	gram  *mat.Dense   // n×n Gram K + σ²I
+	kern     *kernel.Matern52 // set from each evaluation's parameters
+	cfgNoise float64          // Config.Noise: > 0 fixes the noise
+	noise    float64          // noise variance of the current evaluation
+
+	gram  *mat.Dense   // n×n: K + σ²I below the diagonal, dφ/d(r²) above (gramInto)
 	chol  mat.Cholesky // refactorized in place each evaluation
 	alpha []float64    // n: (K+σ²I)⁻¹ y
-	inv   *mat.Dense   // n×n: K⁻¹, then overwritten with A = ααᵀ − K⁻¹
+	inv   *mat.Dense   // n×n: K⁻¹, then A = ααᵀ − K⁻¹ in the lower triangle
 	wt    *mat.Dense   // n×n: L⁻ᵀ scratch for InverseInto
 	grad  []float64    // np: LML gradient accumulator
 	kg    []float64    // nk: per-pair kernel-gradient scratch (serial path)
 
 	// Banded-gradient partials for the parallel trace loop: band b
-	// accumulates its kernel-gradient partial into bandGrad[b·nk:(b+1)·nk]
-	// using bandKg[b·nk:(b+1)·nk] as its private per-pair scratch, and the
+	// accumulates its kernel-gradient partial into the nk floats at
+	// bandGrad[b·bandStride(nk):] using the nk floats at
+	// bandKg[b·bandStride(nk):] as its private per-pair scratch, and the
 	// partials are reduced in fixed band order after the join.
 	bandGrad []float64
 	bandKg   []float64
 }
 
-// fitPool recycles fit workspaces across optimizeHyper runs. Workspaces
-// are size-adapted on acquisition (ensure), so consecutive fits at the
-// same FitSubsetMax-scale n — the steady state of a BO loop — reuse all
-// O(n²) buffers.
+// bandStride is the distance between two bands' slots in bandGrad and
+// bandKg: nk rounded up to a 64-byte cache line plus one more line, so
+// bands running at once never write the same line. The trace updates
+// its slots once per pair, so slots that shared a line would bounce it
+// between cores on every pair.
+func bandStride(nk int) int { return (nk+7)/8*8 + 8 }
+
+// fitPool recycles fit workspaces across starts and fits. Workspaces are
+// size-adapted on acquisition (ensure), so consecutive fits at the same
+// FitSubsetMax-scale n — the steady state of a BO loop — reuse all O(n²)
+// buffers.
 var fitPool = sync.Pool{New: func() any { return new(fitWorkspace) }}
 
-// ensure resizes the workspace for a fit over n points with np packed
-// hyperparameters (nk kernel parameters) and nb gradient bands. Buffer
-// contents are unspecified afterwards; every consumer overwrites before
-// reading (InverseInto and the gradient accumulators are written before
-// use by contract).
-func (ws *fitWorkspace) ensure(n, np, nk, nb int) {
+// ensure resizes the workspace for a fit over n points in d dimensions
+// with the configured noise cfgNoise (> 0 fixes it; otherwise the log
+// noise is the last packed parameter). Buffer contents are unspecified
+// afterwards; every consumer overwrites before reading (the kernel is set
+// from each evaluation's parameters, and InverseInto and the gradient
+// accumulators are written before use by contract).
+func (ws *fitWorkspace) ensure(n, d int, cfgNoise float64) {
+	if ws.kern == nil || ws.d != d {
+		ws.kern = kernel.NewMatern52(d)
+	}
+	ws.cfgNoise = cfgNoise
+	nk := 1 + d
+	np := nk
+	if cfgNoise <= 0 {
+		np++
+	}
+	nb := (n + lmlGradBand - 1) / lmlGradBand
 	if ws.gram == nil || ws.n != n {
 		ws.gram = mat.NewDense(n, n, nil)
 		ws.inv = mat.NewDense(n, n, nil)
@@ -60,9 +85,9 @@ func (ws *fitWorkspace) ensure(n, np, nk, nb int) {
 	if len(ws.kg) != nk {
 		ws.kg = make([]float64, nk)
 	}
-	if len(ws.bandGrad) != nb*nk {
-		ws.bandGrad = make([]float64, nb*nk)
-		ws.bandKg = make([]float64, nb*nk)
+	if len(ws.bandGrad) != nb*bandStride(nk) {
+		ws.bandGrad = make([]float64, nb*bandStride(nk))
+		ws.bandKg = make([]float64, nb*bandStride(nk))
 	}
-	ws.n, ws.np, ws.nk = n, np, nk
+	ws.n, ws.d = n, d
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/kernel"
@@ -28,17 +27,16 @@ import (
 )
 
 // parallelJointN is the training-set size at which PredictJoint splits
-// its q independent fill+solve columns across parallel.ForEach workers.
+// its q independent fill+solve columns over parallel.Compute.
 // Below it the forward solves are too cheap to amortize the fan-out. A
 // variable (not a const) so bit-identity tests can force both branches
 // on small fixtures.
 var parallelJointN = 4096
 
 // gramParallelN is the fitted-set size at which gramInto splits its row
-// fill (and the mirror of the strict upper triangle) across
-// parallel.ForEachBand workers. The split is bit-safe at every size —
-// each band writes disjoint rows and the batched row fill is bitwise-
-// identical to the per-pair loop — so the threshold is purely a
+// fill into parallel.ForEachBand bands. The split is bit-safe at every
+// size — each band writes disjoint cells and the batched row fill is
+// bitwise-identical to the per-pair loop — so the threshold is purely a
 // fan-out-overhead knob. A variable so bit-identity tests can force both
 // branches on small fixtures.
 var gramParallelN = 512
@@ -292,13 +290,19 @@ func (g *GP) packBounds() (lo, hi []float64) {
 }
 
 func (g *GP) applyParams(p []float64) {
-	nk := g.kern.NumParams()
-	g.kern.SetParams(p[:nk])
-	if g.cfg.Noise > 0 {
-		g.noise = g.cfg.Noise
-	} else {
-		g.noise = math.Exp(p[nk])
+	g.noise = unpackParams(g.kern, g.cfg.Noise, p)
+}
+
+// unpackParams sets kern from the packed vector p and returns the noise
+// variance p carries: cfgNoise when the configuration fixes it, else the
+// exponential of p's last entry.
+func unpackParams(kern *kernel.Matern52, cfgNoise float64, p []float64) float64 {
+	nk := kern.NumParams()
+	kern.SetParams(p[:nk])
+	if cfgNoise > 0 {
+		return cfgNoise
 	}
+	return math.Exp(p[nk])
 }
 
 func (g *GP) defaultParams() []float64 {
@@ -316,7 +320,6 @@ func (g *GP) defaultParams() []float64 {
 // optimizeHyper maximizes the log marginal likelihood over packed params.
 func (g *GP) optimizeHyper(warm []float64) error {
 	lo, hi := g.packBounds()
-	np := len(lo)
 
 	// Subset of data for the LML objective when configured and large.
 	fitX, fitY := g.x, g.ys
@@ -331,29 +334,32 @@ func (g *GP) optimizeHyper(warm []float64) error {
 		}
 	}
 
-	// One pooled workspace serves every objective evaluation of this run:
-	// the multi-start below is serial (Parallel unset), so the workspace is
-	// never shared, and successive fits at the same n reuse its O(n²)
-	// buffers through fitPool. Nothing the objective returns aliases the
-	// workspace — obj copies the gradient — so it is safe to recycle the
-	// moment Run returns.
-	nGrad := fitX.Rows()
-	ws := fitPool.Get().(*fitWorkspace)
-	ws.ensure(nGrad, np, g.kern.NumParams(), (nGrad+lmlGradBand-1)/lmlGradBand)
-
-	obj := func(p, grad []float64) float64 {
-		lml, gr, err := g.logMarginalLikelihood(fitX, fitY, p, ws)
-		if err != nil {
-			// Non-PD even after jitter: return a large penalty pushing away.
-			for i := range grad {
-				grad[i] = 0
+	// Each start owns a pooled workspace — its own kernel, noise and O(n²)
+	// buffers — taken when the start begins and returned when its search
+	// ends, so the objective is a pure function of its parameters and the
+	// starts can run at once: there is one live workspace per running
+	// start, and successive fits at the same n reuse the buffers through
+	// fitPool. Nothing the objective returns aliases the workspace (it
+	// copies the gradient). The winner is applied to the GP once, below.
+	nFit := fitX.Rows()
+	objective := func(_ int, search func(optim.GradObjective)) {
+		ws := fitPool.Get().(*fitWorkspace)
+		ws.ensure(nFit, g.d, g.cfg.Noise)
+		search(func(p, grad []float64) float64 {
+			lml, gr, err := ws.logMarginalLikelihood(fitX, fitY, p)
+			if err != nil {
+				// Non-PD even after jitter: return a large penalty pushing away.
+				for i := range grad {
+					grad[i] = 0
+				}
+				return 1e10
 			}
-			return 1e10
-		}
-		for i := range grad {
-			grad[i] = -gr[i]
-		}
-		return -lml
+			for i := range grad {
+				grad[i] = -gr[i]
+			}
+			return -lml
+		})
+		fitPool.Put(ws)
 	}
 
 	maxIter := g.cfg.MaxIter
@@ -373,7 +379,7 @@ func (g *GP) optimizeHyper(warm []float64) error {
 	}
 
 	starts := make([][]float64, 0, restarts+1)
-	if warm != nil && len(warm) == np {
+	if warm != nil && len(warm) == len(lo) {
 		w := mat.CloneVec(warm)
 		for i := range w {
 			w[i] = math.Min(math.Max(w[i], lo[i]), hi[i])
@@ -386,81 +392,76 @@ func (g *GP) optimizeHyper(warm []float64) error {
 	starts = append(starts, rng.SobolDesign(restarts, lo, hi, stream)...)
 
 	ms := &optim.MultiStart{Local: &optim.LBFGSB{MaxIter: maxIter, GTol: 1e-5, MaxEvals: 2 * maxIter, MaxLineSearch: 12}}
-	res := ms.Run(context.Background(), obj, starts, lo, hi)
-	fitPool.Put(ws)
+	res := ms.Run(context.Background(), objective, starts, lo, hi)
 	g.applyParams(res.X)
 	g.warmParams = mat.CloneVec(res.X)
 	g.fitLML = -res.F
 	return nil
 }
 
-// gramInto fills k (n×n) with K(X,X) + noise·I for the current kernel
-// state and returns it. Each row's lower triangle comes from the batched
-// kernel.EvalRow fill — bitwise-identical to the per-pair Eval loop it
-// replaced (see TestGramIntoMatchesPerPair) — and the strict upper
-// triangle is mirrored afterwards. Above gramParallelN both passes split
-// over deterministic row bands: every band writes disjoint rows and the
-// mirror copies finished values, so the filled matrix is bitwise
-// identical to the serial fill for any GOMAXPROCS.
-func (g *GP) gramInto(k *mat.Dense, x *mat.Dense) *mat.Dense {
+// gramInto fills k (n×n) for the kernel kern and noise variance noise
+// over the rows of x and returns it. The lower triangle holds the Gram
+// K(X,X) + noise·I, each row from the batched kernel.EvalRowRadial fill —
+// bitwise-identical to the per-pair Eval loop (see
+// TestGramIntoMatchesPerPair). The strict upper triangle does not hold
+// K: it holds each off-diagonal pair's radial derivative dφ/d(r²), which the
+// marginal-likelihood gradient reuses instead of recomputing r², the root
+// and the exponential per pair. Row i's i values sit in the last i cells
+// of row n−1−i (radialRow), so both the fill and the gradient trace
+// stream them contiguously. The Cholesky reads only the lower triangle.
+// Above gramParallelN the fill splits over deterministic row bands; a
+// band writes lower row i and upper row n−1−i for its own rows only, so
+// the filled matrix is bitwise identical to the serial fill for any
+// GOMAXPROCS.
+func gramInto(kern *kernel.Matern52, noise float64, k *mat.Dense, x *mat.Dense) *mat.Dense {
 	n := x.Rows()
 	if n >= gramParallelN {
-		// The closures below escape into the worker pool; they are only
-		// materialized on this branch so the sub-threshold path — every
-		// objective evaluation of a small fit — stays allocation-free
+		// The closure escapes into the fan-out; it is only materialized on
+		// this branch so the sub-threshold path — every objective
+		// evaluation of a small fit — stays allocation-free
 		// (TestFitObjectiveAllocs).
-		workers := runtime.GOMAXPROCS(0)
-		if err := parallel.ForEachBand(context.Background(), workers, n, gramRowBand, func(lo, hi int) {
-			g.gramFillRows(k, x, lo, hi)
-		}); err != nil {
-			panic(err) // unreachable: the background context is never cancelled
-		}
-		if err := parallel.ForEachBand(context.Background(), workers, n, gramRowBand, func(lo, hi int) {
-			g.gramMirrorRows(k, lo, hi)
+		if err := parallel.ForEachBand(context.Background(), 0, n, gramRowBand, func(lo, hi int) {
+			gramFillRows(kern, noise, k, x, lo, hi)
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled
 		}
 	} else {
-		g.gramFillRows(k, x, 0, n)
-		g.gramMirrorRows(k, 0, n)
+		gramFillRows(kern, noise, k, x, 0, n)
 	}
 	return k
 }
 
 // gramFillRows fills rows [lo, hi) of k's lower triangle (noise on the
-// diagonal) from the batched kernel row fill.
-func (g *GP) gramFillRows(k *mat.Dense, x *mat.Dense, lo, hi int) {
+// diagonal, where k(x, x) = σ²) and their radial derivatives.
+func gramFillRows(kern *kernel.Matern52, noise float64, k *mat.Dense, x *mat.Dense, lo, hi int) {
 	d := x.Cols()
 	xd := x.Data()
 	for i := lo; i < hi; i++ {
 		row := k.Row(i)[:i+1]
-		g.kern.EvalRow(row, x.Row(i), xd[:(i+1)*d])
-		row[i] += g.noise
+		kern.EvalRowRadial(row[:i], radialRow(k, i), x.Row(i), xd[:i*d])
+		row[i] = kern.Variance() + noise
 	}
 }
 
-// gramMirrorRows copies the finished lower triangle into rows [lo, hi)
-// of the strict upper triangle. Destination row j's tail
-// kd[j·n+j+1 : j·n+n] is contiguous; the strided column reads walk
-// values the fill pass finished.
-func (g *GP) gramMirrorRows(k *mat.Dense, lo, hi int) {
+// radialRow returns the i cells of k's strict upper triangle that hold
+// the radial derivatives of row i's off-diagonal pairs (i, j<i): the tail
+// of row n−1−i, whose strict-upper part is exactly i cells long.
+func radialRow(k *mat.Dense, i int) []float64 {
 	n := k.Rows()
-	kd := k.Data()
-	for j := lo; j < hi; j++ {
-		for i := j + 1; i < n; i++ {
-			kd[j*n+i] = kd[i*n+j]
-		}
-	}
+	r := n - 1 - i
+	return k.Data()[r*n+r+1 : r*n+n]
 }
 
 // logMarginalLikelihood evaluates the LML and its gradient w.r.t. packed
-// params p on the given (normalized) data, using ws for every O(n²)
-// intermediate. The returned gradient aliases ws.grad and is only valid
-// until the next evaluation against the same workspace.
-func (g *GP) logMarginalLikelihood(x *mat.Dense, y []float64, p []float64, ws *fitWorkspace) (float64, []float64, error) {
-	g.applyParams(p)
+// params p on the given (normalized) data with the workspace's own
+// kernel and noise, using the workspace for every O(n²) intermediate.
+// It reads nothing a previous evaluation left behind, so its bits depend
+// only on (x, y, p). The returned gradient aliases ws.grad and is only
+// valid until the next evaluation against the same workspace.
+func (ws *fitWorkspace) logMarginalLikelihood(x *mat.Dense, y []float64, p []float64) (float64, []float64, error) {
+	ws.noise = unpackParams(ws.kern, ws.cfgNoise, p)
 	n := x.Rows()
-	k := g.gramInto(ws.gram, x)
+	k := gramInto(ws.kern, ws.noise, ws.gram, x)
 	if err := ws.chol.Refactorize(k, 0, 0); err != nil {
 		return 0, nil, err
 	}
@@ -470,12 +471,18 @@ func (g *GP) logMarginalLikelihood(x *mat.Dense, y []float64, p []float64, ws *f
 
 	// Gradient: ∂LML/∂θ = ½ tr((ααᵀ − K⁻¹)·∂K/∂θ).
 	// A = ααᵀ − K⁻¹ (symmetric), built in place over the pooled inverse.
+	// The trace reads only j ≤ i, so only the lower triangle is built.
 	a := ch.InverseInto(ws.inv, ws.wt)
-	a.Scale(-1)
-	a.SymOuterUpdate(1, alpha)
+	for i := 0; i < n; i++ {
+		arow := a.Row(i)[:i+1]
+		ai := alpha[i]
+		for j := range arow {
+			arow[j] = arow[j]*-1 + ai*alpha[j]
+		}
+	}
 
 	np := len(p)
-	nk := g.kern.NumParams()
+	nk := ws.kern.NumParams()
 	grad := ws.grad[:np]
 	for t := range grad {
 		grad[t] = 0
@@ -487,72 +494,75 @@ func (g *GP) logMarginalLikelihood(x *mat.Dense, y []float64, p []float64, ws *f
 		// partition depends only on n, so the result is bit-identical for any
 		// GOMAXPROCS (but deliberately not to the sub-threshold serial fold;
 		// the gate keeps golden-trace fits below it).
-		bandGrad, bandKg := ws.bandGrad, ws.bandKg
-		if err := parallel.ForEachBand(context.Background(), runtime.GOMAXPROCS(0), n, lmlGradBand, func(lo, hi int) {
+		bandGrad, bandKg, stride := ws.bandGrad, ws.bandKg, bandStride(nk)
+		if err := parallel.ForEachBand(context.Background(), 0, n, lmlGradBand, func(lo, hi int) {
 			b := lo / lmlGradBand
-			part := bandGrad[b*nk : (b+1)*nk]
-			kg := bandKg[b*nk : (b+1)*nk]
+			part := bandGrad[b*stride : b*stride+nk]
 			for t := range part {
 				part[t] = 0
 			}
-			for i := lo; i < hi; i++ {
-				xi := x.Row(i)
-				arow := a.Row(i)
-				for j := 0; j <= i; j++ {
-					g.kern.EvalWithGrad(xi, x.Row(j), kg)
-					w := arow[j]
-					scale := 1.0
-					if i != j {
-						scale = 2.0 // symmetric off-diagonal counted twice
-					}
-					for t := 0; t < nk; t++ {
-						part[t] += 0.5 * scale * w * kg[t]
-					}
-				}
-			}
+			ws.traceRows(part, bandKg[b*stride:b*stride+nk], a, x, lo, hi)
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled
 		}
 		nb := (n + lmlGradBand - 1) / lmlGradBand
 		for b := 0; b < nb; b++ {
-			part := bandGrad[b*nk : (b+1)*nk]
+			part := bandGrad[b*stride : b*stride+nk]
 			for t := 0; t < nk; t++ {
 				grad[t] += part[t]
 			}
 		}
 	} else {
-		kg := ws.kg[:nk]
-		for i := 0; i < n; i++ {
-			xi := x.Row(i)
-			arow := a.Row(i)
-			for j := 0; j <= i; j++ {
-				g.kern.EvalWithGrad(xi, x.Row(j), kg)
-				w := arow[j]
-				scale := 1.0
-				if i != j {
-					scale = 2.0 // symmetric off-diagonal counted twice
-				}
-				for t := 0; t < nk; t++ {
-					grad[t] += 0.5 * scale * w * kg[t]
-				}
-			}
-		}
+		ws.traceRows(grad[:nk], ws.kg[:nk], a, x, 0, n)
 	}
-	if g.cfg.Noise <= 0 {
+	if ws.cfgNoise <= 0 {
 		// ∂K/∂ log σₙ² = σₙ²·I.
 		var tr float64
 		for i := 0; i < n; i++ {
 			tr += a.At(i, i)
 		}
-		grad[nk] = 0.5 * g.noise * tr
+		grad[nk] = 0.5 * ws.noise * tr
 	}
 	return lml, grad, nil
+}
+
+// traceRows adds ½·scale·A[i][j]·∂k(x_i, x_j)/∂θ over the pairs (i, j≤i)
+// of rows [lo, hi) into part (length NumParams()), in increasing i and j,
+// with scale 2 off the diagonal (the mirrored pair) and 1 on it. kg is
+// per-pair scratch of the same length. Each off-diagonal pair's kernel
+// value and radial derivative come from the Gram gramInto filled, so
+// the kernel only rebuilds the per-dimension terms (kernel.HyperGrad);
+// the diagonal, where the Gram also carries the noise, is evaluated
+// directly. Either way the per-pair gradient is EvalWithGrad's, bit for
+// bit.
+func (ws *fitWorkspace) traceRows(part, kg []float64, a, x *mat.Dense, lo, hi int) {
+	k := ws.gram
+	for i := lo; i < hi; i++ {
+		xi := x.Row(i)
+		arow := a.Row(i)
+		krow := k.Row(i)[:i]
+		drow := radialRow(k, i)
+		for j, kv := range krow {
+			ws.kern.HyperGrad(kg, xi, x.Row(j), kv, drow[j])
+			addPair(part, kg, arow[j], 2.0) // symmetric off-diagonal counted twice
+		}
+		ws.kern.EvalWithGrad(xi, xi, kg)
+		addPair(part, kg, arow[i], 1.0)
+	}
+}
+
+// addPair adds ½·scale·w·kg[t] to part[t] for every t.
+func addPair(part, kg []float64, w, scale float64) {
+	kg = kg[:len(part)]
+	for t := range part {
+		part[t] += 0.5 * scale * w * kg[t]
+	}
 }
 
 // factorize computes the full-data Cholesky and alpha for prediction.
 func (g *GP) factorize() error {
 	n := g.x.Rows()
-	k := g.gramInto(mat.NewDense(n, n, nil), g.x)
+	k := gramInto(g.kern, g.noise, mat.NewDense(n, n, nil), g.x)
 	ch, err := mat.NewCholesky(k, 0, 0)
 	if err != nil {
 		return fmt.Errorf("gp: final factorization failed: %w", err)
@@ -680,11 +690,12 @@ func (g *GP) PredictJoint(xs [][]float64) (*JointPrediction, error) {
 	vstore := mat.NewDense(q, n, nil) // row i holds L⁻¹ k*(x_i)
 	if n >= parallelJointN && q > 1 {
 		// Large-n batch path: the q fill+solve columns are independent, so
-		// split them across workers. Row i's k★ lands in vstore.Row(i) and
-		// is forward-solved in place (ForwardSolveVecInto permits dst
-		// aliasing b), so no scratch is shared between iterations and the
-		// result is bitwise-identical to the serial loop below.
-		if err := parallel.ForEach(context.Background(), runtime.GOMAXPROCS(0), q, func(i int) {
+		// split them over the budgeted fan-out. Row i's k★ lands in
+		// vstore.Row(i) and is forward-solved in place (ForwardSolveVecInto
+		// permits dst aliasing b), so no scratch is shared between
+		// iterations and the result is bitwise-identical to the serial
+		// loop below.
+		if err := parallel.Compute(context.Background(), 0, q, func(i int) {
 			row := vstore.Row(i)
 			g.kern.EvalRow(row, ustore.Row(i), g.x.Data())
 			mean[i] = g.ymean + g.ystd*mat.Dot(row, g.alpha)

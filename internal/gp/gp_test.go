@@ -151,7 +151,7 @@ func TestLMLGradientFiniteDiff(t *testing.T) {
 	}
 	p0 := []float64{0.2, math.Log(0.4), math.Log(0.5), math.Log(0.3), math.Log(1e-3)}
 	ws := fitWorkspaceFor(g, g.x, len(p0))
-	lml, gr, err := g.logMarginalLikelihood(g.x, g.ys, p0, ws)
+	lml, gr, err := ws.logMarginalLikelihood(g.x, g.ys, p0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestLMLGradientFiniteDiff(t *testing.T) {
 	for j := range p0 {
 		p := append([]float64(nil), p0...)
 		p[j] += h
-		up, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws)
+		up, _, err := ws.logMarginalLikelihood(g.x, g.ys, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p[j] -= 2 * h
-		dn, _, err := g.logMarginalLikelihood(g.x, g.ys, p, ws)
+		dn, _, err := ws.logMarginalLikelihood(g.x, g.ys, p)
 		if err != nil {
 			t.Fatal(err)
 		}

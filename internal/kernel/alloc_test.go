@@ -24,7 +24,8 @@ func rowBlock(stream *rng.Stream, n, d int) ([][]float64, []float64) {
 
 // TestEvalRowMatchesEval checks that the batched row kernels are bitwise
 // identical to the per-pair entry points they replace: EvalRow vs Eval,
-// and EvalRowWithGrad vs Eval + GradX. The golden-trace referee depends
+// EvalRowWithGrad vs Eval + GradX, and EvalRowRadial + HyperGrad vs
+// EvalWithGrad. The golden-trace referee depends
 // on this equivalence, so the comparison is exact, not tolerance-based.
 func TestEvalRowMatchesEval(t *testing.T) {
 	const d, n = 6, 40
@@ -58,6 +59,23 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		for j := 0; j < d; j++ {
 			if got := grow[i*d+j]; !fp.Exact(got, gref[j]) {
 				t.Fatalf("EvalRowWithGrad grad[%d][%d] = %v, GradX = %v", i, j, got, gref[j])
+			}
+		}
+	}
+
+	// EvalRowRadial keeps EvalRow's values, and its radial derivatives
+	// rebuild EvalWithGrad's hyperparameter gradient through HyperGrad.
+	dphi := make([]float64, n)
+	k.EvalRowRadial(dst, dphi, x, flat)
+	hg, want := make([]float64, k.NumParams()), make([]float64, k.NumParams())
+	for i := range rows {
+		if kv := k.EvalWithGrad(x, rows[i], want); !fp.Exact(dst[i], kv) {
+			t.Fatalf("EvalRowRadial value[%d] = %v, EvalWithGrad = %v", i, dst[i], kv)
+		}
+		k.HyperGrad(hg, x, rows[i], dst[i], dphi[i])
+		for j := range want {
+			if !fp.Exact(hg[j], want[j]) {
+				t.Fatalf("HyperGrad from row %d: grad[%d] = %v, EvalWithGrad = %v", i, j, hg[j], want[j])
 			}
 		}
 	}

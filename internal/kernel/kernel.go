@@ -71,6 +71,9 @@ func (k *Matern52) refresh() {
 // Dim returns the input dimension d.
 func (k *Matern52) Dim() int { return k.dim }
 
+// Variance returns the output scale σ², which is also k(x, x).
+func (k *Matern52) Variance() float64 { return k.variance }
+
 // NumParams returns the number of hyperparameters (1 + d).
 func (k *Matern52) NumParams() int { return 1 + k.dim }
 
@@ -122,18 +125,26 @@ func (k *Matern52) EvalWithGrad(x, y []float64, grad []float64) float64 {
 	if len(grad) != k.NumParams() {
 		panic(fmt.Sprintf("kernel: grad length %d != %d", len(grad), k.NumParams()))
 	}
-	r2 := k.r2(x, y)
-	p, dphi := phiDeriv(r2)
-	v := k.variance
-	kv := v * p
+	p, dphi := phiDeriv(k.r2(x, y))
+	kv := k.variance * p
+	k.HyperGrad(grad, x, y, kv, dphi)
+	return kv
+}
+
+// HyperGrad writes ∂k(x, y)/∂θ_j for each log-hyperparameter into grad
+// (length NumParams()) from the pair's kernel value kv and radial
+// derivative dphi = dφ/d(r²), as EvalRowRadial reports them. It is the
+// second half of EvalWithGrad, so a caller that kept a pair's kv and dphi
+// from a row fill gets EvalWithGrad's bits without recomputing r², the
+// root and the exponential.
+func (k *Matern52) HyperGrad(grad, x, y []float64, kv, dphi float64) {
 	grad[0] = kv // ∂k/∂ log σ² = k
-	vd := -2 * v * dphi
+	vd := -2 * k.variance * dphi
 	for i := 0; i < k.dim; i++ {
 		d := x[i] - y[i]
 		// ∂r²/∂ log ℓ_i = −2 d² / ℓ_i²
 		grad[1+i] = vd * d * d * k.inv2Len[i]
 	}
-	return kv
 }
 
 // checkRowBlock validates the batched-evaluation operands.
@@ -165,6 +176,35 @@ func (k *Matern52) EvalRow(dst []float64, x []float64, xs []float64) {
 			s += diff * diff
 		}
 		dst[i] = v * phi(s)
+	}
+}
+
+// EvalRowRadial is EvalRow that also writes each row's radial derivative
+// dφ/d(r²) at r² = r²(x, X_i) into dphi[i]; dphi must have length
+// len(dst). The values in dst are EvalRow's bits, and (dst[i], dphi[i])
+// are the kv and dphi that HyperGrad takes, so a marginal-likelihood
+// gradient built from them equals one built from per-pair EvalWithGrad
+// bit for bit.
+func (k *Matern52) EvalRowRadial(dst, dphi []float64, x []float64, xs []float64) {
+	k.checkRowBlock(len(dst), x, xs)
+	if len(dphi) != len(dst) {
+		panic(fmt.Sprintf("kernel: dphi length %d != %d", len(dphi), len(dst)))
+	}
+	d := k.dim
+	x = x[:d]
+	inv := k.invLen[:d]
+	v := k.variance
+	dphi = dphi[:len(dst)]
+	for i := range dst {
+		row := xs[i*d : i*d+d : i*d+d]
+		var s float64
+		for j, rv := range row {
+			diff := (x[j] - rv) * inv[j]
+			s += diff * diff
+		}
+		p, dp := phiDeriv(s)
+		dst[i] = v * p
+		dphi[i] = dp
 	}
 }
 

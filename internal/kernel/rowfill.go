@@ -2,13 +2,13 @@ package kernel
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/parallel"
 )
 
 // ParallelRowThreshold is the training-set size at which the batched k★
-// fills split across parallel.ForEach workers. Below it the per-call
+// fills split into bands over parallel.ForEachBand, on the caller plus
+// whatever helpers the process-wide budget lends. Below it the per-call
 // goroutine cost exceeds the fill itself; above it the fill is
 // embarrassingly parallel across rows. 4096 rows ≈ the point where one
 // fill clearly outweighs the fan-out overhead for the paper's input
@@ -16,15 +16,16 @@ import (
 const ParallelRowThreshold = 4096
 
 // parallelRowChunk is the contiguous row-block granularity of the
-// parallel split. The partition depends only on the row count — never on
-// the worker count or scheduling — and every chunk writes a disjoint
-// destination range with no shared accumulators, so the filled block is
-// bitwise-identical to a serial EvalRow for any GOMAXPROCS.
+// parallel split. The partition depends only on the row count — never
+// on the worker count, the budget or scheduling — and every chunk writes
+// a disjoint destination range with no shared accumulators, so the
+// filled block is bitwise-identical to a serial EvalRow for any
+// GOMAXPROCS.
 const parallelRowChunk = 1024
 
 // EvalRowAuto fills dst[i] = k(x, X_i) over the flat row-major block xs,
-// exactly like k.EvalRow, splitting the fill across workers when the
-// block is at least ParallelRowThreshold rows. Bitwise-identical to the
+// exactly like k.EvalRow, splitting the fill into bands when the block
+// is at least ParallelRowThreshold rows. Bitwise-identical to the
 // serial form either way.
 func EvalRowAuto(k *Matern52, dst, x, xs []float64) {
 	n := len(dst)
@@ -33,7 +34,7 @@ func EvalRowAuto(k *Matern52, dst, x, xs []float64) {
 		return
 	}
 	d := k.Dim()
-	if err := parallel.ForEachBand(context.Background(), runtime.GOMAXPROCS(0), n, parallelRowChunk, func(lo, hi int) {
+	if err := parallel.ForEachBand(context.Background(), 0, n, parallelRowChunk, func(lo, hi int) {
 		k.EvalRow(dst[lo:hi], x, xs[lo*d:hi*d])
 	}); err != nil {
 		panic(err) // unreachable: the background context is never cancelled
@@ -41,8 +42,8 @@ func EvalRowAuto(k *Matern52, dst, x, xs []float64) {
 }
 
 // EvalRowWithGradAuto is EvalRowAuto for k.EvalRowWithGrad: values into
-// dst, input gradients into gradx (length len(dst)·Dim()), split across
-// workers above ParallelRowThreshold with the same deterministic
+// dst, input gradients into gradx (length len(dst)·Dim()), split into
+// bands above ParallelRowThreshold with the same deterministic
 // partition and bitwise-identical output.
 func EvalRowWithGradAuto(k *Matern52, dst, gradx, x, xs []float64) {
 	n := len(dst)
@@ -51,7 +52,7 @@ func EvalRowWithGradAuto(k *Matern52, dst, gradx, x, xs []float64) {
 		return
 	}
 	d := k.Dim()
-	if err := parallel.ForEachBand(context.Background(), runtime.GOMAXPROCS(0), n, parallelRowChunk, func(lo, hi int) {
+	if err := parallel.ForEachBand(context.Background(), 0, n, parallelRowChunk, func(lo, hi int) {
 		k.EvalRowWithGrad(dst[lo:hi], gradx[lo*d:hi*d], x, xs[lo*d:hi*d])
 	}); err != nil {
 		panic(err) // unreachable: the background context is never cancelled

@@ -8,9 +8,9 @@ import (
 
 // The EvalRowFill pair measures the batched k★ fill at a size past the
 // parallel threshold: Serial pins the single-goroutine baseline, Auto
-// takes the parallel.ForEach split (which collapses to the same inline
-// loop at GOMAXPROCS=1 — the two are expected to track each other on one
-// core and diverge on many).
+// takes the parallel.ForEachBand split (which runs the same inline loop
+// when the budget has no helper, as at GOMAXPROCS=1 — the two are
+// expected to track each other on one core and diverge on many).
 
 const benchFillN = 8192
 

@@ -10,8 +10,8 @@ import (
 
 // TestEvalRowAutoBitIdentity fills a block two rows past the parallel
 // threshold and checks the parallel split reproduces the serial bytes at
-// GOMAXPROCS=1 (ForEach collapses to the inline loop) and GOMAXPROCS=8
-// (real worker goroutines): the chunk partition depends only on the row
+// GOMAXPROCS=1 (the budget has no helper, so the bands run inline) and
+// GOMAXPROCS=8 (helper goroutines): the chunk partition depends only on the row
 // count and every chunk writes a disjoint destination range, so the
 // bits must match exactly either way.
 func TestEvalRowAutoBitIdentity(t *testing.T) {

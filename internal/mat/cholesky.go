@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/fp"
 	"repro/internal/parallel"
@@ -351,7 +350,8 @@ func (c *Cholesky) Inverse() *Dense {
 
 // invParallelN is the factor order at or above which InverseInto splits
 // its two phases over deterministic row bands (invRowBand rows each) via
-// parallel.ForEachBand. Unlike the banded LML gradient there is no
+// parallel.ForEachBand, on the caller plus whatever helpers the
+// process-wide budget lends. Unlike the banded LML gradient there is no
 // reduction to reassociate here: every wt row is a self-contained
 // triangular solve and every inv cell a single dot product, so the
 // banded result is bitwise-identical to the serial one at every n and
@@ -360,8 +360,7 @@ func (c *Cholesky) Inverse() *Dense {
 // banded branch onto small fixtures.
 var invParallelN = 512
 
-// invRowBand is the row-band width of the parallel inverse split,
-// matching mulRowChunk's granularity.
+// invRowBand is the row-band width of the parallel inverse split.
 const invRowBand = 64
 
 // InverseInto computes A⁻¹ into inv, using wt as scratch for L⁻ᵀ; both
@@ -379,13 +378,12 @@ func (c *Cholesky) InverseInto(inv, wt *Dense) *Dense {
 		panic(fmt.Sprintf("mat: cholesky inverse scratch %d×%d != %d", wt.rows, wt.cols, n))
 	}
 	if n >= invParallelN {
-		workers := runtime.GOMAXPROCS(0)
-		if err := parallel.ForEachBand(context.Background(), workers, n, invRowBand, func(lo, hi int) {
+		if err := parallel.ForEachBand(context.Background(), 0, n, invRowBand, func(lo, hi int) {
 			c.invTransposeRows(wt, lo, hi)
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled
 		}
-		if err := parallel.ForEachBand(context.Background(), workers, n, invRowBand, func(lo, hi int) {
+		if err := parallel.ForEachBand(context.Background(), 0, n, invRowBand, func(lo, hi int) {
 			c.invProductRows(inv, wt, lo, hi)
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled

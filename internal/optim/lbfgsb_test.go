@@ -3,6 +3,8 @@ package optim
 import (
 	"context"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
@@ -149,20 +151,49 @@ func TestMultiStartFindsGlobal(t *testing.T) {
 	stream := rng.New(1, 1)
 	ms := &MultiStart{Local: &LBFGSB{MaxIter: 200}}
 	starts := DefaultStarts(8, nil, lo, hi, stream)
-	res := ms.Run(context.Background(), f, starts, lo, hi)
+	res := ms.Run(context.Background(), Shared(f), starts, lo, hi)
 	if res.X[0] < 0.5 {
 		t.Fatalf("multistart missed global minimum: %v", res.X)
 	}
 }
 
+// TestMultiStartParallelMatchesSerial: whether the starts run one after
+// another (GOMAXPROCS 1, no helper to borrow) or at once (GOMAXPROCS 8),
+// MultiStart returns bit for bit what a serial loop over the starts
+// returns, with the winner chosen by value and then by start index; and
+// every start's objective is requested exactly once, for its own index.
 func TestMultiStartParallelMatchesSerial(t *testing.T) {
 	lo, hi := boxOf(4, -3, 3)
 	c := []float64{1, 1, -1, -1}
 	starts := DefaultStarts(6, [][]float64{{0, 0, 0, 0}}, lo, hi, rng.New(2, 2))
-	serial := (&MultiStart{Local: &LBFGSB{}}).Run(context.Background(), quadratic(c), starts, lo, hi)
-	par := (&MultiStart{Local: &LBFGSB{}, Parallel: true}).Run(context.Background(), quadratic(c), starts, lo, hi)
-	if math.Abs(serial.F-par.F) > 1e-12 {
-		t.Fatalf("parallel result differs: %v vs %v", serial.F, par.F)
+	local := &LBFGSB{}
+	var want Result
+	for i, s := range starts {
+		if r := local.Minimize(quadratic(c), s, lo, hi); i == 0 || r.F < want.F {
+			want = r
+		}
+	}
+	for _, procs := range []int{1, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		calls := make([]int32, len(starts))
+		got := (&MultiStart{Local: local}).Run(context.Background(), func(i int, search func(GradObjective)) {
+			atomic.AddInt32(&calls[i], 1)
+			search(quadratic(c))
+		}, starts, lo, hi)
+		runtime.GOMAXPROCS(old)
+		if math.Float64bits(got.F) != math.Float64bits(want.F) {
+			t.Fatalf("procs=%d: F = %v, serial %v", procs, got.F, want.F)
+		}
+		for j := range want.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+				t.Fatalf("procs=%d: X = %v, serial %v", procs, got.X, want.X)
+			}
+		}
+		for i, n := range calls {
+			if n != 1 {
+				t.Fatalf("procs=%d: start %d's objective requested %d times", procs, i, n)
+			}
+		}
 	}
 }
 
@@ -172,7 +203,7 @@ func TestMultiStartNoStartsPanics(t *testing.T) {
 			t.Fatal("expected panic with zero starts")
 		}
 	}()
-	(&MultiStart{Local: &LBFGSB{}}).Run(context.Background(), quadratic([]float64{0}), nil, []float64{0}, []float64{1})
+	(&MultiStart{Local: &LBFGSB{}}).Run(context.Background(), Shared(quadratic([]float64{0})), nil, []float64{0}, []float64{1})
 }
 
 func TestDefaultStartsWithinBox(t *testing.T) {

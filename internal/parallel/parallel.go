@@ -1,11 +1,24 @@
 // Package parallel provides batch-synchronous parallel evaluation of
 // expensive black-box functions — the role MPI4Py worker ranks play in the
-// paper — together with virtual-time accounting. Evaluations run
-// concurrently on goroutines; their *reported* cost is the simulated
-// latency of the underlying simulator (10 s for the UPHES black box), so a
-// 20-minute experiment replays in seconds of wall time while preserving
-// the paper's time bookkeeping exactly: a batch costs the maximum member
-// latency plus a parallel-call overhead term.
+// paper — together with virtual-time accounting, and the fan-outs that
+// every other goroutine in the program is started through.
+//
+// Evaluations run concurrently on goroutines; their *reported* cost is the
+// simulated latency of the underlying simulator (10 s for the UPHES black
+// box), so a 20-minute experiment replays in seconds of wall time while
+// preserving the paper's time bookkeeping exactly: a batch costs the
+// maximum member latency plus a parallel-call overhead term.
+//
+// The fan-outs come in two kinds. ForEach spawns all its workers, for
+// work that must run at the same time: a server's listener beside its
+// signal watcher, fleet members in flight. Compute and ForEachBand are
+// for CPU work — hyperparameter starts, Gram and gradient bands,
+// acquisition restarts — and draw helper goroutines from one
+// process-wide budget of GOMAXPROCS−1: the caller always runs indices
+// itself, borrows at most workers−1 helpers while the budget has any
+// left, and runs everything inline when it has none. Fan-outs nested
+// under fleet members or under concurrent fit starts therefore never
+// oversubscribe the host, and no caller needs a knob to stop nesting.
 package parallel
 
 import (
@@ -13,6 +26,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -186,8 +200,13 @@ func maxUnboundedGoroutines() int {
 // i = w, w+workers, ...), so callers that pre-split rng streams per index
 // replay bit-identically regardless of scheduling.
 //
-// This is the only sanctioned way to spawn goroutines outside this
-// package: the godiscipline analyzer (cmd/pbolint) rejects bare go
+// ForEach spawns all its workers whatever the budget holds, so indices
+// may wait on each other: it is the fan-out for work that must run at
+// the same time, such as a server beside its signal watcher or fleet
+// members in flight. CPU work goes through Compute or ForEachBand, which
+// share the process-wide helper budget instead. These three and
+// Pool.EvalBatch are the only sanctioned ways to spawn goroutines outside
+// this package: the godiscipline analyzer (cmd/pbolint) rejects bare go
 // statements elsewhere, keeping the batch size q the single parallelism
 // knob of the system. fn must write only to per-index state; ForEach
 // provides no locking.
@@ -203,13 +222,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 		workers = n
 	}
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fn(i)
-		}
-		return ctx.Err()
+		return runInline(ctx, n, fn)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -228,21 +241,118 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
+// lent counts the helper goroutines currently lent out of the
+// process-wide budget, including those Reserve holds.
+var lent atomic.Int64
+
+// borrow takes up to want helpers out of the budget and returns how many
+// it got: none once GOMAXPROCS−1 are lent. GOMAXPROCS is read on every
+// call, so a changed setting applies to the next fan-out.
+func borrow(want int) int {
+	if want <= 0 {
+		return 0
+	}
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		cur := lent.Load()
+		free := limit - cur
+		if free <= 0 {
+			return 0
+		}
+		k := min(int64(want), free)
+		if lent.CompareAndSwap(cur, cur+k) {
+			return int(k)
+		}
+	}
+}
+
+// Reserve takes up to k helpers out of the budget without running
+// anything and returns the function that gives them back. It never
+// blocks: with fewer than k free it holds what is free. A caller that
+// runs k+1 CPU-bound goroutines through ForEach reserves k, so the
+// fan-outs nested in those goroutines count them and run inline when
+// they fill the host.
+func Reserve(k int) (release func()) {
+	got := int64(borrow(k))
+	return func() { lent.Add(-got) }
+}
+
+// Compute runs fn(i) for every i in [0,n) on the calling goroutine plus
+// up to workers−1 helpers borrowed from the process-wide budget
+// (workers <= 0 means no cap beyond the budget and n), and returns when
+// every call has finished. Indices are handed out by an atomic counter,
+// so which goroutine runs an index depends on scheduling: fn must write
+// only to per-index state and must not wait for another index, because
+// with the budget spent every index runs inline on the caller, in order.
+// Results then do not depend on how many helpers a call got. Each helper
+// returns to the budget as soon as no index is left for it.
+//
+// Cancelling ctx stops dispatch: calls already in fn complete, no new
+// index starts, and Compute returns ctx.Err(). A nil error means fn ran
+// for every index.
+func Compute(ctx context.Context, workers, n int, fn func(i int)) error {
+	if n <= 0 {
+		return ctx.Err()
+	}
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	helpers := borrow(workers - 1)
+	if helpers == 0 {
+		return runInline(ctx, n, fn)
+	}
+	var next atomic.Int64
+	run := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		go func() {
+			defer wg.Done()
+			defer lent.Add(-1)
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	return ctx.Err()
+}
+
+// runInline runs fn over [0,n) in order on the caller, checking ctx
+// before each index.
+func runInline(ctx context.Context, n int, fn func(i int)) error {
+	for i := 0; i < n; i++ {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		fn(i)
+	}
+	return ctx.Err()
+}
+
 // ForEachBand partitions [0,n) into ceil(n/band) contiguous bands of
-// width band (the last possibly shorter) and runs fn(lo, hi) for each on
-// at most workers goroutines via ForEach. The partition depends only on n
-// and band — never on workers or scheduling — which is the deterministic-
-// partition half of the bit-identity argument the fit and predict paths
-// rely on: a caller whose bands write disjoint output rows produces
-// bitwise-identical results for any GOMAXPROCS, and a caller that reduces
-// per-band partials in band order gets one fixed association independent
-// of the worker count. Cancellation semantics are ForEach's.
+// width band (the last possibly shorter) and runs fn(lo, hi) for each
+// through Compute, so it shares the process-wide helper budget. The
+// partition depends only on n and band — never on workers, the budget or
+// scheduling — which is the deterministic-partition half of the
+// bit-identity argument the fit and predict paths rely on: a caller whose
+// bands write disjoint output rows produces bitwise-identical results for
+// any GOMAXPROCS, and a caller that reduces per-band partials in band
+// order gets one fixed association independent of the worker count.
+// Cancellation semantics are Compute's.
 func ForEachBand(ctx context.Context, workers, n, band int, fn func(lo, hi int)) error {
 	if band <= 0 {
 		panic(fmt.Sprintf("parallel: non-positive band width %d", band))
 	}
 	nb := (n + band - 1) / band
-	return ForEach(ctx, workers, nb, func(b int) {
+	return Compute(ctx, workers, nb, func(b int) {
 		lo := b * band
 		hi := min(lo+band, n)
 		fn(lo, hi)

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,4 +313,190 @@ func TestVirtualDurationMatchesEvalBatch(t *testing.T) {
 			t.Fatalf("%v: VirtualDuration = %v, EvalBatch reported %v", p, got, br.Virtual)
 		}
 	}
+}
+
+// withProcs runs fn at the given GOMAXPROCS and restores the old value.
+func withProcs(procs int, fn func()) {
+	old := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(old)
+	fn()
+}
+
+// nested runs a three-deep budgeted fan-out — Compute over n outer
+// indices, ForEachBand over n middle bands of width 1, Compute over n
+// inner indices — and calls leaf(i, j, k) once per innermost index.
+func nested(n int, leaf func(i, j, k int)) error {
+	return Compute(context.Background(), 0, n, func(i int) {
+		if err := ForEachBand(context.Background(), 0, n, 1, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				if err := Compute(context.Background(), 0, n, func(k int) { leaf(i, j, k) }); err != nil {
+					panic(err)
+				}
+			}
+		}); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// TestComputeNestedRunsEveryIndexOnce: fan-outs nested three deep run
+// every innermost index exactly once, whether the budget lends no helper
+// (GOMAXPROCS 1) or several, and every helper is back in the budget when
+// the outermost call returns.
+func TestComputeNestedRunsEveryIndexOnce(t *testing.T) {
+	const n = 6
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
+			counts := make([]int32, n*n*n)
+			if err := nested(n, func(i, j, k int) { atomic.AddInt32(&counts[(i*n+j)*n+k], 1) }); err != nil {
+				t.Fatalf("procs=%d: %v", procs, err)
+			}
+			for idx, c := range counts {
+				if c != 1 {
+					t.Fatalf("procs=%d: index %d ran %d times", procs, idx, c)
+				}
+			}
+			if got := lent.Load(); got != 0 {
+				t.Fatalf("procs=%d: %d helpers still lent after the fan-out", procs, got)
+			}
+		})
+	}
+}
+
+// TestComputeHelperHighWater: however the fan-outs nest, the budget never
+// lends more than GOMAXPROCS−1 helpers at once, so no more than GOMAXPROCS
+// goroutines — the callers' one plus the helpers — run leaf work at the
+// same time.
+func TestComputeHelperHighWater(t *testing.T) {
+	for _, procs := range []int{2, 8} {
+		withProcs(procs, func() {
+			var running, peakRunning, peakLent atomic.Int64
+			raise := func(peak *atomic.Int64, v int64) {
+				for {
+					p := peak.Load()
+					if v <= p || peak.CompareAndSwap(p, v) {
+						return
+					}
+				}
+			}
+			if err := nested(4, func(int, int, int) {
+				raise(&peakRunning, running.Add(1))
+				raise(&peakLent, lent.Load())
+				time.Sleep(100 * time.Microsecond)
+				running.Add(-1)
+			}); err != nil {
+				t.Fatalf("procs=%d: %v", procs, err)
+			}
+			if got := peakLent.Load(); got > int64(procs-1) {
+				t.Fatalf("procs=%d: %d helpers lent at once, budget is %d", procs, got, procs-1)
+			}
+			if got := peakRunning.Load(); got > int64(procs) {
+				t.Fatalf("procs=%d: %d leaves ran at once on %d procs", procs, got, procs)
+			}
+		})
+	}
+}
+
+// TestComputeReservedRunsOnCaller: with the whole budget reserved, a
+// fan-out borrows no helper and runs every index on its caller, in
+// order; releasing the reservation returns the budget.
+func TestComputeReservedRunsOnCaller(t *testing.T) {
+	withProcs(4, func() {
+		release := Reserve(3)
+		var running, peak atomic.Int64
+		var order []int
+		if err := Compute(context.Background(), 0, 8, func(i int) {
+			if r := running.Add(1); r > peak.Load() {
+				peak.Store(r)
+			}
+			order = append(order, i) // safe only if every index runs on the caller
+			time.Sleep(200 * time.Microsecond)
+			running.Add(-1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := lent.Load(); got != 3 {
+			t.Fatalf("lent = %d during the reservation, want 3", got)
+		}
+		release()
+		if peak.Load() != 1 {
+			t.Fatalf("%d indices ran at once with the budget reserved", peak.Load())
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("inline order %v, want 0..7", order)
+			}
+		}
+		if got := lent.Load(); got != 0 {
+			t.Fatalf("lent = %d after release, want 0", got)
+		}
+	})
+}
+
+// TestComputeCancelled: a cancelled context starts no index, with or
+// without helpers to borrow, and the call returns ctx.Err(); cancelling
+// mid-run on the caller stops before the next index.
+func TestComputeCancelled(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var ran atomic.Int32
+			if err := Compute(ctx, 0, 50, func(int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+				t.Fatalf("procs=%d: Compute err = %v, want context.Canceled", procs, err)
+			}
+			if err := ForEachBand(ctx, 0, 50, 4, func(int, int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+				t.Fatalf("procs=%d: ForEachBand err = %v, want context.Canceled", procs, err)
+			}
+			if got := ran.Load(); got != 0 {
+				t.Fatalf("procs=%d: %d indices started after cancel", procs, got)
+			}
+			if got := lent.Load(); got != 0 {
+				t.Fatalf("procs=%d: %d helpers still lent", procs, got)
+			}
+		})
+	}
+	withProcs(1, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		ran := 0
+		err := Compute(ctx, 0, 10, func(i int) {
+			ran++
+			if i == 3 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) || ran != 4 {
+			t.Fatalf("err = %v after %d indices, want context.Canceled after 4", err, ran)
+		}
+	})
+}
+
+// TestForEachSpawnsAtOneProc: ForEach keeps all its workers in flight
+// whatever the budget holds, so indices that wait on each other — a
+// server beside its signal watcher, fleet members in flight — finish even
+// at GOMAXPROCS 1 with the budget reserved.
+func TestForEachSpawnsAtOneProc(t *testing.T) {
+	withProcs(1, func() {
+		release := Reserve(1)
+		defer release()
+		ready := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- ForEach(context.Background(), 2, 2, func(i int) {
+				if i == 0 {
+					<-ready
+				} else {
+					close(ready)
+				}
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("ForEach(2, 2) with index 0 waiting on index 1 did not finish")
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/acq"
 	"repro/internal/core"
 	"repro/internal/gp"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/surrogate"
 )
@@ -60,19 +61,36 @@ func fitOne(prev *gp.GP, cfg gp.Config, refitEvery, cycle int, xs [][]float64, y
 	}
 }
 
-// Fit implements core.ModelFactory.
-func (f *ConstrainedFactory) Fit(ctx context.Context, st *core.State, cycle int) (surrogate.Surrogate, error) {
-	obj, err := fitOne(f.obj, f.ObjCfg, f.RefitEvery, cycle, st.X, st.Y)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: objective fit: %w", err)
-	}
+// Fit implements core.ModelFactory. The violation labels are computed
+// first, on the caller — each is a cache lookup, since the pool simulated
+// every point when it evaluated it — then the objective GP and the
+// violation GP fit at once through parallel.Compute. The two fits share
+// nothing — each draws its own streams from its own seed and its own
+// pooled workspaces — so the pair is bit-identical to fitting them one
+// after the other, and with no helper free (a busy fleet member) they do
+// just that. A GP fit cannot be interrupted, so ctx does not stop it:
+// cancellation is seen by the engine's next phase, as with a single fit.
+func (f *ConstrainedFactory) Fit(_ context.Context, st *core.State, cycle int) (surrogate.Surrogate, error) {
 	vys := make([]float64, len(st.X))
 	for i, x := range st.X {
 		vys[i] = f.Cons.Violation(x)
 	}
-	vio, err := fitOne(f.vio, f.VioCfg, f.RefitEvery, cycle, st.X, vys)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: violation fit: %w", err)
+	var obj, vio *gp.GP
+	var objErr, vioErr error
+	if err := parallel.Compute(context.Background(), 2, 2, func(i int) {
+		if i == 0 {
+			obj, objErr = fitOne(f.obj, f.ObjCfg, f.RefitEvery, cycle, st.X, st.Y)
+		} else {
+			vio, vioErr = fitOne(f.vio, f.VioCfg, f.RefitEvery, cycle, st.X, vys)
+		}
+	}); err != nil {
+		panic(err) // unreachable: the background context is never cancelled
+	}
+	if objErr != nil {
+		return nil, fmt.Errorf("scenario: objective fit: %w", objErr)
+	}
+	if vioErr != nil {
+		return nil, fmt.Errorf("scenario: violation fit: %w", vioErr)
 	}
 	f.obj, f.vio = obj, vio
 	return &constrainedSurrogate{Surrogate: obj, pof: &pofModel{g: vio}}, nil

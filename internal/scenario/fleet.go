@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/parallel"
@@ -111,9 +112,17 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // Run executes the fleet: members run under the configured parallelism
-// cap (via the sanctioned parallel.ForEach, deterministic assignment),
-// then the report aggregates in member order — the report is
-// bit-identical regardless of Parallel.
+// cap through parallel.ForEach, which keeps that many members in flight
+// on any core count (a served member mostly waits on HTTP), then the
+// report aggregates in member order — the report is bit-identical
+// regardless of Parallel. While its members run, Run holds one helper of
+// the process-wide budget for every running member slot but one (the
+// first is the caller's share), so the fits and acquisitions inside
+// in-process members borrow only what the members leave free and run
+// inline when they fill the host. A slot gives its share back when it
+// has no member left, so the members still running can use the core it
+// freed. The shares are held here, not in LocalRunner, so every
+// DayRunner's members are counted.
 func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	cfg := f.Cfg.withDefaults()
 	if f.Runner == nil {
@@ -122,10 +131,28 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	n := cfg.Gen.Members
 	results := make([]*MemberResult, n)
 	errs := make([]error, n)
-	if err := parallel.ForEach(ctx, cfg.Parallel, n, func(m int) {
+	slots := min(cfg.Parallel, n)
+	shares := make([]func(), max(slots-1, 0))
+	for i := range shares {
+		shares[i] = parallel.Reserve(1)
+	}
+	var released atomic.Int32
+	giveBack := func() {
+		if i := int(released.Add(1)) - 1; i < len(shares) {
+			shares[i]()
+		}
+	}
+	err := parallel.ForEach(ctx, cfg.Parallel, n, func(m int) {
 		results[m], errs[m] = RunMember(ctx, f.Runner, cfg.Gen, cfg.Cons, cfg.Opt,
 			m, cfg.Days, cfg.Horizon, cfg.SimLatency)
-	}); err != nil {
+		if m+slots >= n {
+			giveBack() // ForEach's slot m%slots has no member left
+		}
+	})
+	for range shares {
+		giveBack() // shares a cancelled slot never gave back
+	}
+	if err != nil {
 		return nil, err
 	}
 	for m, err := range errs {

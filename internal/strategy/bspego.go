@@ -35,7 +35,7 @@ type BSPEGO struct {
 
 // NewBSPEGO returns the paper's configuration (n_cand = 2·n_batch).
 func NewBSPEGO() *BSPEGO {
-	return &BSPEGO{Opt: AFOpt{Starts: 2, MaxIter: 30, Parallel: false}, OverSample: 2}
+	return &BSPEGO{Opt: AFOpt{Starts: 2, MaxIter: 30}, OverSample: 2}
 }
 
 // Name implements core.Strategy.
@@ -125,6 +125,9 @@ func (s *BSPEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *cor
 	// Local acquisition in every leaf, in parallel: a single-point EI on
 	// the global model restricted to the leaf's box. This is the
 	// parallel-AP property that gives BSP-EGO its scalability (Fig. 2).
+	// The leaves run through parallel.Compute, on the caller plus whatever
+	// helpers the process-wide budget lends, and each leaf's multi-start
+	// nests under the same budget.
 	// Streams are split serially before the parallel region — Split
 	// advances the parent stream's state, so calling it from worker
 	// goroutines would be both a data race and a replay hazard.
@@ -132,7 +135,7 @@ func (s *BSPEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *cor
 	for i := range streams {
 		streams[i] = stream.Split(uint64(i))
 	}
-	if err := parallel.ForEach(ctx, 0, len(s.leaves), func(i int) {
+	if err := parallel.Compute(ctx, 0, len(s.leaves), func(i int) {
 		leaf := s.leaves[i]
 		ei := &acq.EI{Best: st.BestY, Minimize: p.Minimize}
 		x, v := s.Opt.Maximize(ctx, model, ei, leaf.lo, leaf.hi, nil, streams[i])

@@ -109,11 +109,8 @@ func proposeJointQEI(ctx context.Context, model surrogate.Surrogate, st *core.St
 		}
 	}
 	grad := optim.NumGrad(neg, 1e-6*minWidth)
-	ms := &optim.MultiStart{
-		Local:    &optim.LBFGSB{MaxIter: maxIter, GTol: 1e-9},
-		Parallel: true,
-	}
-	res := ms.Run(ctx, grad, flatStarts, flo, fhi)
+	ms := &optim.MultiStart{Local: &optim.LBFGSB{MaxIter: maxIter, GTol: 1e-9}}
+	res := ms.Run(ctx, optim.Shared(grad), flatStarts, flo, fhi)
 	return unflatten(res.X, q, d), nil
 }
 

@@ -26,13 +26,10 @@ type AFOpt struct {
 	Starts int
 	// MaxIter bounds L-BFGS iterations per start (default 60).
 	MaxIter int
-	// Parallel runs restarts concurrently (default true via
-	// DefaultAFOpt).
-	Parallel bool
 }
 
 // DefaultAFOpt returns the standard inner-optimization configuration.
-func DefaultAFOpt() AFOpt { return AFOpt{Starts: 4, MaxIter: 40, Parallel: true} }
+func DefaultAFOpt() AFOpt { return AFOpt{Starts: 4, MaxIter: 40} }
 
 func (o AFOpt) defaults() AFOpt {
 	d := o
@@ -47,8 +44,11 @@ func (o AFOpt) defaults() AFOpt {
 
 // Maximize finds argmax of the acquisition function over [lo, hi] using
 // multi-start L-BFGS with the model's gradient information. Anchors (e.g.
-// the incumbent) seed additional perturbed starts. Cancelling ctx skips
-// pending restarts; the best completed restart is still returned.
+// the incumbent) seed additional perturbed starts. The restarts share one
+// objective (posterior queries are safe for concurrent readers) and run
+// through optim.MultiStart on whatever helpers the process-wide budget
+// lends. Cancelling ctx skips pending restarts; the best completed
+// restart is still returned.
 //
 // When the surrogate carries a constraint model (acq.FeasibilityProvider,
 // fitted by the scenario engine's constrained factory), the criterion is
@@ -67,11 +67,8 @@ func (o AFOpt) Maximize(ctx context.Context, m surrogate.Surrogate, af acq.Acqui
 		return -v
 	}
 	starts := optim.DefaultStarts(cfg.Starts, anchors, lo, hi, stream)
-	ms := &optim.MultiStart{
-		Local:    &optim.LBFGSB{MaxIter: cfg.MaxIter, GTol: 1e-7},
-		Parallel: cfg.Parallel,
-	}
-	res := ms.Run(ctx, obj, starts, lo, hi)
+	ms := &optim.MultiStart{Local: &optim.LBFGSB{MaxIter: cfg.MaxIter, GTol: 1e-7}}
+	res := ms.Run(ctx, optim.Shared(obj), starts, lo, hi)
 	return res.X, -res.F
 }
 

@@ -10,13 +10,19 @@
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes)
 #   fit      — the per-iteration LML objective cost (parallel vs forced-
-#              serial at n=1024, pooled small-n), the n=4096 fantasy-chain
-#              extension, and the resident factor footprint at n=4096
+#              serial at n=1024, pooled small-n), the whole cold fit at
+#              the paper day's n=184 (concurrent starts vs GOMAXPROCS 1),
+#              the n=4096 fantasy-chain extension, and the resident factor
+#              footprint at n=4096
 #   async    — whole-engine virtual-throughput runs (evals-per-vhour) of
 #              the batch-synchronous vs asynchronous protocols on a
 #              heterogeneous-latency workload
 #   scenario — rolling-horizon fleet throughput (days-per-minute of wall
 #              time) serial vs member-parallel
+#
+# Every row written names its host: the GOMAXPROCS the benchmark ran
+# under (from the name's -N suffix, 1 without one), the CPU from go
+# test's "cpu:" line, and the Go version, so two files can be compared.
 #
 # Usage:
 #   ./scripts/bench.sh          # 2 s per benchmark; rewrites BENCH_<suite>.json
@@ -36,7 +42,9 @@
 #   - fit: the banded parallel LML path is bit-identical to the forced-
 #     serial one, so it may never cost more than 1.10× serial at n=1024;
 #     the n=4096 factor footprint stays at one packed triangle,
-#     n·(n+1)/2·8 = 67125248 bytes; the n=4096 fantasy chain runs.
+#     n·(n+1)/2·8 = 67125248 bytes; the n=4096 fantasy chain and both
+#     n=184 whole-fit benchmarks run (presence only: a timing ratio of
+#     single iterations flakes on a shared host).
 #   - async: the asynchronous protocol completes at least as many
 #     evaluations per virtual hour as the batch-synchronous one — a
 #     property of the schedules on the virtual clock, not of the host.
@@ -75,18 +83,22 @@ bench linalg "$other" 'ExtendCols1024$|EvalRowFill' ./internal/mat/ ./internal/k
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
 # The fantasy bench also runs in the linalg suite.
-bench fit "$other" 'FitLML128$|FitLML1024$|FitLML1024Serial$|FitFactorBytes4096$|LargeNFantasize4096$' ./internal/gp/
+bench fit "$other" 'FitLML128$|FitLML1024$|FitLML1024Serial$|FitFactorBytes4096$|LargeNFantasize4096$|FitHyper184$|FitHyper184Serial$' ./internal/gp/
 bench async "$other" 'VirtualThroughput$' ./internal/core/
 bench scenario "$other" 'FleetSerial$|FleetParallel$' ./internal/scenario/
 
 suites="hotpath linalg snapshot fit async scenario"
 
 if [ "$check" = 0 ]; then
+    goversion=$(go env GOVERSION)
     for suite in $suites; do
-        awk '
+        awk -v gover="$goversion" '
         BEGIN { print "["; first = 1 }
+        /^cpu: / { cpu = substr($0, 6); gsub(/["\\]/, "", cpu) }
         /^Benchmark/ {
             name = $1
+            procs = 1
+            if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
             sub(/-[0-9]+$/, "", name)   # strip GOMAXPROCS suffix if present
             ns = ""; bytes = ""; allocs = ""; frame = ""; factor = ""; vhour = ""; dpm = ""
             for (i = 2; i <= NF; i++) {
@@ -107,6 +119,7 @@ if [ "$check" = 0 ]; then
             if (factor != "") printf ", \"factor_bytes\": %s", factor
             if (vhour != "") printf ", \"evals_per_vhour\": %s", vhour
             if (dpm != "") printf ", \"days_per_minute\": %s", dpm
+            printf ", \"gomaxprocs\": %s, \"cpu\": \"%s\", \"go\": \"%s\"", procs, cpu, gover
             printf "}"
         }
         END { print "\n]" }
@@ -170,6 +183,8 @@ at_most snapshot SnapshotDecode1024 ns/op 6084544
 ratio_at_most fit FitLML1024 FitLML1024Serial ns/op 1.10
 at_most fit FitFactorBytes4096 factor-bytes 67125248
 present fit LargeNFantasize4096 ns/op
+present fit FitHyper184 ns/op
+present fit FitHyper184Serial ns/op
 
 ratio_at_most async SyncVirtualThroughput AsyncVirtualThroughput evals-per-vhour 1
 

@@ -93,11 +93,19 @@ echo "== fit-path bit-identity property tests under -race"
 # The fit-path scaling contracts (DESIGN.md §9): packed factorize/solve/
 # inverse/extension vs the dense reference DAG, solves down an extension
 # chain, in-place refactorization, the banded parallel Gram / gradient /
-# inverse fills vs serial at GOMAXPROCS 1 and 8, and pooled fit-workspace
-# reuse.
+# inverse fills vs serial at GOMAXPROCS 1 and 8, pooled fit-workspace
+# reuse, and the LML with its kept radial terms vs the per-pair
+# reference. The process-wide helper budget rides in the same group:
+# nested fan-outs run every index once and never lend more than
+# GOMAXPROCS-1 helpers, a reserved budget runs fan-outs on their caller,
+# cancellation starts no index, ForEach keeps waiting workers in flight at
+# GOMAXPROCS 1; concurrent multi-starts, hyperparameter starts and the
+# scenario cell's two GPs are bit-identical to their serial references;
+# and a fleet reports the same bits at Parallel 1 and 2 while holding its
+# members' share of the budget.
 named_race_group \
-    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity' \
-    ./internal/mat/ ./internal/gp/
+    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc' \
+    ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/
 
 echo "== kill-and-resume determinism under -race"
 # Named explicitly so the crash-safe serving contracts cannot be silently
