@@ -24,7 +24,10 @@ type Acquisition interface {
 	// Eval returns the utility of x.
 	Eval(g surrogate.Surrogate, x []float64) float64
 	// EvalWithGrad returns the utility and writes its gradient w.r.t. x
-	// into grad (length = dim).
+	// into grad (length = dim). A nil grad asks for the value only, with
+	// the bits of a full call at x: the posterior comes from
+	// PredictWithGrad with nil gradient buffers, never from Predict, whose
+	// variance clamp differs (DESIGN.md §9.4).
 	EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64
 }
 
@@ -51,6 +54,11 @@ func (e *EI) Eval(g surrogate.Surrogate, x []float64) float64 {
 
 // EvalWithGrad implements Acquisition.
 func (e *EI) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
+	if grad == nil {
+		mu, sd := g.PredictWithGrad(x, nil, nil)
+		v, _ := eiValue(mu, sd, e.Best, e.Minimize, e.Xi)
+		return v
+	}
 	s := grabGradScratch(len(x))
 	mu, sd := g.PredictWithGrad(x, s.dMu, s.dSD)
 	v, partial := eiValue(mu, sd, e.Best, e.Minimize, e.Xi)
@@ -121,17 +129,22 @@ func (u *UCB) Eval(g surrogate.Surrogate, x []float64) float64 {
 
 // EvalWithGrad implements Acquisition.
 func (u *UCB) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
-	s := grabGradScratch(len(x))
-	mu, sd := g.PredictWithGrad(x, s.dMu, s.dSD)
-	sign := 1.0
-	if u.Minimize {
-		sign = -1
-	}
+	var mu, sd float64
 	b := u.beta()
-	for j := range grad {
-		grad[j] = sign*s.dMu[j] + b*s.dSD[j]
+	if grad == nil {
+		mu, sd = g.PredictWithGrad(x, nil, nil)
+	} else {
+		s := grabGradScratch(len(x))
+		mu, sd = g.PredictWithGrad(x, s.dMu, s.dSD)
+		sign := 1.0
+		if u.Minimize {
+			sign = -1
+		}
+		for j := range grad {
+			grad[j] = sign*s.dMu[j] + b*s.dSD[j]
+		}
+		gradScratchPool.Put(s)
 	}
-	gradScratchPool.Put(s)
 	if u.Minimize {
 		return -mu + b*sd
 	}
@@ -159,6 +172,10 @@ func (p *PI) Eval(g surrogate.Surrogate, x []float64) float64 {
 
 // EvalWithGrad implements Acquisition.
 func (p *PI) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
+	if grad == nil {
+		mu, sd := g.PredictWithGrad(x, nil, nil)
+		return piValue(mu, sd, p.Best, p.Minimize, p.Xi)
+	}
 	s := grabGradScratch(len(x))
 	defer gradScratchPool.Put(s)
 	mu, sd := g.PredictWithGrad(x, s.dMu, s.dSD)

@@ -62,6 +62,22 @@ func BenchmarkEIGrad256(b *testing.B) {
 	}
 }
 
+// BenchmarkEIValueOnly256 is EIGrad256's call with a nil gradient: the
+// value-only evaluation every L-BFGS line-search trial makes.
+func BenchmarkEIValueOnly256(b *testing.B) {
+	g := benchGP(b, 256)
+	e := &EI{Best: 1, Minimize: true}
+	x := rng.New(2, 2).NormVec(12)
+	for i := range x {
+		x[i] = math.Abs(x[i]) / 3
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.EvalWithGrad(g, x, nil)
+	}
+}
+
 func BenchmarkQEIBatch4(b *testing.B) {
 	g := benchGP(b, 256)
 	q := NewQEI(4, 64, 1, true, rng.New(3, 3))

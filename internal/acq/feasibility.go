@@ -10,6 +10,7 @@ type FeasibilityModel interface {
 	// PoF returns the probability of feasibility at x, in [0, 1].
 	PoF(x []float64) float64
 	// PoFWithGrad additionally writes ∂PoF/∂x into grad (length = dim).
+	// A nil grad asks for the value only, with the bits of a full call.
 	PoFWithGrad(x, grad []float64) float64
 }
 
@@ -45,6 +46,9 @@ func (w *FeasibilityWeighted) Eval(g surrogate.Surrogate, x []float64) float64 {
 // ∇(base·p) = p·∇base + base·∇p.
 func (w *FeasibilityWeighted) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
 	v := w.Base.EvalWithGrad(g, x, grad)
+	if grad == nil {
+		return v * w.Model.PoFWithGrad(x, nil)
+	}
 	s := grabGradScratch(len(x))
 	p := w.Model.PoFWithGrad(x, s.dMu)
 	for j := range grad {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/surrogate"
 )
@@ -190,37 +191,56 @@ func (s *penaltySurrogate) Predict(x []float64) (float64, float64) {
 	return mu, sd * s.psi(x)
 }
 
+// penaltyScratchPool recycles PredictWithGrad's four busy-length buffers,
+// laid end to end in one slice. The wrapper sits in the acquisition's
+// inner loop, shared by every restart, so they are pooled rather than
+// allocated per call.
+var penaltyScratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // PredictWithGrad implements surrogate.Surrogate. The penalized standard
 // deviation is sd·ψ with ψ a product of smooth per-busy-point factors, so
 // its gradient follows the product rule: dSD'_j = dSD_j·ψ + sd·∂ψ/∂x_j,
 // with ∂ψ/∂x_j assembled from prefix/suffix products so no factor is
 // divided out (factors vanish at the busy points themselves). The mean and
-// its gradient pass through unchanged.
+// its gradient pass through unchanged. A value-only call (nil buffers)
+// builds ψ back to front as the suffix products do, not front to back as
+// psi does, so its bits are the full call's.
 func (s *penaltySurrogate) PredictWithGrad(x []float64, dMean, dSD []float64) (float64, float64) {
 	mu, sd := s.base.PredictWithGrad(x, dMean, dSD)
 	n := len(s.busy)
 	rho2 := penaltyRadius * penaltyRadius
-	exps := make([]float64, n)  // exp(−d_b²/2ρ²)
-	terms := make([]float64, n) // 1 − exps[b]
+	if dSD == nil {
+		psi := 1.0
+		for b := n - 1; b >= 0; b-- {
+			psi *= 1 - math.Exp(-s.normSq(x, s.busy[b])/(2*rho2))
+		}
+		return mu, sd * psi
+	}
+	buf := penaltyScratchPool.Get().(*[]float64)
+	if cap(*buf) < 4*n+1 {
+		*buf = make([]float64, 4*n+1)
+	}
+	exps := (*buf)[:n]       // exp(−d_b²/2ρ²)
+	terms := (*buf)[n : 2*n] // 1 − exps[b]
+	others := (*buf)[2*n : 3*n]
+	suffix := (*buf)[3*n : 4*n+1]
 	for b, xb := range s.busy {
 		exps[b] = math.Exp(-s.normSq(x, xb) / (2 * rho2))
 		terms[b] = 1 - exps[b]
 	}
 	// others[b] = Π_{b'≠b} terms[b'] via prefix/suffix products.
-	suffix := make([]float64, n+1)
 	suffix[n] = 1
 	for b := n - 1; b >= 0; b-- {
 		suffix[b] = suffix[b+1] * terms[b]
 	}
 	psi := suffix[0]
-	others := make([]float64, n)
 	prefix := 1.0
 	for b := 0; b < n; b++ {
 		others[b] = prefix * suffix[b+1]
 		prefix *= terms[b]
 	}
 	for j := range dSD {
-		dSD[j] *= psi
+		dSD[j] = dSD[j] * psi
 	}
 	for b, xb := range s.busy {
 		for j := range x {
@@ -229,6 +249,7 @@ func (s *penaltySurrogate) PredictWithGrad(x []float64, dMean, dSD []float64) (f
 			dSD[j] += sd * others[b] * exps[b] * (x[j] - xb[j]) / (span * span * rho2)
 		}
 	}
+	penaltyScratchPool.Put(buf)
 	return mu, sd * psi
 }
 

@@ -245,3 +245,37 @@ func TestBaselineComparison(t *testing.T) {
 		t.Fatalf("render malformed:\n%s", out)
 	}
 }
+
+// TestOneReplicationStudyRendersEveryOutput: a study of one replication
+// per cell (paperrepro -reps 1) renders every output paperrepro writes —
+// tables, scalability figures, convergence traces and plots — and its
+// Figure 8 heatmap is a one-line note instead of the t-test's error.
+func TestOneReplicationStudyRendersEveryOutput(t *testing.T) {
+	cfg := tinyStudy()
+	cfg.Replications = 1
+	res, err := RunBenchmarkStudy(benchfunc.Ackley(2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := []string{
+		res.FinalValueTable("Table X"),
+		res.Table7(),
+		res.ScalabilityTable("evals"),
+		res.ScalabilityTable("cycles"),
+	}
+	for _, q := range cfg.BatchSizes {
+		hm, err := res.PValueHeatmap(q)
+		if err != nil {
+			t.Fatalf("q=%d: PValueHeatmap: %v", q, err)
+		}
+		if !strings.Contains(hm, "needs at least 2") || strings.Count(hm, "\n") != 1 {
+			t.Fatalf("q=%d: heatmap is not the one-line note:\n%s", q, hm)
+		}
+		outputs = append(outputs, res.ConvergenceCSV(q), res.ConvergencePlot(q), hm)
+	}
+	for i, out := range outputs {
+		if strings.TrimSpace(out) == "" {
+			t.Fatalf("output %d is empty", i)
+		}
+	}
+}

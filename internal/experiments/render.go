@@ -184,8 +184,14 @@ func (r *StudyResult) ConvergenceCSV(q int) string {
 	return b.String()
 }
 
-// PValueHeatmap renders the Figure 8 matrix for one batch size.
+// PValueHeatmap renders the Figure 8 matrix for one batch size. A study
+// of fewer than two replications has no t-test to run; its heatmap is a
+// one-line note instead, so the rest of the study's outputs still render.
 func (r *StudyResult) PValueHeatmap(q int) (string, error) {
+	if n := r.Config.Replications; n < 2 {
+		return fmt.Sprintf("No pairwise t-test p-values for %s, n_batch = %d: %d replication per cell, the test needs at least 2\n",
+			r.Problem, q, n), nil
+	}
 	m, order, err := r.PValueMatrix(q)
 	if err != nil {
 		return "", err

@@ -39,6 +39,11 @@ func TestPredictAllocs(t *testing.T) {
 	}); got > 0 {
 		t.Fatalf("gp.PredictWithGrad allocates %v times per call, want 0", got)
 	}
+	if got := testing.AllocsPerRun(200, func() {
+		g.PredictWithGrad(x, nil, nil)
+	}); got > 0 {
+		t.Fatalf("value-only gp.PredictWithGrad allocates %v times per call, want 0", got)
+	}
 }
 
 // TestFitObjectiveAllocs pins the pooled fit workspace: once a workspace
@@ -69,6 +74,15 @@ func TestFitObjectiveAllocs(t *testing.T) {
 		}
 	}); got > 0 {
 		t.Fatalf("fit objective allocates %v times per evaluation, want 0", got)
+	}
+	// The L-BFGS objective's two steady-state calls: a value-only trial,
+	// then the gradient of the accepted trial on the pass it left.
+	grad := make([]float64, len(p))
+	if got := testing.AllocsPerRun(100, func() {
+		ws.negLML(g.x, g.ys, p, nil)
+		ws.negLML(g.x, g.ys, p, grad)
+	}); got > 0 {
+		t.Fatalf("fit objective's trial and accepted gradient allocate %v times, want 0", got)
 	}
 }
 

@@ -50,18 +50,24 @@ func benchFitLML(b *testing.B, n int) {
 // default FitSubsetMax scale.
 func BenchmarkFitLML128(b *testing.B) { benchFitLML(b, 128) }
 
-// BenchmarkFitLML1024 exercises the banded parallel Gram fill and
-// gradient trace (n above gramParallelN and lmlGradBandN).
+// BenchmarkFitLML1024 exercises the banded parallel Gram fill, inverse
+// and gradient trace (n above gramParallelN, invParallelN and
+// lmlGradBandN).
 func BenchmarkFitLML1024(b *testing.B) { benchFitLML(b, 1024) }
 
-// BenchmarkFitLML1024Serial forces the same evaluation down the legacy
-// serial branches, so BENCH_fit.json carries the parallel-vs-serial
-// comparison at identical n and the -check floor can hold the parallel
-// path to at worst serial cost.
+// BenchmarkFitLML1024Serial runs the same evaluation serially: at
+// GOMAXPROCS 1, where the helper budget lends nothing, so the inverse's
+// bands run one after another on the caller, and with the Gram and
+// gradient-trace thresholds forced off, so those two take their serial
+// branches. BENCH_fit.json then carries the parallel-vs-serial comparison
+// at identical n, and the -check floor holds the parallel path to at
+// worst serial cost.
 func BenchmarkFitLML1024Serial(b *testing.B) {
 	oldGram, oldBand := gramParallelN, lmlGradBandN
 	gramParallelN, lmlGradBandN = 1<<30, 1<<30
 	defer func() { gramParallelN, lmlGradBandN = oldGram, oldBand }()
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
 	benchFitLML(b, 1024)
 }
 

@@ -34,6 +34,15 @@ type fitWorkspace struct {
 	grad  []float64    // np: LML gradient accumulator
 	kg    []float64    // nk: per-pair kernel-gradient scratch (serial path)
 
+	// The last value pass (lmlValue): its LML and params, and whether it
+	// succeeded. While valueOK holds, gram, chol, alpha, kern and noise are
+	// that pass's, so a gradient request at exactly valueP needs only the
+	// gradient half. ensure clears valueOK: a workspace taken for a new
+	// start may meet other data at the same params.
+	lml     float64
+	valueP  []float64 // np
+	valueOK bool
+
 	// Banded-gradient partials for the parallel trace loop: band b
 	// accumulates its kernel-gradient partial into the nk floats at
 	// bandGrad[b·bandStride(nk):] using the nk floats at
@@ -81,7 +90,9 @@ func (ws *fitWorkspace) ensure(n, d int, cfgNoise float64) {
 	}
 	if len(ws.grad) != np {
 		ws.grad = make([]float64, np)
+		ws.valueP = make([]float64, np)
 	}
+	ws.valueOK = false
 	if len(ws.kg) != nk {
 		ws.kg = make([]float64, nk)
 	}

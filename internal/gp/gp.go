@@ -346,18 +346,7 @@ func (g *GP) optimizeHyper(warm []float64) error {
 		ws := fitPool.Get().(*fitWorkspace)
 		ws.ensure(nFit, g.d, g.cfg.Noise)
 		search(func(p, grad []float64) float64 {
-			lml, gr, err := ws.logMarginalLikelihood(fitX, fitY, p)
-			if err != nil {
-				// Non-PD even after jitter: return a large penalty pushing away.
-				for i := range grad {
-					grad[i] = 0
-				}
-				return 1e10
-			}
-			for i := range grad {
-				grad[i] = -gr[i]
-			}
-			return -lml
+			return ws.negLML(fitX, fitY, p, grad)
 		})
 		fitPool.Put(ws)
 	}
@@ -452,27 +441,97 @@ func radialRow(k *mat.Dense, i int) []float64 {
 	return k.Data()[r*n+r+1 : r*n+n]
 }
 
+// negLML is one start's L-BFGS objective: the negated LML at p, with its
+// negated gradient written into grad unless grad is nil. A value-only
+// request runs only the value half. A gradient request at the params of
+// the workspace's last successful value pass — L-BFGS asking for the
+// gradient of the trial it has just accepted — runs only the gradient
+// half on what that pass left; any other gradient request runs both. A
+// failed factorization returns a large penalty with a zero gradient.
+func (ws *fitWorkspace) negLML(x *mat.Dense, y, p, grad []float64) float64 {
+	var lml float64
+	var gr []float64
+	var err error
+	switch {
+	case grad == nil:
+		lml, err = ws.lmlValue(x, y, p)
+	case ws.valueAt(p):
+		lml, gr = ws.lml, ws.lmlGrad(x, len(p))
+	default:
+		lml, gr, err = ws.logMarginalLikelihood(x, y, p)
+	}
+	if err != nil {
+		// Non-PD even after jitter: return a large penalty pushing away.
+		for i := range grad {
+			grad[i] = 0
+		}
+		return 1e10
+	}
+	for i := range grad {
+		grad[i] = -gr[i]
+	}
+	return -lml
+}
+
 // logMarginalLikelihood evaluates the LML and its gradient w.r.t. packed
 // params p on the given (normalized) data with the workspace's own
-// kernel and noise, using the workspace for every O(n²) intermediate.
-// It reads nothing a previous evaluation left behind, so its bits depend
-// only on (x, y, p). The returned gradient aliases ws.grad and is only
-// valid until the next evaluation against the same workspace.
+// kernel and noise, using the workspace for every O(n²) intermediate: the
+// value half, then the gradient half. It reads nothing a previous
+// evaluation left behind, so its bits depend only on (x, y, p). The
+// returned gradient aliases ws.grad and is only valid until the next
+// evaluation against the same workspace.
 func (ws *fitWorkspace) logMarginalLikelihood(x *mat.Dense, y []float64, p []float64) (float64, []float64, error) {
+	lml, err := ws.lmlValue(x, y, p)
+	if err != nil {
+		return 0, nil, err
+	}
+	return lml, ws.lmlGrad(x, len(p)), nil
+}
+
+// lmlValue is the value half of an LML evaluation at p: it sets the
+// kernel and noise from p, fills the Gram, factorizes it and solves for
+// α. The Gram, factor and α stay on the workspace for lmlGrad, and p is
+// recorded as their params once the factorization succeeds.
+func (ws *fitWorkspace) lmlValue(x *mat.Dense, y []float64, p []float64) (float64, error) {
+	ws.valueOK = false
 	ws.noise = unpackParams(ws.kern, ws.cfgNoise, p)
 	n := x.Rows()
 	k := gramInto(ws.kern, ws.noise, ws.gram, x)
 	if err := ws.chol.Refactorize(k, 0, 0); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	ch := &ws.chol
 	alpha := ch.SolveVecInto(ws.alpha, y)
-	lml := -0.5*mat.Dot(y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
+	ws.lml = -0.5*mat.Dot(y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
+	copy(ws.valueP, p)
+	ws.valueOK = true
+	return ws.lml, nil
+}
 
+// valueAt reports whether the workspace holds a successful value pass at
+// exactly p, bit for bit.
+func (ws *fitWorkspace) valueAt(p []float64) bool {
+	if !ws.valueOK {
+		return false
+	}
+	for i, v := range p {
+		if math.Float64bits(v) != math.Float64bits(ws.valueP[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// lmlGrad is the gradient half of an LML evaluation over x with np packed
+// params: it reads the kernel, noise, Gram, factor and α the value half
+// left on the workspace and returns the gradient, aliasing ws.grad.
+func (ws *fitWorkspace) lmlGrad(x *mat.Dense, np int) []float64 {
+	n := x.Rows()
+	alpha := ws.alpha
 	// Gradient: ∂LML/∂θ = ½ tr((ααᵀ − K⁻¹)·∂K/∂θ).
 	// A = ααᵀ − K⁻¹ (symmetric), built in place over the pooled inverse.
 	// The trace reads only j ≤ i, so only the lower triangle is built.
-	a := ch.InverseInto(ws.inv, ws.wt)
+	a := ws.chol.InverseInto(ws.inv, ws.wt)
 	for i := 0; i < n; i++ {
 		arow := a.Row(i)[:i+1]
 		ai := alpha[i]
@@ -481,7 +540,6 @@ func (ws *fitWorkspace) logMarginalLikelihood(x *mat.Dense, y []float64, p []flo
 		}
 	}
 
-	np := len(p)
 	nk := ws.kern.NumParams()
 	grad := ws.grad[:np]
 	for t := range grad {
@@ -523,7 +581,7 @@ func (ws *fitWorkspace) logMarginalLikelihood(x *mat.Dense, y []float64, p []flo
 		}
 		grad[nk] = 0.5 * ws.noise * tr
 	}
-	return lml, grad, nil
+	return grad
 }
 
 // traceRows adds ½·scale·A[i][j]·∂k(x_i, x_j)/∂θ over the pairs (i, j≤i)
@@ -626,28 +684,52 @@ func (g *GP) Predict(x []float64) (mean, sd float64) {
 // gradients with respect to x (raw space) into the caller-provided dMean
 // and dSD (length Dim). Used by gradient-based EI/UCB optimization; the
 // destination-passing contract keeps it allocation-free in steady state.
+//
+// With dMean and dSD both nil it returns the value only: the same code
+// without the k★ gradient rows, the back solve and the gradient loop, so
+// the bits are the full call's. It is not Predict, which clamps the
+// variance at 0 where this clamps it at 1e-300.
 func (g *GP) PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64) {
-	if len(dMean) != g.d || len(dSD) != g.d {
+	valueOnly := dMean == nil && dSD == nil
+	if !valueOnly && (len(dMean) != g.d || len(dSD) != g.d) {
 		panic(fmt.Sprintf("gp: gradient buffer lengths %d,%d != %d", len(dMean), len(dSD), g.d))
 	}
-	n := g.N()
 	ws := g.ws.Get().(*predictWorkspace)
 	u := ws.u
 	g.normalizeInto(u, x)
-	// One pass over the training block fills k★ and every ∂k(u, x_i)/∂u row.
-	kernel.EvalRowWithGradAuto(g.kern, ws.ks, ws.kg, u, g.x.Data())
+	if valueOnly {
+		// EvalRow's k★ values are EvalRowWithGrad's, bit for bit.
+		kernel.EvalRowAuto(g.kern, ws.ks, u, g.x.Data())
+	} else {
+		// One pass over the training block fills k★ and every ∂k(u, x_i)/∂u row.
+		kernel.EvalRowWithGradAuto(g.kern, ws.ks, ws.kg, u, g.x.Data())
+	}
 	g.chol.ForwardSolveVecInto(ws.v, ws.ks) // L⁻¹ k*
-	g.chol.BackSolveVecInto(ws.w, ws.v)     // K⁻¹ k*
 	mu := mat.Dot(ws.ks, g.alpha)           // standardized mean
 	variance := g.kern.Eval(u, u) - mat.Dot(ws.v, ws.v)
 	if variance < 1e-300 {
 		variance = 1e-300
 	}
+	sdStd := math.Sqrt(variance)
+	if !valueOnly {
+		g.chol.BackSolveVecInto(ws.w, ws.v) // K⁻¹ k*
+		g.posteriorGradInto(ws, sdStd, dMean, dSD)
+	}
+	mean, sd = g.ymean+g.ystd*mu, g.ystd*sdStd
+	g.ws.Put(ws)
+	return mean, sd
+}
+
+// posteriorGradInto writes the raw-space gradients of the posterior mean
+// and sd into dMean and dSD from the workspace's ∂k(u, x_i)/∂u rows and
+// w = K⁻¹k★, given the standardized sd sdStd.
+func (g *GP) posteriorGradInto(ws *predictWorkspace, sdStd float64, dMean, dSD []float64) {
 	dMeanU, dVarU := ws.dMeanU, ws.dVarU
 	for j := range dMeanU {
 		dMeanU[j] = 0
 		dVarU[j] = 0
 	}
+	n := g.N()
 	for i := 0; i < n; i++ {
 		kg := ws.kg[i*g.d : (i+1)*g.d]
 		ai := g.alpha[i]
@@ -657,15 +739,11 @@ func (g *GP) PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float6
 			dVarU[j] += -2 * wi * kg[j] // ∂(k**−k*ᵀK⁻¹k*)/∂u; k** constant for stationary kernels
 		}
 	}
-	sdStd := math.Sqrt(variance)
 	for j := 0; j < g.d; j++ {
 		du := 1 / (g.cfg.Hi[j] - g.cfg.Lo[j]) // chain rule u→x
 		dMean[j] = g.ystd * dMeanU[j] * du
 		dSD[j] = g.ystd * dVarU[j] / (2 * sdStd) * du
 	}
-	mean, sd = g.ymean+g.ystd*mu, g.ystd*sdStd
-	g.ws.Put(ws)
-	return mean, sd
 }
 
 // JointPrediction is the posterior over a batch of q points: mean vector

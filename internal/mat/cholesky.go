@@ -415,6 +415,11 @@ func (c *Cholesky) invTransposeRows(wt *Dense, lo, hi int) {
 //	A⁻¹[i][j] = Σ_{k>=max(i,j)} L⁻¹[k][i]·L⁻¹[k][j]
 //	          = dot(wt.Row(i)[i:], wt.Row(j)[i:]) for j <= i.
 //
+// Cells (i, j…j+3) are built together, four independent accumulator
+// chains over one pass of row i, so the loop runs at FP-add throughput
+// rather than latency. Each chain still sums its own cell in increasing
+// k, so every cell has the bits of a one-cell-at-a-time dot product.
+//
 // Band (lo, hi) owns every (i, j≤i) pair with i in range, including the
 // mirror cell inv[j][i]: each memory cell is written by exactly one
 // band, so bands race on nothing and the filled matrix is independent of
@@ -422,12 +427,34 @@ func (c *Cholesky) invTransposeRows(wt *Dense, lo, hi int) {
 func (c *Cholesky) invProductRows(inv, wt *Dense, lo, hi int) {
 	n := c.n
 	for i := lo; i < hi; i++ {
-		wi := wt.Row(i)
-		for j := 0; j <= i; j++ {
-			wj := wt.Row(j)
+		wi := wt.Row(i)[i:n]
+		j := 0
+		for ; j+4 <= i+1; j += 4 {
+			w0 := wt.Row(j)[i:n]
+			w1 := wt.Row(j + 1)[i:n]
+			w2 := wt.Row(j + 2)[i:n]
+			w3 := wt.Row(j + 3)[i:n]
+			w0, w1, w2, w3 = w0[:len(wi)], w1[:len(wi)], w2[:len(wi)], w3[:len(wi)]
+			var s0, s1, s2, s3 float64
+			for k, v := range wi {
+				s0 += v * w0[k]
+				s1 += v * w1[k]
+				s2 += v * w2[k]
+				s3 += v * w3[k]
+			}
+			row := inv.data[i*n : i*n+n]
+			row[j], row[j+1], row[j+2], row[j+3] = s0, s1, s2, s3
+			inv.data[j*n+i] = s0
+			inv.data[(j+1)*n+i] = s1
+			inv.data[(j+2)*n+i] = s2
+			inv.data[(j+3)*n+i] = s3
+		}
+		for ; j <= i; j++ {
+			wj := wt.Row(j)[i:n]
+			wj = wj[:len(wi)]
 			var s float64
-			for k := i; k < n; k++ {
-				s += wi[k] * wj[k]
+			for k, v := range wi {
+				s += v * wj[k]
 			}
 			inv.data[i*n+j] = s
 			inv.data[j*n+i] = s

@@ -385,3 +385,61 @@ func TestInverseIntoParallelBitIdentity(t *testing.T) {
 		invParallelN = old
 	}
 }
+
+// perCellInverse is the product phase of the inverse one cell at a time:
+// each A⁻¹[i][j], j ≤ i, is a single dot product of wt rows i and j over
+// k ≥ i in increasing k, mirrored into [j][i]. It is the reference the
+// four-chain invProductRows must reproduce bit for bit.
+func perCellInverse(wt *Dense) *Dense {
+	n := wt.rows
+	inv := NewDense(n, n, nil)
+	for i := 0; i < n; i++ {
+		wi := wt.Row(i)
+		for j := 0; j <= i; j++ {
+			wj := wt.Row(j)
+			var s float64
+			for k := i; k < n; k++ {
+				s += wi[k] * wj[k]
+			}
+			inv.data[i*n+j] = s
+			inv.data[j*n+i] = s
+		}
+	}
+	return inv
+}
+
+// TestInverseProductMatchesPerCell: InverseInto's product phase, which
+// builds four cells of a row at once, gives every cell the bits of the
+// one-cell-at-a-time dot product, at every remainder of i+1 mod 4
+// (n = 1…9), at the bands' edge (64) and the paper day's n (184), on the
+// serial branch and on the banded one at GOMAXPROCS 1 and 2.
+func TestInverseProductMatchesPerCell(t *testing.T) {
+	src := rng.New(61, 5)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 184} {
+		a := randomSPD(src, n)
+		c, err := NewCholesky(a, 0, 0)
+		if err != nil {
+			t.Fatalf("n=%d: NewCholesky: %v", n, err)
+		}
+		wt := NewDense(n, n, nil)
+		c.invTransposeRows(wt, 0, n)
+		want := perCellInverse(wt)
+		bitsEqual(t, c.Inverse(), want, "serial InverseInto vs per-cell product")
+
+		old := invParallelN
+		invParallelN = 1
+		for _, procs := range []int{1, 2} {
+			oldProcs := runtime.GOMAXPROCS(procs)
+			inv := NewDense(n, n, nil)
+			scratch := NewDense(n, n, nil)
+			for i := range inv.data {
+				inv.data[i] = math.NaN()
+				scratch.data[i] = math.Inf(1)
+			}
+			got := c.InverseInto(inv, scratch)
+			runtime.GOMAXPROCS(oldProcs)
+			bitsEqual(t, got, want, "banded InverseInto vs per-cell product")
+		}
+		invParallelN = old
+	}
+}

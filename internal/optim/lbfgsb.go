@@ -17,7 +17,11 @@ import (
 // Objective evaluates f at x.
 type Objective func(x []float64) float64
 
-// GradObjective evaluates f at x and writes ∇f into grad (same length as x).
+// GradObjective evaluates f at x and writes ∇f into grad (same length as
+// x). A nil grad asks for the value only: the objective then returns the
+// same bits a call with a gradient buffer would return at x and skips the
+// gradient work. LBFGSB.Minimize evaluates its line-search trials that
+// way and asks for the gradient only at the point it accepts.
 type GradObjective func(x, grad []float64) float64
 
 // Result reports the outcome of a local or global optimization run.
@@ -50,7 +54,9 @@ type LBFGSB struct {
 	// MaxLineSearch bounds backtracking steps per iteration (default 30).
 	MaxLineSearch int
 	// MaxEvals bounds total objective evaluations (0 = unbounded). The
-	// optimizer stops after the iteration that crosses the budget.
+	// optimizer stops after the iteration that crosses the budget. The
+	// gradient request at an accepted trial point counts neither here nor
+	// in Result.Evals: the trial itself was the evaluation.
 	MaxEvals int
 }
 
@@ -149,6 +155,12 @@ func (w *lbfgsbWorkspace) grab(n int) {
 
 // Minimize runs bound-constrained L-BFGS from x0. The bounds must satisfy
 // lo_i <= hi_i; x0 is clamped into the box before the first evaluation.
+//
+// Only the start point and accepted steps need a gradient, so every
+// line-search trial calls f with a nil gradient and the accepted trial is
+// asked once more, for its gradient. Most trials are rejected, and a
+// rejected trial's gradient was never read, so the search takes the same
+// steps while paying for far fewer gradients.
 func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 	cfg := o.defaults()
 	n := len(x0)
@@ -246,7 +258,7 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 				xNew[i] = x[i] + step*dir[i]
 			}
 			clampToBox(xNew, lo, hi)
-			fNew = f(xNew, gNew)
+			fNew = f(xNew, nil)
 			evals++
 			// Sufficient decrease relative to the actual (projected) move.
 			var gdx float64
@@ -269,6 +281,8 @@ func (o *LBFGSB) Minimize(f GradObjective, x0, lo, hi []float64) Result {
 			res.StopReason = "line search failed"
 			break
 		}
+		// The accepted trial's gradient; its value has fNew's bits.
+		f(xNew, gNew)
 
 		// Curvature update. The candidate pair is built in spare buffers
 		// first: if the curvature test fails, no ring slot (possibly still
@@ -319,8 +333,9 @@ var numGradPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // NumGrad wraps a plain objective into a GradObjective using central finite
 // differences with step h (default 1e-6 when h <= 0). It is the fallback
-// for objectives without analytic gradients, e.g. Monte-Carlo q-EI. The
-// perturbed-point scratch is pooled, so the returned closure is
+// for objectives without analytic gradients, e.g. Monte-Carlo q-EI. A
+// value-only call (nil grad) costs one evaluation of f instead of
+// 1 + 2·len(x). The perturbed-point scratch is pooled, so the returned closure is
 // allocation-free in steady state and safe for concurrent callers.
 func NumGrad(f Objective, h float64) GradObjective {
 	if h <= 0 {
@@ -328,6 +343,9 @@ func NumGrad(f Objective, h float64) GradObjective {
 	}
 	return func(x, grad []float64) float64 {
 		fx := f(x)
+		if grad == nil {
+			return fx
+		}
 		buf := numGradPool.Get().(*[]float64)
 		if cap(*buf) < len(x) {
 			*buf = make([]float64, len(x))

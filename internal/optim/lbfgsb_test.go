@@ -10,25 +10,31 @@ import (
 	"repro/internal/rng"
 )
 
-// quadratic builds a separable convex quadratic with minimum at c.
+// quadratic builds a separable convex quadratic with minimum at c. A nil
+// g asks for the value only.
 func quadratic(c []float64) GradObjective {
 	return func(x, g []float64) float64 {
 		var f float64
 		for i := range x {
 			d := x[i] - c[i]
 			f += d * d
-			g[i] = 2 * d
+			if g != nil {
+				g[i] = 2 * d
+			}
 		}
 		return f
 	}
 }
 
-// rosenbrockGrad is the 2-D Rosenbrock function with analytic gradient.
+// rosenbrockGrad is the 2-D Rosenbrock function with analytic gradient. A
+// nil g asks for the value only.
 func rosenbrockGrad(x, g []float64) float64 {
 	a, b := x[0], x[1]
 	f := 100*(b-a*a)*(b-a*a) + (1-a)*(1-a)
-	g[0] = -400*a*(b-a*a) - 2*(1-a)
-	g[1] = 200 * (b - a*a)
+	if g != nil {
+		g[0] = -400*a*(b-a*a) - 2*(1-a)
+		g[1] = 200 * (b - a*a)
+	}
 	return f
 }
 
@@ -144,7 +150,9 @@ func TestMultiStartFindsGlobal(t *testing.T) {
 	f := func(x, g []float64) float64 {
 		v := x[0]
 		fv := v*v*v*v - v*v - 0.3*v
-		g[0] = 4*v*v*v - 2*v - 0.3
+		if g != nil {
+			g[0] = 4*v*v*v - 2*v - 0.3
+		}
 		return fv
 	}
 	lo, hi := []float64{-2}, []float64{2}
@@ -218,6 +226,108 @@ func TestDefaultStartsWithinBox(t *testing.T) {
 			if s[j] < lo[j] || s[j] > hi[j] {
 				t.Fatalf("start out of box: %v", s)
 			}
+		}
+	}
+}
+
+// gradCall is one objective call as Minimize made it: the point and
+// whether it asked for a gradient.
+type gradCall struct {
+	x    []float64
+	grad bool
+}
+
+// recording wraps f so that every call is logged. With honour set, a nil
+// gradient is passed through (value only); without it, the gradient is
+// computed into a private buffer anyway, as an objective that ignores the
+// value-only contract would.
+func recording(f GradObjective, honour bool, calls *[]gradCall) GradObjective {
+	return func(x, g []float64) float64 {
+		*calls = append(*calls, gradCall{x: append([]float64(nil), x...), grad: g != nil})
+		if g == nil && !honour {
+			g = make([]float64, len(x))
+		}
+		return f(x, g)
+	}
+}
+
+// TestLBFGSBValueOnlyTrials: Minimize returns the same Result, bit for
+// bit, whether the objective honours a nil gradient or computes the
+// gradient anyway, on analytic and finite-difference objectives and under
+// an evaluation budget. Only the start point and the accepted steps ask
+// for a gradient: each gradient call after the first repeats the point of
+// the trial just before it, so the gradient calls number the accepted
+// steps plus one, and they count in neither Evals nor MaxEvals.
+func TestLBFGSBValueOnlyTrials(t *testing.T) {
+	smooth := func(x []float64) float64 {
+		return math.Sin(x[0])*math.Cos(x[1]) + 0.1*x[0]*x[0] + 0.05*x[1]*x[1]*x[1]*x[1]
+	}
+	lo2, hi2 := boxOf(2, -3, 3)
+	lo5, hi5 := boxOf(5, -1, 1)
+	cases := []struct {
+		name   string
+		opt    LBFGSB
+		f      GradObjective
+		x0     []float64
+		lo, hi []float64
+	}{
+		{"quadratic", LBFGSB{MaxIter: 200}, quadratic([]float64{1, -2, 3, 0.5, -0.5}), []float64{5, 5, 5, 5, 5}, lo5, hi5},
+		{"rosenbrock", LBFGSB{MaxIter: 500}, rosenbrockGrad, []float64{-1.2, 1}, lo2, hi2},
+		{"rosenbrock-budget", LBFGSB{MaxIter: 50, MaxEvals: 30, MaxLineSearch: 12, GTol: 1e-5}, rosenbrockGrad, []float64{-1.2, 1}, lo2, hi2},
+		{"numgrad", LBFGSB{MaxIter: 100}, NumGrad(smooth, 1e-6), []float64{2.5, -2.5}, lo2, hi2},
+	}
+	for _, tc := range cases {
+		var honoured, anyway []gradCall
+		got := tc.opt.Minimize(recording(tc.f, true, &honoured), tc.x0, tc.lo, tc.hi)
+		want := tc.opt.Minimize(recording(tc.f, false, &anyway), tc.x0, tc.lo, tc.hi)
+		if math.Float64bits(got.F) != math.Float64bits(want.F) || got.Iters != want.Iters ||
+			got.Evals != want.Evals || got.StopReason != want.StopReason || got.Converged != want.Converged {
+			t.Fatalf("%s: honouring nil gives %+v, computing anyway %+v", tc.name, got, want)
+		}
+		for i := range want.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+				t.Fatalf("%s: X = %v, computing anyway %v", tc.name, got.X, want.X)
+			}
+		}
+		if len(honoured) != len(anyway) {
+			t.Fatalf("%s: %d calls honouring nil, %d computing anyway", tc.name, len(honoured), len(anyway))
+		}
+
+		gradCalls, accepted := 0, 0
+		for i, c := range honoured {
+			if !c.grad {
+				continue
+			}
+			gradCalls++
+			if i == 0 {
+				continue
+			}
+			prev := honoured[i-1]
+			if prev.grad {
+				t.Fatalf("%s: call %d asks for a gradient right after another gradient call", tc.name, i)
+			}
+			for j := range c.x {
+				if math.Float64bits(c.x[j]) != math.Float64bits(prev.x[j]) {
+					t.Fatalf("%s: gradient call %d at %v, not at the trial %v it accepts", tc.name, i, c.x, prev.x)
+				}
+			}
+			accepted++
+		}
+		if !honoured[0].grad {
+			t.Fatalf("%s: the start point was evaluated without a gradient", tc.name)
+		}
+		if gradCalls != accepted+1 {
+			t.Fatalf("%s: %d gradient calls for %d accepted steps", tc.name, gradCalls, accepted)
+		}
+		if got.Evals != len(honoured)-accepted {
+			t.Fatalf("%s: Evals = %d, want the %d calls less the %d accepted-step gradient calls",
+				tc.name, got.Evals, len(honoured), accepted)
+		}
+		if accepted == 0 {
+			t.Fatalf("%s: no step was accepted; the case checks nothing", tc.name)
+		}
+		if tc.opt.MaxEvals > 0 && got.StopReason != "evaluation budget exhausted" {
+			t.Fatalf("%s: stopped by %q, want the evaluation budget", tc.name, got.StopReason)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/acq"
 	"repro/internal/core"
@@ -186,12 +187,29 @@ func (p *pofModel) PoF(x []float64) float64 {
 	return rng.NormCDF(-mu / sd)
 }
 
+// pofGradPool recycles PoFWithGrad's 2·d posterior-gradient scratch: the
+// model sits in the inner loop of every constrained acquisition, shared by
+// its restarts.
+var pofGradPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // PoFWithGrad implements acq.FeasibilityModel:
 // ∇Φ(z) = φ(z)·∇z with z = −μ/σ and ∇z = (−∇μ·σ + μ·∇σ)/σ².
+// A value-only call (nil grad) asks the violation GP for its value only
+// too: PredictWithGrad's, not Predict's, so the bits are the full call's.
 func (p *pofModel) PoFWithGrad(x, grad []float64) float64 {
+	if grad == nil {
+		mu, sd := p.g.PredictWithGrad(x, nil, nil)
+		if sd < pofSDFloor {
+			sd = pofSDFloor
+		}
+		return rng.NormCDF(-mu / sd)
+	}
 	d := len(x)
-	dMu := make([]float64, d)
-	dSD := make([]float64, d)
+	buf := pofGradPool.Get().(*[]float64)
+	if cap(*buf) < 2*d {
+		*buf = make([]float64, 2*d)
+	}
+	dMu, dSD := (*buf)[:d], (*buf)[d:2*d]
 	mu, sd := p.g.PredictWithGrad(x, dMu, dSD)
 	if sd < pofSDFloor {
 		sd = pofSDFloor
@@ -202,6 +220,7 @@ func (p *pofModel) PoFWithGrad(x, grad []float64) float64 {
 	for j := 0; j < d; j++ {
 		grad[j] = pdf * (-dMu[j]*sd + mu*dSD[j]) * inv2
 	}
+	pofGradPool.Put(buf)
 	return rng.NormCDF(z)
 }
 

@@ -59,6 +59,8 @@ func (o AFOpt) defaults() AFOpt {
 func (o AFOpt) Maximize(ctx context.Context, m surrogate.Surrogate, af acq.Acquisition, lo, hi []float64, anchors [][]float64, stream *rng.Stream) ([]float64, float64) {
 	af = acq.Weighted(af, m)
 	cfg := o.defaults()
+	// A line-search trial's nil grad passes through: the criterion then
+	// returns its value only, and the negation loop has nothing to do.
 	obj := func(x, grad []float64) float64 {
 		v := af.EvalWithGrad(m, x, grad)
 		for i := range grad {

@@ -30,7 +30,9 @@ type Surrogate interface {
 	// dMean and dSD (both of length Dim), for gradient-based acquisition
 	// optimization. The destination-passing signature keeps the
 	// acquisition inner loop allocation-free: callers own and recycle the
-	// gradient buffers (see DESIGN.md §9).
+	// gradient buffers (see DESIGN.md §9). With dMean and dSD both nil it
+	// returns the value only, with the bits of a full call at x and none
+	// of the gradient work; the value can differ from Predict's.
 	PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64)
 	// PredictJoint returns the joint posterior over a batch of points,
 	// as needed by the Monte-Carlo multi-point criterion (q-EI). An empty

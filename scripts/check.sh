@@ -102,10 +102,16 @@ echo "== fit-path bit-identity property tests under -race"
 # GOMAXPROCS 1; concurrent multi-starts, hyperparameter starts and the
 # scenario cell's two GPs are bit-identical to their serial references;
 # and a fleet reports the same bits at Parallel 1 and 2 while holding its
-# members' share of the budget.
+# members' share of the budget. The value-only contract rides here too
+# (DESIGN.md §9): the inverse's four-chain product equals the per-cell
+# dot products; L-BFGS takes the same steps whether line-search trials
+# skip the gradient or not, asking for one only at accepted points; the
+# fit's gradient request reuses a value pass only at its exact params and
+# data; and PredictWithGrad, the penalty and feasibility wrappers and
+# every single-point criterion return the full call's bits value-only.
 named_race_group \
-    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc' \
-    ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/
+    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestInverseProductMatchesPerCell|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestFitGradReuse|TestLBFGSBValueOnlyTrials|TestPredictWithGradValueOnlyBits|TestAcqValueOnlyBits|TestPenaltyValueOnlyBits|TestConstrainedValueOnlyBits|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc' \
+    ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/ ./internal/acq/ ./internal/core/
 
 echo "== kill-and-resume determinism under -race"
 # Named explicitly so the crash-safe serving contracts cannot be silently
@@ -129,7 +135,7 @@ named_race_group \
     ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== alloc-regression tests (no race detector)"
-go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/
+go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/core/ ./internal/scenario/
 
 echo "== benchmarks compile and run once"
 go test -run '^$' -bench . -benchtime 1x ./...
