@@ -78,6 +78,25 @@ func BenchmarkEIValueOnly256(b *testing.B) {
 	}
 }
 
+// BenchmarkEIAcceptedStep256 is the pair L-BFGS issues at an accepted
+// step: the value-only trial, then the gradient request at the same point,
+// which reuses the trial's value half.
+func BenchmarkEIAcceptedStep256(b *testing.B) {
+	g := benchGP(b, 256)
+	e := &EI{Best: 1, Minimize: true}
+	x := rng.New(2, 2).NormVec(12)
+	for i := range x {
+		x[i] = math.Abs(x[i]) / 3
+	}
+	grad := make([]float64, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.EvalWithGrad(g, x, nil)
+		e.EvalWithGrad(g, x, grad)
+	}
+}
+
 func BenchmarkQEIBatch4(b *testing.B) {
 	g := benchGP(b, 256)
 	q := NewQEI(4, 64, 1, true, rng.New(3, 3))

@@ -44,6 +44,14 @@ func TestPredictAllocs(t *testing.T) {
 	}); got > 0 {
 		t.Fatalf("value-only gp.PredictWithGrad allocates %v times per call, want 0", got)
 	}
+	// L-BFGS's accepted step: the value-only trial, then the gradient
+	// request that reuses its value half.
+	if got := testing.AllocsPerRun(200, func() {
+		g.PredictWithGrad(x, nil, nil)
+		g.PredictWithGrad(x, dMu, dSD)
+	}); got > 0 {
+		t.Fatalf("gp.PredictWithGrad's trial and accepted gradient allocate %v times, want 0", got)
+	}
 }
 
 // TestFitObjectiveAllocs pins the pooled fit workspace: once a workspace

@@ -133,11 +133,23 @@ type GP struct {
 type predictWorkspace struct {
 	u      []float64 // d: normalized query point
 	ks     []float64 // n: cross-covariance k★
+	dphi   []float64 // n: dφ/d(r²) of each k★ entry
 	v      []float64 // n: L⁻¹k★
 	w      []float64 // n: K⁻¹k★
 	kg     []float64 // n·d: batched ∂k(u, x_i)/∂u rows
 	dMeanU []float64 // d: mean gradient accumulator (normalized space)
 	dVarU  []float64 // d: variance gradient accumulator
+
+	// The value half of the last PredictWithGrad: the standardized mean and
+	// sd at u. While valueOK holds, the last use of the workspace was a
+	// value-only PredictWithGrad at the normalized point valueU, and u, ks,
+	// dphi, v, mu and sdStd are that call's, so a gradient request at
+	// exactly valueU — L-BFGS asking for the gradient of the trial it has
+	// just accepted — needs only the gradient half. Every other use of the
+	// workspace clears valueOK.
+	mu, sdStd float64
+	valueU    []float64 // d
+	valueOK   bool
 }
 
 // initWorkspacePool equips a conditioned model with its scratch pool. Must
@@ -148,11 +160,13 @@ func (g *GP) initWorkspacePool() {
 		return &predictWorkspace{
 			u:      make([]float64, d),
 			ks:     make([]float64, n),
+			dphi:   make([]float64, n),
 			v:      make([]float64, n),
 			w:      make([]float64, n),
 			kg:     make([]float64, n*d),
 			dMeanU: make([]float64, d),
 			dVarU:  make([]float64, d),
+			valueU: make([]float64, d),
 		}
 	}}
 }
@@ -511,15 +525,7 @@ func (ws *fitWorkspace) lmlValue(x *mat.Dense, y []float64, p []float64) (float6
 // valueAt reports whether the workspace holds a successful value pass at
 // exactly p, bit for bit.
 func (ws *fitWorkspace) valueAt(p []float64) bool {
-	if !ws.valueOK {
-		return false
-	}
-	for i, v := range p {
-		if math.Float64bits(v) != math.Float64bits(ws.valueP[i]) {
-			return false
-		}
-	}
-	return true
+	return ws.valueOK && sameBits(p, ws.valueP)
 }
 
 // lmlGrad is the gradient half of an LML evaluation over x with np packed
@@ -667,6 +673,7 @@ func (g *GP) normalizeInto(dst, x []float64) {
 // allocations: all scratch comes from the model's workspace pool.
 func (g *GP) Predict(x []float64) (mean, sd float64) {
 	ws := g.ws.Get().(*predictWorkspace)
+	ws.valueOK = false
 	g.normalizeInto(ws.u, x)
 	kernel.EvalRowAuto(g.kern, ws.ks, ws.u, g.x.Data())
 	mu := mat.Dot(ws.ks, g.alpha)
@@ -688,42 +695,66 @@ func (g *GP) Predict(x []float64) (mean, sd float64) {
 // With dMean and dSD both nil it returns the value only: the same code
 // without the k★ gradient rows, the back solve and the gradient loop, so
 // the bits are the full call's. It is not Predict, which clamps the
-// variance at 0 where this clamps it at 1e-300.
+// variance at 0 where this clamps it at 1e-300. A gradient request at the
+// point of a value-only call just before it reuses that call's value
+// half, again with the full call's bits.
 func (g *GP) PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64) {
 	valueOnly := dMean == nil && dSD == nil
 	if !valueOnly && (len(dMean) != g.d || len(dSD) != g.d) {
 		panic(fmt.Sprintf("gp: gradient buffer lengths %d,%d != %d", len(dMean), len(dSD), g.d))
 	}
 	ws := g.ws.Get().(*predictWorkspace)
-	u := ws.u
-	g.normalizeInto(u, x)
+	g.normalizeInto(ws.u, x)
+	// Both halves read nothing but the model and the normalized point, so
+	// a value half reused at the same bits is a fresh call's.
+	if valueOnly || !ws.valueOK || !sameBits(ws.u, ws.valueU) {
+		g.posteriorValue(ws)
+	}
+	ws.valueOK = valueOnly
 	if valueOnly {
-		// EvalRow's k★ values are EvalRowWithGrad's, bit for bit.
-		kernel.EvalRowAuto(g.kern, ws.ks, u, g.x.Data())
+		copy(ws.valueU, ws.u)
 	} else {
-		// One pass over the training block fills k★ and every ∂k(u, x_i)/∂u row.
-		kernel.EvalRowWithGradAuto(g.kern, ws.ks, ws.kg, u, g.x.Data())
+		g.posteriorGrad(ws, dMean, dSD)
 	}
-	g.chol.ForwardSolveVecInto(ws.v, ws.ks) // L⁻¹ k*
-	mu := mat.Dot(ws.ks, g.alpha)           // standardized mean
-	variance := g.kern.Eval(u, u) - mat.Dot(ws.v, ws.v)
-	if variance < 1e-300 {
-		variance = 1e-300
-	}
-	sdStd := math.Sqrt(variance)
-	if !valueOnly {
-		g.chol.BackSolveVecInto(ws.w, ws.v) // K⁻¹ k*
-		g.posteriorGradInto(ws, sdStd, dMean, dSD)
-	}
-	mean, sd = g.ymean+g.ystd*mu, g.ystd*sdStd
+	mean, sd = g.ymean+g.ystd*ws.mu, g.ystd*ws.sdStd
 	g.ws.Put(ws)
 	return mean, sd
 }
 
-// posteriorGradInto writes the raw-space gradients of the posterior mean
-// and sd into dMean and dSD from the workspace's ∂k(u, x_i)/∂u rows and
-// w = K⁻¹k★, given the standardized sd sdStd.
-func (g *GP) posteriorGradInto(ws *predictWorkspace, sdStd float64, dMean, dSD []float64) {
+// sameBits reports whether a and b hold the same float64 bits, element
+// by element.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// posteriorValue is the value half of PredictWithGrad at ws.u: one pass
+// over the training block fills k★ and every entry's radial derivative
+// (EvalRowRadial's k★ values are EvalRow's, bit for bit), then the forward
+// solve, the standardized mean and the sd with the variance clamped at
+// 1e-300.
+func (g *GP) posteriorValue(ws *predictWorkspace) {
+	kernel.EvalRowRadialAuto(g.kern, ws.ks, ws.dphi, ws.u, g.x.Data())
+	g.chol.ForwardSolveVecInto(ws.v, ws.ks) // L⁻¹ k*
+	ws.mu = mat.Dot(ws.ks, g.alpha)         // standardized mean
+	variance := g.kern.Eval(ws.u, ws.u) - mat.Dot(ws.v, ws.v)
+	if variance < 1e-300 {
+		variance = 1e-300
+	}
+	ws.sdStd = math.Sqrt(variance)
+}
+
+// posteriorGrad is the gradient half of PredictWithGrad on the value half
+// ws holds: it rebuilds the ∂k(u, x_i)/∂u rows from the kept radial
+// derivatives, back-solves w = K⁻¹k★ and writes the raw-space gradients
+// of the posterior mean and sd into dMean and dSD.
+func (g *GP) posteriorGrad(ws *predictWorkspace, dMean, dSD []float64) {
+	g.kern.GradXRows(ws.kg, ws.dphi, ws.u, g.x.Data())
+	g.chol.BackSolveVecInto(ws.w, ws.v) // K⁻¹ k*
 	dMeanU, dVarU := ws.dMeanU, ws.dVarU
 	for j := range dMeanU {
 		dMeanU[j] = 0
@@ -742,7 +773,7 @@ func (g *GP) posteriorGradInto(ws *predictWorkspace, sdStd float64, dMean, dSD [
 	for j := 0; j < g.d; j++ {
 		du := 1 / (g.cfg.Hi[j] - g.cfg.Lo[j]) // chain rule u→x
 		dMean[j] = g.ystd * dMeanU[j] * du
-		dSD[j] = g.ystd * dVarU[j] / (2 * sdStd) * du
+		dSD[j] = g.ystd * dVarU[j] / (2 * ws.sdStd) * du
 	}
 }
 
@@ -783,6 +814,7 @@ func (g *GP) PredictJoint(xs [][]float64) (*JointPrediction, error) {
 		}
 	} else {
 		ws := g.ws.Get().(*predictWorkspace)
+		ws.valueOK = false
 		ks := ws.ks
 		for i := 0; i < q; i++ {
 			kernel.EvalRowAuto(g.kern, ks, ustore.Row(i), g.x.Data())
@@ -816,6 +848,7 @@ func (g *GP) PredictJoint(xs [][]float64) (*JointPrediction, error) {
 func (g *GP) Fantasize(x []float64, y float64) (surrogate.Surrogate, error) {
 	n := g.N()
 	ws := g.ws.Get().(*predictWorkspace)
+	ws.valueOK = false
 	u := ws.u
 	g.normalizeInto(u, x)
 	// An n×1 cross block in column-major order is just the column itself,

@@ -1,8 +1,10 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/fp"
 	"repro/internal/rng"
@@ -14,7 +16,7 @@ import (
 // Predict (which clamps at 0) and PredictWithGrad return different sd
 // bits. It returns the model and its probes: random points in the box,
 // every training point and points far outside the data.
-func clampFixture(t *testing.T) (*GP, [][]float64) {
+func clampFixture(t testing.TB) (*GP, [][]float64) {
 	t.Helper()
 	stream := rng.New(4, 2)
 	lo, hi := []float64{0, -1, 2}, []float64{1, 1, 5}
@@ -129,4 +131,38 @@ func TestFitGradReuse(t *testing.T) {
 	ws.negLML(g.x, g.ys, p, nil)
 	ws.ensure(other.x.Rows(), other.d, other.cfg.Noise)
 	check("same params on other data", ws, other, p)
+}
+
+// TestFitObjectiveNaNPenalty: a NaN hyperparameter, which the box clamp
+// leaves in place, makes the Gram non-finite, and the fit objective must
+// return its 1e10 penalty with a zero gradient rather than spin in the
+// Cholesky's jitter escalation. A NaN log variance or log noise puts NaN
+// on the Gram's diagonal, a NaN log lengthscale only off it. Each call
+// runs under a 5 s timer that panics, so a regression fails the test
+// binary instead of hanging it.
+func TestFitObjectiveNaNPenalty(t *testing.T) {
+	g, p := fitFixture(t, 40)
+	for i := range p {
+		bad := append([]float64(nil), p...)
+		bad[i] = math.NaN()
+		ws := fitWorkspaceFor(g, g.x, len(p))
+		grad := make([]float64, len(p))
+		for j := range grad {
+			grad[j] = 1
+		}
+		timer := time.AfterFunc(5*time.Second, func() {
+			panic(fmt.Sprintf("negLML with a NaN at param %d did not return within 5 s", i))
+		})
+		value := ws.negLML(g.x, g.ys, bad, nil)
+		f := ws.negLML(g.x, g.ys, bad, grad)
+		timer.Stop()
+		if !fp.Exact(value, 1e10) || !fp.Exact(f, 1e10) {
+			t.Fatalf("NaN at param %d: value-only %v, with gradient %v, want the 1e10 penalty", i, value, f)
+		}
+		for j, v := range grad {
+			if !fp.Zero(v) {
+				t.Fatalf("NaN at param %d: grad[%d] = %v, want 0", i, j, v)
+			}
+		}
+	}
 }

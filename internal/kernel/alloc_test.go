@@ -24,8 +24,8 @@ func rowBlock(stream *rng.Stream, n, d int) ([][]float64, []float64) {
 
 // TestEvalRowMatchesEval checks that the batched row kernels are bitwise
 // identical to the per-pair entry points they replace: EvalRow vs Eval,
-// EvalRowWithGrad vs Eval + GradX, and EvalRowRadial + HyperGrad vs
-// EvalWithGrad. The golden-trace referee depends
+// EvalRowRadial + GradXRows vs Eval + GradX, and EvalRowRadial +
+// HyperGrad vs EvalWithGrad. The golden-trace referee depends
 // on this equivalence, so the comparison is exact, not tolerance-based.
 func TestEvalRowMatchesEval(t *testing.T) {
 	const d, n = 6, 40
@@ -48,25 +48,22 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		}
 	}
 
+	// EvalRowRadial keeps EvalRow's values, and its radial derivatives
+	// rebuild GradX's input gradient through GradXRows and EvalWithGrad's
+	// hyperparameter gradient through HyperGrad.
+	dphi := make([]float64, n)
+	k.EvalRowRadial(dst, dphi, x, flat)
 	grow := make([]float64, n*d)
-	k.EvalRowWithGrad(dst, grow, x, flat)
+	k.GradXRows(grow, dphi, x, flat)
 	gref := make([]float64, d)
 	for i := range rows {
-		if want := k.Eval(x, rows[i]); !fp.Exact(dst[i], want) {
-			t.Fatalf("EvalRowWithGrad value[%d] = %v, Eval = %v", i, dst[i], want)
-		}
 		k.GradX(x, rows[i], gref)
 		for j := 0; j < d; j++ {
 			if got := grow[i*d+j]; !fp.Exact(got, gref[j]) {
-				t.Fatalf("EvalRowWithGrad grad[%d][%d] = %v, GradX = %v", i, j, got, gref[j])
+				t.Fatalf("GradXRows grad[%d][%d] = %v, GradX = %v", i, j, got, gref[j])
 			}
 		}
 	}
-
-	// EvalRowRadial keeps EvalRow's values, and its radial derivatives
-	// rebuild EvalWithGrad's hyperparameter gradient through HyperGrad.
-	dphi := make([]float64, n)
-	k.EvalRowRadial(dst, dphi, x, flat)
 	hg, want := make([]float64, k.NumParams()), make([]float64, k.NumParams())
 	for i := range rows {
 		if kv := k.EvalWithGrad(x, rows[i], want); !fp.Exact(dst[i], kv) {
@@ -94,6 +91,7 @@ func TestEvalRowAllocs(t *testing.T) {
 	_, flat := rowBlock(stream, n, d)
 	x := randPoint(stream, d)
 	dst := make([]float64, n)
+	dphi := make([]float64, n)
 	grow := make([]float64, n*d)
 	k := NewMatern52(d)
 	if got := testing.AllocsPerRun(100, func() {
@@ -102,8 +100,9 @@ func TestEvalRowAllocs(t *testing.T) {
 		t.Fatalf("EvalRow allocates %v times per call, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		k.EvalRowWithGrad(dst, grow, x, flat)
+		k.EvalRowRadial(dst, dphi, x, flat)
+		k.GradXRows(grow, dphi, x, flat)
 	}); got > 0 {
-		t.Fatalf("EvalRowWithGrad allocates %v times per call, want 0", got)
+		t.Fatalf("EvalRowRadial + GradXRows allocate %v times per call, want 0", got)
 	}
 }

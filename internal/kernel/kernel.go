@@ -208,29 +208,25 @@ func (k *Matern52) EvalRowRadial(dst, dphi []float64, x []float64, xs []float64)
 	}
 }
 
-// EvalRowWithGrad is EvalRow plus input gradients: it additionally writes
-// ∂k(x, X_i)/∂x into gradx[i*Dim() : (i+1)*Dim()] for each row, matching
-// per-row GradX bitwise. gradx must have length len(dst)·Dim().
-func (k *Matern52) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
-	k.checkRowBlock(len(dst), x, xs)
+// GradXRows writes ∂k(x, X_i)/∂x into gradx[i*Dim() : (i+1)*Dim()] for
+// each of the len(dphi) rows of the block xs, from the row's radial
+// derivative dphi[i] = dφ/d(r²) as EvalRowRadial reports it. Each row is
+// GradX's expression on that dφ, so a fill by EvalRowRadial followed by
+// GradXRows matches per-row Eval and GradX bit for bit without
+// recomputing r², the root or the exponential. gradx must have length
+// len(dphi)·Dim().
+func (k *Matern52) GradXRows(gradx, dphi []float64, x []float64, xs []float64) {
+	k.checkRowBlock(len(dphi), x, xs)
 	d := k.dim
-	if len(gradx) != len(dst)*d {
-		panic(fmt.Sprintf("kernel: gradx length %d != %d", len(gradx), len(dst)*d))
+	if len(gradx) != len(dphi)*d {
+		panic(fmt.Sprintf("kernel: gradx length %d != %d", len(gradx), len(dphi)*d))
 	}
 	x = x[:d]
-	inv := k.invLen[:d]
 	inv2 := k.inv2Len[:d]
 	v := k.variance
-	for i := range dst {
+	for i, dp := range dphi {
 		row := xs[i*d : i*d+d : i*d+d]
-		var s float64
-		for j, rv := range row {
-			diff := (x[j] - rv) * inv[j]
-			s += diff * diff
-		}
-		p, dphi := phiDeriv(s)
-		dst[i] = v * p
-		vd := 2 * v * dphi
+		vd := 2 * v * dp
 		grow := gradx[i*d : i*d+d]
 		grow = grow[:len(row)]
 		for j, rv := range row {

@@ -41,19 +41,19 @@ func EvalRowAuto(k *Matern52, dst, x, xs []float64) {
 	}
 }
 
-// EvalRowWithGradAuto is EvalRowAuto for k.EvalRowWithGrad: values into
-// dst, input gradients into gradx (length len(dst)·Dim()), split into
-// bands above ParallelRowThreshold with the same deterministic
-// partition and bitwise-identical output.
-func EvalRowWithGradAuto(k *Matern52, dst, gradx, x, xs []float64) {
+// EvalRowRadialAuto is EvalRowAuto for k.EvalRowRadial: values into dst,
+// radial derivatives into dphi (length len(dst)), split into bands above
+// ParallelRowThreshold with the same deterministic partition and
+// bitwise-identical output.
+func EvalRowRadialAuto(k *Matern52, dst, dphi, x, xs []float64) {
 	n := len(dst)
 	if n < ParallelRowThreshold {
-		k.EvalRowWithGrad(dst, gradx, x, xs)
+		k.EvalRowRadial(dst, dphi, x, xs)
 		return
 	}
 	d := k.Dim()
 	if err := parallel.ForEachBand(context.Background(), 0, n, parallelRowChunk, func(lo, hi int) {
-		k.EvalRowWithGrad(dst[lo:hi], gradx[lo*d:hi*d], x, xs[lo*d:hi*d])
+		k.EvalRowRadial(dst[lo:hi], dphi[lo:hi], x, xs[lo*d:hi*d])
 	}); err != nil {
 		panic(err) // unreachable: the background context is never cancelled
 	}

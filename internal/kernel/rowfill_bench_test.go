@@ -38,12 +38,3 @@ func BenchmarkEvalRowFillAuto8192(b *testing.B) {
 		EvalRowAuto(k, dst, x, flat)
 	}
 }
-
-func BenchmarkEvalRowFillGradAuto8192(b *testing.B) {
-	k, x, flat, dst := benchFillFixture(b)
-	gradx := make([]float64, benchFillN*k.Dim())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EvalRowWithGradAuto(k, dst, gradx, x, flat)
-	}
-}

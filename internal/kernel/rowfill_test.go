@@ -24,22 +24,22 @@ func TestEvalRowAutoBitIdentity(t *testing.T) {
 
 	want := make([]float64, n)
 	k.EvalRow(want, x, flat)
-	wantG := make([]float64, n*d)
+	wantD := make([]float64, n)
 	wantV := make([]float64, n)
-	k.EvalRowWithGrad(wantV, wantG, x, flat)
+	k.EvalRowRadial(wantV, wantD, x, flat)
 
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		got := make([]float64, n)
 		EvalRowAuto(k, got, x, flat)
-		gotG := make([]float64, n*d)
+		gotD := make([]float64, n)
 		gotV := make([]float64, n)
-		EvalRowWithGradAuto(k, gotV, gotG, x, flat)
+		EvalRowRadialAuto(k, gotV, gotD, x, flat)
 		runtime.GOMAXPROCS(old)
 
 		vecBitsEqual(t, got, want, "EvalRowAuto values")
-		vecBitsEqual(t, gotV, wantV, "EvalRowWithGradAuto values")
-		vecBitsEqual(t, gotG, wantG, "EvalRowWithGradAuto gradients")
+		vecBitsEqual(t, gotV, wantV, "EvalRowRadialAuto values")
+		vecBitsEqual(t, gotD, wantD, "EvalRowRadialAuto radial derivatives")
 	}
 }
 
@@ -58,14 +58,14 @@ func TestEvalRowAutoBelowThreshold(t *testing.T) {
 	EvalRowAuto(k, got, x, flat)
 	vecBitsEqual(t, got, want, "below-threshold values")
 
-	wantG := make([]float64, n*d)
+	wantD := make([]float64, n)
 	wantV := make([]float64, n)
-	k.EvalRowWithGrad(wantV, wantG, x, flat)
-	gotG := make([]float64, n*d)
+	k.EvalRowRadial(wantV, wantD, x, flat)
+	gotD := make([]float64, n)
 	gotV := make([]float64, n)
-	EvalRowWithGradAuto(k, gotV, gotG, x, flat)
-	vecBitsEqual(t, gotV, wantV, "below-threshold grad values")
-	vecBitsEqual(t, gotG, wantG, "below-threshold gradients")
+	EvalRowRadialAuto(k, gotV, gotD, x, flat)
+	vecBitsEqual(t, gotV, wantV, "below-threshold radial values")
+	vecBitsEqual(t, gotD, wantD, "below-threshold radial derivatives")
 }
 
 func vecBitsEqual(t *testing.T, got, want []float64, label string) {

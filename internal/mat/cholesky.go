@@ -42,6 +42,7 @@ type Cholesky struct {
 // increasing jitter (starting at startJitter, up to maxJitter) is added to
 // the diagonal; the jitter actually used is recorded and queryable via
 // Jitter. startJitter <= 0 selects a default relative to the mean diagonal.
+// A NaN or ±Inf on the diagonal fails at once with ErrNotPositiveDefinite.
 func NewCholesky(a *Dense, startJitter, maxJitter float64) (*Cholesky, error) {
 	c := &Cholesky{}
 	if err := c.Refactorize(a, startJitter, maxJitter); err != nil {
@@ -61,11 +62,18 @@ func (c *Cholesky) Refactorize(a *Dense, startJitter, maxJitter float64) error {
 		panic(fmt.Sprintf("mat: cholesky of non-square %d×%d", a.rows, a.cols))
 	}
 	n := a.rows
-	if startJitter <= 0 {
-		var meanDiag float64
-		for i := 0; i < n; i++ {
-			meanDiag += a.At(i, i)
+	// A non-finite diagonal never factorizes, and it would make the
+	// default jitter bounds NaN or +Inf, which the escalation below never
+	// passes.
+	var meanDiag float64
+	for i := 0; i < n; i++ {
+		d := a.At(i, i)
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return ErrNotPositiveDefinite
 		}
+		meanDiag += d
+	}
+	if startJitter <= 0 {
 		if n > 0 {
 			meanDiag /= float64(n)
 		}

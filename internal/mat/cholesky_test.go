@@ -2,9 +2,12 @@ package mat
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -139,6 +142,27 @@ func TestCholeskyNotPD(t *testing.T) {
 	a := NewDense(2, 2, []float64{1, 0, 0, -5})
 	if _, err := NewCholesky(a, 1e-12, 1e-10); err == nil {
 		t.Fatal("expected failure for indefinite matrix with tiny max jitter")
+	}
+}
+
+// TestRefactorizeNonFiniteDiagonal: a NaN or ±Inf on the diagonal makes
+// the default jitter bounds NaN or +Inf, which the jitter escalation
+// never passes, so Refactorize must return ErrNotPositiveDefinite at
+// once. Each call runs under a 5 s timer that panics, so a regression
+// fails the test binary instead of hanging it.
+func TestRefactorizeNonFiniteDiagonal(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := NewDense(3, 3, []float64{2, 0.5, 0, 0.5, 2, 0.5, 0, 0.5, 2})
+		a.Set(1, 1, v)
+		timer := time.AfterFunc(5*time.Second, func() {
+			panic(fmt.Sprintf("Refactorize with %v on the diagonal did not return within 5 s", v))
+		})
+		var c Cholesky
+		err := c.Refactorize(a, 0, 0)
+		timer.Stop()
+		if !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("diagonal %v: err = %v, want ErrNotPositiveDefinite", v, err)
+		}
 	}
 }
 

@@ -11,11 +11,22 @@ const (
 // Plant carries the hydraulic state of the two reservoirs during one
 // simulated day. The rolling-horizon scenario driver threads this state
 // across days: State captures it after a committed day, SetState seeds the
-// next day's plant with it.
+// next day's plant with it. A Plant is not safe for concurrent use: even
+// its reading methods fill the memo below.
 type Plant struct {
 	cfg *PlantConfig
 	// upperV and lowerV are the current stored volumes [m³].
 	upperV, lowerV float64
+
+	// A memo of the plant's two math.Pow terms, each kept with the bits of
+	// the volumes it was computed from: level is lowerLevel at the lowerV
+	// whose bits are levelV, and scale is headScale at the (upperV,
+	// lowerV) whose bits are (scaleU, scaleL). A step reads both many
+	// times between volume changes; since each is recomputed whenever its
+	// volumes' bits differ, it always returns what a recomputation would.
+	level, scale           float64
+	levelV, scaleU, scaleL uint64
+	levelOK, scaleOK       bool
 }
 
 // NewPlant returns a plant at the configured initial fill.
@@ -80,11 +91,15 @@ func (p *Plant) upperLevel() float64 {
 // lowerLevel returns the underground water surface elevation [m]. The pit
 // narrows toward the bottom: level rises steeply when nearly empty.
 func (p *Plant) lowerLevel() float64 {
-	frac := p.lowerV / p.cfg.LowerVolumeMax
-	if frac < 0 {
-		frac = 0
+	if v := math.Float64bits(p.lowerV); !p.levelOK || v != p.levelV {
+		frac := p.lowerV / p.cfg.LowerVolumeMax
+		if frac < 0 {
+			frac = 0
+		}
+		p.level = p.cfg.LowerBase + p.cfg.LowerDepth*math.Pow(frac, p.cfg.LowerShape)
+		p.levelV, p.levelOK = v, true
 	}
-	return p.cfg.LowerBase + p.cfg.LowerDepth*math.Pow(frac, p.cfg.LowerShape)
+	return p.level
 }
 
 // head returns the net hydraulic head [m] between the two surfaces.
@@ -101,19 +116,30 @@ func (p *Plant) headSafe() bool {
 // headRatio is h/h_nom, the scaling of head-dependent quantities.
 func (p *Plant) headRatio() float64 { return p.head() / p.cfg.HeadNominal }
 
+// headScale returns (h/h_nom)^1.5, the head scaling of the machine
+// limits: they scale with h/h_nom to the 1.5 power, the usual similarity
+// law for variable-speed machines.
+func (p *Plant) headScale() float64 {
+	u, l := math.Float64bits(p.upperV), math.Float64bits(p.lowerV)
+	if !p.scaleOK || u != p.scaleU || l != p.scaleL {
+		p.scale = math.Pow(p.headRatio(), 1.5)
+		p.scaleU, p.scaleL, p.scaleOK = u, l, true
+	}
+	return p.scale
+}
+
 // pumpRange returns the feasible pump power range [MW] at the current
 // head. Higher head demands more power to move water: the range shifts up
-// with head (limits scale with h/h_nom to the 1.5 power, the usual
-// similarity law for variable-speed machines).
+// with head.
 func (p *Plant) pumpRange() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.PumpMinMW * s, p.cfg.PumpMaxMW * s
 }
 
 // turbineRange returns the feasible turbine power range [MW] at the
 // current head. Low head restricts the maximum output sharply.
 func (p *Plant) turbineRange() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.TurbineMinMW * s, p.cfg.TurbineMaxMW * s
 }
 
@@ -121,7 +147,7 @@ func (p *Plant) turbineRange() (lo, hi float64) {
 // head (vibration zone, scaled with head). Operation inside the band is
 // unsafe and penalized.
 func (p *Plant) cavitationZone() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.CavitationLow * s, p.cfg.CavitationHigh * s
 }
 

@@ -4,7 +4,8 @@
 # Runs six suites with -benchmem:
 #
 #   hotpath  — the steady-state prediction/acquisition benchmarks whose
-#              zero-allocation budgets DESIGN.md §9 pins
+#              zero-allocation budgets DESIGN.md §9 pins, and one UPHES
+#              expected-profit evaluation (16 scenarios)
 #   linalg   — the large-n linear algebra: ExtendCols, batched k★ fills,
 #              n=4096 prediction and fantasy
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
@@ -31,10 +32,12 @@
 #
 # Gates (-check):
 #   - alloc budgets: Predict256, PredictWithGrad256, EIEval256, EIGrad256,
-#     the value-only line-search trial EIValueOnly256 and the pooled
-#     small-n fit objective FitLML128 hold 0 allocs/op (DESIGN.md §9). A
-#     regression means a pooled workspace or destination-passing path
-#     started allocating again.
+#     the value-only line-search trial EIValueOnly256, the accepted-step
+#     pair EIAcceptedStep256 (a trial, then its gradient on the trial's
+#     value pass) and the pooled small-n fit objective FitLML128 hold 0
+#     allocs/op (DESIGN.md §9). A regression means a pooled workspace or
+#     destination-passing path started allocating again. UPHESProfit runs
+#     (presence only).
 #   - snapshot: both codec benchmarks report frame-bytes, so the evidence
 #     cannot go stale; the n=1024 decode holds ≤ 100 allocs/op (the
 #     sectioned v3 layout lands at ~21 — more means a matrix path went
@@ -82,8 +85,8 @@ bench() {
 
 # Anchored names: the LargeN linalg benchmarks also contain "Predict" /
 # "Fantasize" and must not leak into the hotpath suite.
-bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|QEIBatch' \
-    ./internal/gp/ ./internal/acq/
+bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$' \
+    ./internal/gp/ ./internal/acq/ ./internal/uphes/
 bench linalg "$other" 'ExtendCols1024$|EvalRowFill' ./internal/mat/ ./internal/kernel/
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
@@ -183,9 +186,10 @@ ratio_at_most() {
     fi
 }
 
-for name in Predict256 PredictWithGrad256 EIEval256 EIGrad256 EIValueOnly256; do
+for name in Predict256 PredictWithGrad256 EIEval256 EIGrad256 EIValueOnly256 EIAcceptedStep256; do
     at_most hotpath "$name" allocs/op 0
 done
+present hotpath UPHESProfit ns/op
 at_most fit FitLML128 allocs/op 0
 
 present snapshot SnapshotEncode1024 frame-bytes

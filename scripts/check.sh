@@ -7,7 +7,8 @@
 # linear-algebra paths (still under -race), a named re-run of the
 # kill-and-resume determinism tests for the session/serving stack (still
 # under -race; each named group fails if a listed name matches no test),
-# the hot-path allocation-regression tests without the race detector
+# a 10 s fuzz run of the prediction workspace's value-pass reuse, the
+# hot-path allocation-regression tests without the race detector
 # (alloc counts are only meaningful uninstrumented), a single-iteration
 # pass over every benchmark so bench code cannot rot uncompiled, and one
 # fast `bench.sh -check` pass that enforces the zero-allocation budgets
@@ -109,9 +110,14 @@ echo "== fit-path bit-identity property tests under -race"
 # fit's gradient request reuses a value pass only at its exact params and
 # data; and PredictWithGrad, the penalty and feasibility wrappers and
 # every single-point criterion return the full call's bits value-only.
+# The two bit-identical caches ride here as well: a gradient request that
+# reuses a value-only PredictWithGrad pass, and the UPHES plant's memo
+# of its head powers, each equal to a fresh computation; so do a
+# non-finite Cholesky diagonal and a NaN fit hyperparameter, which must
+# fail at once.
 named_race_group \
-    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestInverseProductMatchesPerCell|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestFitGradReuse|TestLBFGSBValueOnlyTrials|TestPredictWithGradValueOnlyBits|TestAcqValueOnlyBits|TestPenaltyValueOnlyBits|TestConstrainedValueOnlyBits|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc' \
-    ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/ ./internal/acq/ ./internal/core/
+    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestInverseProductMatchesPerCell|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestFitGradReuse|TestLBFGSBValueOnlyTrials|TestPredictWithGradValueOnlyBits|TestAcqValueOnlyBits|TestPenaltyValueOnlyBits|TestConstrainedValueOnlyBits|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc|TestPredictWithGradReuseBits|TestPlantMemoBits|TestRefactorizeNonFiniteDiagonal|TestFitObjectiveNaNPenalty' \
+    ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/ ./internal/acq/ ./internal/core/ ./internal/uphes/
 
 echo "== kill-and-resume determinism under -race"
 # Named explicitly so the crash-safe serving contracts cannot be silently
@@ -133,6 +139,12 @@ echo "== kill-and-resume determinism under -race"
 named_race_group \
     'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
     ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
+
+echo "== fuzz the value-pass reuse for 10 s"
+# Byte-derived call sequences on one prediction workspace, each result
+# against a fresh call; the seed corpus in internal/gp/testdata/fuzz also
+# runs with every go test.
+go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s ./internal/gp/
 
 echo "== alloc-regression tests (no race detector)"
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/core/ ./internal/scenario/
