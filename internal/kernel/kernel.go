@@ -164,6 +164,9 @@ func (k *Matern52) checkRowBlock(n int, x, xs []float64) {
 // values to per-row Eval calls.
 func (k *Matern52) EvalRow(dst []float64, x []float64, xs []float64) {
 	k.checkRowBlock(len(dst), x, xs)
+	if k.vectorRows(dst, nil, x, xs) {
+		return
+	}
 	d := k.dim
 	x = x[:d]
 	inv := k.invLen[:d]
@@ -189,6 +192,9 @@ func (k *Matern52) EvalRowRadial(dst, dphi []float64, x []float64, xs []float64)
 	k.checkRowBlock(len(dst), x, xs)
 	if len(dphi) != len(dst) {
 		panic(fmt.Sprintf("kernel: dphi length %d != %d", len(dphi), len(dst)))
+	}
+	if k.vectorRows(dst, dphi, x, xs) {
+		return
 	}
 	d := k.dim
 	x = x[:d]

@@ -38,3 +38,19 @@ func BenchmarkEvalRowFillAuto8192(b *testing.B) {
 		EvalRowAuto(k, dst, x, flat)
 	}
 }
+
+// BenchmarkEvalRowRadial184 times the k★ fill of one posterior value
+// pass at a paper day's last fit: 184 training rows of d = 12.
+func BenchmarkEvalRowRadial184(b *testing.B) {
+	const n, d = 184, 12
+	stream := rng.New(4, 184)
+	_, flat := rowBlock(stream, n, d)
+	x := randPoint(stream, d)
+	k := NewMatern52(d)
+	dst, dphi := make([]float64, n), make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.EvalRowRadial(dst, dphi, x, flat)
+	}
+}

@@ -125,25 +125,14 @@ func (c *Cholesky) factorize(a *Dense, jitter float64) bool {
 		}
 		col[0] += jitter
 		k := 0
-		// Four finished columns per sweep: each entry of column j is loaded
-		// and stored once for all four updates, which still land in
-		// increasing k.
+		// Four finished columns per sweep (subMul4), the updates still
+		// landing in increasing k.
 		for ; k+4 <= j; k += 4 {
 			c0 := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
 			c1 := l[colOffset(k+1, n)+j-k-1 : colOffset(k+2, n)]
 			c2 := l[colOffset(k+2, n)+j-k-2 : colOffset(k+3, n)]
 			c3 := l[colOffset(k+3, n)+j-k-3 : colOffset(k+4, n)]
-			l0, l1, l2, l3 := c0[0], c1[0], c2[0], c3[0]
-			c0 = c0[:len(col)]
-			c1 = c1[:len(col)]
-			c2 = c2[:len(col)]
-			c3 = c3[:len(col)]
-			for i, v := range col {
-				t := v - c0[i]*l0
-				t -= c1[i] * l1
-				t -= c2[i] * l2
-				col[i] = t - c3[i]*l3
-			}
+			subMul4(col, c0, c1, c2, c3, c0[0], c1[0], c2[0], c3[0])
 		}
 		for ; k < j; k++ {
 			ck := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
@@ -279,10 +268,10 @@ func (c *Cholesky) forwardSolve(y []float64, from int) {
 	l := c.l
 	y = y[:n]
 	k := from
-	// Four columns per sweep: each tail element is loaded and stored once
-	// for all four updates. The subtractions land in increasing-k order,
-	// exactly as a column-at-a-time sweep would apply them; only the
-	// memory traffic is batched, not the arithmetic.
+	// Four columns per sweep (subMul4): each tail element is loaded and
+	// stored once for all four updates. The subtractions land in
+	// increasing-k order, exactly as a column-at-a-time sweep would apply
+	// them; only the memory traffic is batched, not the arithmetic.
 	for ; k+4 <= n; k += 4 {
 		off0 := colOffset(k, n)
 		off1 := off0 + (n - k)
@@ -297,21 +286,7 @@ func (c *Cholesky) forwardSolve(y []float64, from int) {
 		y[k+2] = yk2
 		yk3 := (((y[k+3] - l[off0+3]*yk0) - l[off1+2]*yk1) - l[off2+1]*yk2) / l[off3]
 		y[k+3] = yk3
-		col0 := l[off0+4 : off1]
-		col1 := l[off1+3 : off2]
-		col2 := l[off2+2 : off3]
-		col3 := l[off3+1 : off3+n-k-3]
-		tail := y[k+4:]
-		tail = tail[:len(col0)]
-		col1 = col1[:len(col0)]
-		col2 = col2[:len(col0)]
-		col3 = col3[:len(col0)]
-		for i, c0 := range col0 {
-			t := tail[i] - c0*yk0
-			t -= col1[i] * yk1
-			t -= col2[i] * yk2
-			tail[i] = t - col3[i]*yk3
-		}
+		subMul4(y[k+4:], l[off0+4:off1], l[off1+3:off2], l[off2+2:off3], l[off3+1:off3+n-k-3], yk0, yk1, yk2, yk3)
 	}
 	for ; k < n; k++ {
 		off := colOffset(k, n)

@@ -44,3 +44,40 @@ func BenchmarkExtendCols1024(b *testing.B) {
 		}
 	}
 }
+
+// The two n=184 benchmarks time the factor sizes of a paper day's last
+// fit (128 initial points plus eight cycles of eight): the in-place
+// refactorization a pooled fit workspace runs per LML evaluation, and the
+// forward solve at the bottom of every posterior prediction.
+
+const paperN = 184
+
+func BenchmarkCholesky184(b *testing.B) {
+	a := randomSPD(rng.New(5, 184), paperN)
+	c, err := NewCholesky(a, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Refactorize(a, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkForwardSolve184(b *testing.B) {
+	src := rng.New(6, 184)
+	c, err := NewCholesky(randomSPD(src, paperN), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := randomVec(src, paperN)
+	dst := make([]float64, paperN)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ForwardSolveVecInto(dst, rhs)
+	}
+}

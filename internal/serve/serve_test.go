@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/session"
+	"repro/internal/session/snapshot"
 )
 
 // testSpecs are four concurrent workloads: the paper's UPHES simulator
@@ -440,5 +442,49 @@ func TestServerCreateRefusesPersistedSpec(t *testing.T) {
 	}
 	if _, err := srv2.Resume(spec.ID); err != nil {
 		t.Fatalf("resume after refused create: %v", err)
+	}
+}
+
+// TestServerImportBodyBounded: the import body is capped at
+// maxImportBytes, the base64 of the largest snapshot frame plus a spec.
+// A body declaring more is answered 413 before a byte is read; a body
+// whose length is not declared meets the same cap while it is read,
+// shown here through decodeBody with a small limit.
+func TestServerImportBodyBounded(t *testing.T) {
+	if want := int64(base64.StdEncoding.EncodedLen(snapshot.MaxFrameBytes) + maxBodyBytes); maxImportBytes != want {
+		t.Fatalf("maxImportBytes = %d, want %d", int64(maxImportBytes), want)
+	}
+	root := filepath.Join(t.TempDir(), "snaps")
+	h := (&Server{SnapRoot: root}).Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/import", strings.NewReader(`{"spec":{}}`))
+	req.ContentLength = maxImportBytes + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("import declaring %d bytes: HTTP %d, want 413 (%s)", req.ContentLength, rec.Code, rec.Body.String())
+	}
+
+	const limit = 64
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"frame":"` + strings.Repeat("A", 2*limit) + `"}`, http.StatusRequestEntityTooLarge},
+		{`{"frame":"AAAA"}`, http.StatusOK},
+		{`{"frame":`, http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions/import", strings.NewReader(tc.body))
+		req.ContentLength = -1 // not declared: only reading meets the cap
+		rec := httptest.NewRecorder()
+		var bundle ExportBundle
+		if decodeBody(rec, req, limit, "bundle", &bundle) {
+			rec.WriteHeader(http.StatusOK)
+		}
+		if rec.Code != tc.code {
+			t.Errorf("%d-byte undeclared body under a %d-byte cap: HTTP %d, want %d", len(tc.body), limit, rec.Code, tc.code)
+		}
+	}
+	if _, err := os.Stat(root); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused imports created the snapshot root (stat err %v)", err)
 	}
 }

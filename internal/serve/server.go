@@ -471,15 +471,37 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // body.
 const maxBodyBytes = 1 << 20
 
+// maxImportBytes caps an import body: the base64 text of the largest
+// frame a store writes (snapshot.MaxFrameBytes), as JSON carries the
+// bundle's frame, plus maxBodyBytes for the spec and the JSON around it.
+const maxImportBytes = (snapshot.MaxFrameBytes+2)/3*4 + maxBodyBytes
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes,
+// and reports whether it did. A body over the limit, whether its
+// Content-Length declares it or reading meets it, is answered 413 and
+// any other failure 400, the error naming the body as what.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&spec); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("bad spec: %w", err))
+	if !decodeBody(w, r, maxBodyBytes, "spec", &spec) {
 		return
 	}
 	sess, err := s.Create(spec)
@@ -568,13 +590,7 @@ func (s *Server) handleAskWait(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTell(w http.ResponseWriter, r *http.Request) {
 	s.withSession(w, r, func(e *entry) {
 		var req TellRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, code, fmt.Errorf("bad tell: %w", err))
+		if !decodeBody(w, r, maxBodyBytes, "tell", &req) {
 			return
 		}
 		if err := e.sess.Tell(r.Context(), req.Results); err != nil {
@@ -666,8 +682,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	var bundle ExportBundle
-	if err := json.NewDecoder(r.Body).Decode(&bundle); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad bundle: %w", err))
+	if !decodeBody(w, r, maxImportBytes, "bundle", &bundle) {
 		return
 	}
 	sess, err := s.Import(bundle)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -61,9 +62,21 @@ const magic = "PBOSNAP\x00"
 // all big-endian.
 const headerSize = 8 + 4 + 8 + 4
 
+// MaxFrameBytes bounds a frame, header included: Encode refuses to write
+// a larger one, Decode rejects a larger declared payload as corrupt, and
+// LoadLatest skips a larger file without reading it. Frames cross a trust
+// boundary — files on disk, bodies of migration imports — and the bound
+// keeps a damaged length field or a hostile file from making a reader
+// buffer without limit. 64 MiB is over 100× the frame of a session with
+// 1024 recorded evaluations (361,558 bytes, BENCH_snapshot.json).
+const MaxFrameBytes = 64 << 20
+
 // ErrCorrupt reports a frame that failed structural or checksum
 // verification.
 var ErrCorrupt = errors.New("snapshot: corrupt frame")
+
+// ErrTooLarge reports a value whose frame would exceed MaxFrameBytes.
+var ErrTooLarge = errors.New("snapshot: frame exceeds MaxFrameBytes")
 
 // ErrVersion reports a structurally intact frame whose format version
 // this build does not read — written by a newer (or retired) code
@@ -117,6 +130,9 @@ func Encode(v any) ([]byte, error) {
 	for _, sec := range sections {
 		plen += 8 + 8*len(sec)
 	}
+	if headerSize+plen > MaxFrameBytes {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, headerSize+plen)
+	}
 	out := make([]byte, headerSize+plen)
 	copy(out, magic)
 	binary.BigEndian.PutUint32(out[8:], Version)
@@ -141,7 +157,8 @@ func Encode(v any) ([]byte, error) {
 }
 
 // Decode verifies a frame and unmarshals its payload into v: magic,
-// supported version, exact payload length and checksum must all hold.
+// supported version, exact payload length within MaxFrameBytes and
+// checksum must all hold.
 // Frames from format versions below 3 carry a single JSON document and
 // decode through encoding/json unchanged; v3 frames decode their binary
 // sections into v's SectionCodec. A version outside [minVersion,
@@ -160,6 +177,9 @@ func Decode(data []byte, v any) error {
 		return fmt.Errorf("%w %d (this build reads %d-%d)", ErrVersion, version, minVersion, Version)
 	}
 	plen := binary.BigEndian.Uint64(data[12:])
+	if plen > MaxFrameBytes-headerSize {
+		return fmt.Errorf("%w: header declares a %d-byte payload, over the %d-byte frame bound", ErrCorrupt, plen, MaxFrameBytes)
+	}
 	if plen != uint64(len(data)-headerSize) {
 		return fmt.Errorf("%w: payload %d bytes, header declares %d (truncated write?)", ErrCorrupt, len(data)-headerSize, plen)
 	}
@@ -302,12 +322,12 @@ func (s *Store) SaveEncoded(frame []byte) (path string, err error) {
 }
 
 // LoadLatest decodes the newest snapshot that verifies into v, skipping
-// corrupt or truncated files, and returns its path. ErrNoSnapshot is
-// returned when the directory holds no snapshot that decodes. A newest
-// frame from an unsupported format version is NOT skipped: it is a
-// healthy snapshot this build cannot read, and falling back to an older
-// one would silently rewind the session — LoadLatest fails loudly with
-// ErrVersion instead.
+// corrupt or truncated files and, unread, files over MaxFrameBytes, and
+// returns its path. ErrNoSnapshot is returned when the directory holds
+// no snapshot that decodes. A newest frame from an unsupported format
+// version is NOT skipped: it is a healthy snapshot this build cannot
+// read, and falling back to an older one would silently rewind the
+// session — LoadLatest fails loudly with ErrVersion instead.
 func (s *Store) LoadLatest(v any) (path string, err error) {
 	seqs, err := s.sequence()
 	if err != nil {
@@ -316,7 +336,7 @@ func (s *Store) LoadLatest(v any) (path string, err error) {
 	var lastErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		p := s.path(seqs[i])
-		data, err := os.ReadFile(p)
+		data, err := readFrame(p)
 		if err != nil {
 			lastErr = err
 			continue
@@ -334,6 +354,28 @@ func (s *Store) LoadLatest(v any) (path string, err error) {
 		return "", fmt.Errorf("%w (newest failure: %v)", ErrNoSnapshot, lastErr)
 	}
 	return "", ErrNoSnapshot
+}
+
+// readFrame reads the snapshot file at p, refusing one over MaxFrameBytes
+// by its size before reading it. Should the file grow in between, the
+// read stops one byte past the bound, and Decode rejects what it got.
+func readFrame(p string) ([]byte, error) {
+	fi, err := os.Stat(p)
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > MaxFrameBytes {
+		return nil, fmt.Errorf("%s: %w: %d bytes", filepath.Base(p), ErrTooLarge, fi.Size())
+	}
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(io.LimitReader(f, MaxFrameBytes+1))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return data, err
 }
 
 // List returns the paths of all snapshots, oldest first.

@@ -4,10 +4,12 @@
 # Runs six suites with -benchmem:
 #
 #   hotpath  — the steady-state prediction/acquisition benchmarks whose
-#              zero-allocation budgets DESIGN.md §9 pins, and one UPHES
-#              expected-profit evaluation (16 scenarios)
+#              zero-allocation budgets DESIGN.md §9 pins, the k★ fill of
+#              a paper-size value pass (EvalRowRadial at n=184, d=12) and
+#              one UPHES expected-profit evaluation (16 scenarios)
 #   linalg   — the large-n linear algebra: ExtendCols, batched k★ fills,
-#              n=4096 prediction and fantasy
+#              n=4096 prediction and fantasy, and the paper-size factor
+#              kernels: a Cholesky and a forward solve at n=184
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes)
 #   fit      — the per-iteration LML objective cost (banded vs serial at
@@ -23,7 +25,9 @@
 #
 # Every row written names its host: the GOMAXPROCS the benchmark ran
 # under (from the name's -N suffix, 1 without one), the CPU from go
-# test's "cpu:" line, and the Go version, so two files can be compared.
+# test's "cpu:" line, the Go version, and the CPU probe's verdict
+# ("avx2+fma" or "generic": which bodies the Cholesky sweep and the
+# Matérn radial pass ran, DESIGN.md §9.5), so two files can be compared.
 #
 # Usage:
 #   ./scripts/bench.sh          # 2 s per benchmark; rewrites BENCH_<suite>.json
@@ -36,8 +40,9 @@
 #     pair EIAcceptedStep256 (a trial, then its gradient on the trial's
 #     value pass) and the pooled small-n fit objective FitLML128 hold 0
 #     allocs/op (DESIGN.md §9). A regression means a pooled workspace or
-#     destination-passing path started allocating again. UPHESProfit runs
-#     (presence only).
+#     destination-passing path started allocating again. UPHESProfit and
+#     the paper-size EvalRowRadial184, Cholesky184 and ForwardSolve184
+#     run (presence only: a timing ratio flakes on a shared host).
 #   - snapshot: both codec benchmarks report frame-bytes, so the evidence
 #     cannot go stale; the n=1024 decode holds ≤ 100 allocs/op (the
 #     sectioned v3 layout lands at ~21 — more means a matrix path went
@@ -85,9 +90,9 @@ bench() {
 
 # Anchored names: the LargeN linalg benchmarks also contain "Predict" /
 # "Fantasize" and must not leak into the hotpath suite.
-bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$' \
-    ./internal/gp/ ./internal/acq/ ./internal/uphes/
-bench linalg "$other" 'ExtendCols1024$|EvalRowFill' ./internal/mat/ ./internal/kernel/
+bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$' \
+    ./internal/gp/ ./internal/acq/ ./internal/uphes/ ./internal/kernel/
+bench linalg "$other" 'ExtendCols1024$|EvalRowFill|Cholesky184$|ForwardSolve184$' ./internal/mat/ ./internal/kernel/
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
 # The fantasy bench also runs in the linalg suite.
@@ -107,8 +112,13 @@ suites="hotpath linalg snapshot fit async scenario"
 
 if [ "$check" = 0 ]; then
     goversion=$(go env GOVERSION)
+    simd=$(go test -count 1 -run '^TestVerdictNamesProbe$' -v ./internal/simd/ | awk '/verdict: / { print $NF }')
+    if [ -z "$simd" ]; then
+        echo "bench.sh: the CPU probe reported no verdict" >&2
+        exit 1
+    fi
     for suite in $suites; do
-        awk -v gover="$goversion" '
+        awk -v gover="$goversion" -v simd="$simd" '
         BEGIN { print "["; first = 1 }
         /^cpu: / { cpu = substr($0, 6); gsub(/["\\]/, "", cpu) }
         /^Benchmark/ {
@@ -135,7 +145,7 @@ if [ "$check" = 0 ]; then
             if (factor != "") printf ", \"factor_bytes\": %s", factor
             if (vhour != "") printf ", \"evals_per_vhour\": %s", vhour
             if (dpm != "") printf ", \"days_per_minute\": %s", dpm
-            printf ", \"gomaxprocs\": %s, \"cpu\": \"%s\", \"go\": \"%s\"", procs, cpu, gover
+            printf ", \"gomaxprocs\": %s, \"cpu\": \"%s\", \"go\": \"%s\", \"simd\": \"%s\"", procs, cpu, gover, simd
             printf "}"
         }
         END { print "\n]" }
@@ -190,6 +200,9 @@ for name in Predict256 PredictWithGrad256 EIEval256 EIGrad256 EIValueOnly256 EIA
     at_most hotpath "$name" allocs/op 0
 done
 present hotpath UPHESProfit ns/op
+present hotpath EvalRowRadial184 ns/op
+present linalg Cholesky184 ns/op
+present linalg ForwardSolve184 ns/op
 at_most fit FitLML128 allocs/op 0
 
 present snapshot SnapshotEncode1024 frame-bytes

@@ -1,19 +1,29 @@
 #!/bin/sh
 # check.sh — the single local/CI verification gate (tier-1+).
 #
-# Runs, in order: formatting, vet, build, the project's own invariant
-# linter (cmd/pbolint), the full test suite under the race detector, a
-# named re-run of the bit-identity property tests for the parallel
-# linear-algebra paths (still under -race), a named re-run of the
-# kill-and-resume determinism tests for the session/serving stack (still
-# under -race; each named group fails if a listed name matches no test),
-# a 10 s fuzz run of the prediction workspace's value-pass reuse, the
-# hot-path allocation-regression tests without the race detector
-# (alloc counts are only meaningful uninstrumented), a single-iteration
-# pass over every benchmark so bench code cannot rot uncompiled, and one
-# fast `bench.sh -check` pass that enforces the zero-allocation budgets
-# of DESIGN.md §9 and the snapshot, fit, async and fleet gates. Any
-# failure stops the gate with a nonzero exit.
+# Runs, in order: formatting, vet (of the default build, whose assembly
+# stubs asmdecl checks, and of the purego build), build, the project's
+# own invariant linter (cmd/pbolint), the full test suite on the default
+# build (the AVX2 bodies wherever the CPU probe selects them), the
+# portable-path pass (the vector bodies' Go loops under the purego tag,
+# against the same golden traces and paper digests), the full test suite
+# under the race detector, a named re-run of the bit-identity property
+# tests for the parallel linear-algebra paths (still under -race), a
+# named re-run of the kill-and-resume determinism tests for the
+# session/serving stack (still under -race; each named group fails if a
+# listed name matches no test), 10 s fuzz runs of the prediction
+# workspace's value-pass reuse and of both vector bodies against their
+# Go oracles, the hot-path allocation-regression tests without the race
+# detector (alloc counts are only meaningful uninstrumented), a
+# single-iteration pass over every benchmark so bench code cannot rot
+# uncompiled, and one fast `bench.sh -check` pass that enforces the
+# zero-allocation budgets of DESIGN.md §9 and the snapshot, fit, async
+# and fleet gates. Any failure stops the gate with a nonzero exit.
+#
+# Every -race run builds with the purego tag: the race detector does not
+# see loads and stores made inside assembly, so the portable Go loops
+# keep the Cholesky sweep and the radial pass under its eye (DESIGN.md
+# §9.5).
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -29,7 +39,7 @@ named_race_group() {
     names=$1
     shift
     # Test names hold no whitespace; the per-package "ok" lines do.
-    listed=$(go test -list . "$@")
+    listed=$(go test -tags purego -list . "$@")
     missing=""
     for name in $(printf '%s\n' "$names" | tr '|' ' '); do
         if ! printf '%s\n' "$listed" | grep -v '[[:space:]]' | grep -Eq -- "$name"; then
@@ -40,7 +50,7 @@ named_race_group() {
         echo "check.sh: named tests match no test in $*:$missing" >&2
         exit 1
     fi
-    go test -race -run "$names" -count 1 "$@"
+    go test -race -tags purego -run "$names" -count 1 "$@"
 }
 
 echo "== gofmt"
@@ -53,6 +63,7 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+go vet -tags purego ./...
 
 echo "== go build ./..."
 go build ./...
@@ -77,8 +88,22 @@ if [ "$live" -gt "$budget" ]; then
 fi
 echo "suppressions: $live of $budget budgeted"
 
-echo "== go test -race ./..."
-go test -race ./...
+echo "== go test ./... (default build)"
+# The build that ships: on an AVX2+FMA amd64 host every test here runs
+# against the vector bodies, including their oracles, the golden traces,
+# the paper digests and the tests that fail when the probe or the radial
+# pass's self-check falls back silently.
+go test -count 1 ./...
+
+echo "== portable path: mat, kernel, gp, golden traces and paper digests under -tags purego"
+# The Go loops the AVX2 bodies replace must keep every bit: the same
+# golden traces and paper-workload digests hold on both paths.
+go test -tags purego -count 1 ./internal/mat/ ./internal/kernel/ ./internal/gp/
+go test -tags purego -count 1 -run '^(TestPaperStrategyTracesGolden|TestScenarioGoldenTraceDeterminism|TestPaperWorkloadDigests)$' \
+    ./internal/strategy/ ./internal/scenario/ .
+
+echo "== go test -race ./... (purego)"
+go test -race -tags purego ./...
 
 echo "== bit-identity property tests under -race"
 # Redundant with the full -race sweep above, but named explicitly so the
@@ -145,6 +170,14 @@ echo "== fuzz the value-pass reuse for 10 s"
 # against a fresh call; the seed corpus in internal/gp/testdata/fuzz also
 # runs with every go test.
 go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s ./internal/gp/
+
+echo "== fuzz both vector bodies against their Go oracles, 10 s each"
+# The Cholesky sweep on byte-derived operands (any bit pattern, lengths
+# 0-67, misaligned starts) and the radial pass on arbitrary r², each
+# held to the Go loop's bits; the seed corpora under each package's
+# testdata/fuzz also run with every go test.
+go test -run '^$' -fuzz '^FuzzSubMul4$' -fuzztime 10s ./internal/mat/
+go test -run '^$' -fuzz '^FuzzRadial$' -fuzztime 10s ./internal/kernel/
 
 echo "== alloc-regression tests (no race detector)"
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/core/ ./internal/scenario/
