@@ -24,7 +24,9 @@ var updateDigests = flag.Bool("updatedigests", false, "rewrite the paper-workloa
 // paperDigestFile pins an FNV-1a digest of every X and Y bit of short
 // paper workloads at d=12: one UPHES day per paper strategy at its paper
 // batch size, one constrained scenario cell, and one asynchronous
-// ask/tell session. Unlike the 2-D golden traces, these reach the UPHES
+// ask/tell session; plus a horizon-2 constrained cell at d=24, the
+// fleets' dimension, and a benchmark-function day at d=6, not a multiple
+// of four. Unlike the 2-D golden traces, these reach the UPHES
 // plant, an 8-step Kriging-Believer chain and d=12 fits, so a change that
 // claims bit identity on the paper's workloads is checked here. A change
 // that regenerates the file with -updatedigests names every digest it
@@ -85,22 +87,44 @@ func paperDay(name string, q, init, cycles int, seed uint64) func() (*core.Resul
 	}
 }
 
-// constrainedCell runs one scenario cell: the horizon-1 constrained
-// problem with its two-GP model factory.
-func constrainedCell() (*core.Result, error) {
-	spec := &scenario.DaySpec{
-		Gen:     scenario.GenConfig{Seed: 5, Members: 2},
-		Member:  1,
-		Day:     2,
-		Horizon: 1,
+// constrainedCell runs one scenario cell: the constrained problem over
+// horizon days (d = 12·horizon) with its two-GP model factory.
+func constrainedCell(horizon int) func() (*core.Result, error) {
+	return func() (*core.Result, error) {
+		spec := &scenario.DaySpec{
+			Gen:     scenario.GenConfig{Seed: 5, Members: 2},
+			Member:  1,
+			Day:     2,
+			Horizon: horizon,
+		}
+		return scenario.LocalRunner{}.RunDay(context.Background(), spec, scenario.OptConfig{
+			Strategy:    "mic-q-EGO",
+			BatchSize:   4,
+			InitSamples: 32,
+			MaxCycles:   4,
+			Seed:        13,
+		})
 	}
-	return scenario.LocalRunner{}.RunDay(context.Background(), spec, scenario.OptConfig{
-		Strategy:    "mic-q-EGO",
-		BatchSize:   4,
-		InitSamples: 32,
-		MaxCycles:   4,
-		Seed:        13,
-	})
+}
+
+// benchmarkDay runs KB-q-EGO at q=4 on a synthetic benchmark function in
+// dim dimensions, a size the UPHES workloads never reach.
+func benchmarkDay(name string, dim int, seed uint64) func() (*core.Result, error) {
+	return func() (*core.Result, error) {
+		p, err := BenchmarkProblem(name, dim, 0)
+		if err != nil {
+			return nil, err
+		}
+		return OptimizeContext(context.Background(), p, Options{
+			Strategy:       "KB-q-EGO",
+			BatchSize:      4,
+			InitSamples:    24,
+			Budget:         time.Duration(1 << 62),
+			MaxCycles:      6,
+			OverheadFactor: 1,
+			Seed:           seed,
+		})
+	}
 }
 
 // asyncSession drives an asynchronous ask/tell session on the UPHES day:
@@ -176,7 +200,9 @@ func TestPaperWorkloadDigests(t *testing.T) {
 		{"MC-based q-EGO/q4", paperDay("MC-based q-EGO", 4, 48, 4, 9003)},
 		{"BSP-EGO/q4", paperDay("BSP-EGO", 4, 48, 6, 9004)},
 		{"TuRBO/q4", paperDay("TuRBO", 4, 48, 6, 9005)},
-		{"constrained-cell", constrainedCell},
+		{"constrained-cell", constrainedCell(1)},
+		{"constrained-cell/h2", constrainedCell(2)},
+		{"rosenbrock6/q4", benchmarkDay("rosenbrock", 6, 9006)},
 		{"async-session", asyncSession},
 	}
 	got := map[string]string{}

@@ -50,6 +50,22 @@ func benchFitLML(b *testing.B, n int) {
 // default FitSubsetMax scale.
 func BenchmarkFitLML128(b *testing.B) { benchFitLML(b, 128) }
 
+// BenchmarkLMLGrad184 times the gradient half of one LML evaluation at a
+// paper day's last fit (n = 184, d = 12) on the value pass it reuses, as
+// L-BFGS asks for it at an accepted step: the inverse, A = ααᵀ − K⁻¹ and
+// the trace.
+func BenchmarkLMLGrad184(b *testing.B) {
+	g, p, ws := fitLMLBench(b, 184)
+	if _, err := ws.lmlValue(g.x, g.ys, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.lmlGrad(g.x, len(p))
+	}
+}
+
 // BenchmarkFitLML1024 exercises the banded parallel Gram fill, inverse
 // and gradient trace (n above gramParallelN, invParallelN and
 // lmlGradBandN).

@@ -136,7 +136,7 @@ type predictWorkspace struct {
 	dphi   []float64 // n: dφ/d(r²) of each k★ entry
 	v      []float64 // n: L⁻¹k★
 	w      []float64 // n: K⁻¹k★
-	kg     []float64 // n·d: batched ∂k(u, x_i)/∂u rows
+	kg     []float64 // n·d: ∂k(u, x_i)/∂u rows where GradXSum runs its Go loop
 	dMeanU []float64 // d: mean gradient accumulator (normalized space)
 	dVarU  []float64 // d: variance gradient accumulator
 
@@ -595,21 +595,19 @@ func (ws *fitWorkspace) lmlGrad(x *mat.Dense, np int) []float64 {
 // with scale 2 off the diagonal (the mirrored pair) and 1 on it. kg is
 // per-pair scratch of the same length. Each off-diagonal pair's kernel
 // value and radial derivative come from the Gram gramInto filled, so
-// the kernel only rebuilds the per-dimension terms (kernel.HyperGrad);
-// the diagonal, where the Gram also carries the noise, is evaluated
-// directly. Either way the per-pair gradient is EvalWithGrad's, bit for
-// bit.
+// the kernel only rebuilds the per-dimension terms (kernel.HyperGradSum,
+// one call per row); the diagonal, where the Gram also carries the
+// noise, is evaluated directly and added last. Either way the per-pair
+// gradient is EvalWithGrad's, bit for bit.
 func (ws *fitWorkspace) traceRows(part, kg []float64, a, x *mat.Dense, lo, hi int) {
 	k := ws.gram
+	xd := x.Data()
+	d := x.Cols()
 	for i := lo; i < hi; i++ {
 		xi := x.Row(i)
 		arow := a.Row(i)
-		krow := k.Row(i)[:i]
-		drow := radialRow(k, i)
-		for j, kv := range krow {
-			ws.kern.HyperGrad(kg, xi, x.Row(j), kv, drow[j])
-			addPair(part, kg, arow[j], 2.0) // symmetric off-diagonal counted twice
-		}
+		// The symmetric off-diagonal pairs, counted twice.
+		ws.kern.HyperGradSum(part, kg, xi, xd[:i*d], k.Row(i)[:i], radialRow(k, i), arow[:i], 2.0)
 		ws.kern.EvalWithGrad(xi, xi, kg)
 		addPair(part, kg, arow[i], 1.0)
 	}
@@ -749,27 +747,15 @@ func (g *GP) posteriorValue(ws *predictWorkspace) {
 }
 
 // posteriorGrad is the gradient half of PredictWithGrad on the value half
-// ws holds: it rebuilds the ∂k(u, x_i)/∂u rows from the kept radial
-// derivatives, back-solves w = K⁻¹k★ and writes the raw-space gradients
-// of the posterior mean and sd into dMean and dSD.
+// ws holds: it back-solves w = K⁻¹k★, sums the ∂k(u, x_i)/∂u rows rebuilt
+// from the kept radial derivatives against α and −2w (kernel.GradXSum;
+// ∂(k**−k★ᵀK⁻¹k★)/∂u, k** constant for a stationary kernel) and writes
+// the raw-space gradients of the posterior mean and sd into dMean and
+// dSD.
 func (g *GP) posteriorGrad(ws *predictWorkspace, dMean, dSD []float64) {
-	g.kern.GradXRows(ws.kg, ws.dphi, ws.u, g.x.Data())
 	g.chol.BackSolveVecInto(ws.w, ws.v) // K⁻¹ k*
 	dMeanU, dVarU := ws.dMeanU, ws.dVarU
-	for j := range dMeanU {
-		dMeanU[j] = 0
-		dVarU[j] = 0
-	}
-	n := g.N()
-	for i := 0; i < n; i++ {
-		kg := ws.kg[i*g.d : (i+1)*g.d]
-		ai := g.alpha[i]
-		wi := ws.w[i]
-		for j := 0; j < g.d; j++ {
-			dMeanU[j] += ai * kg[j]
-			dVarU[j] += -2 * wi * kg[j] // ∂(k**−k*ᵀK⁻¹k*)/∂u; k** constant for stationary kernels
-		}
-	}
+	g.kern.GradXSum(dMeanU, dVarU, ws.kg, ws.u, g.x.Data(), ws.dphi, g.alpha, ws.w)
 	for j := 0; j < g.d; j++ {
 		du := 1 / (g.cfg.Hi[j] - g.cfg.Lo[j]) // chain rule u→x
 		dMean[j] = g.ystd * dMeanU[j] * du

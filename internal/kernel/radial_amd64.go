@@ -16,7 +16,8 @@ var radialVector = simd.AVX2FMA() && radialSelfCheck()
 // vectorRows runs EvalRow's and EvalRowRadial's fill (dphi nil for
 // EvalRow) in two passes while the radial pass is on and reports whether
 // it did; otherwise their scalar loops run. The first pass writes each
-// row's r² with those loops' summation, the second is radialRows.
+// row's r² with those loops' summation: r2Vec where it takes the
+// dimension, the scalar loop otherwise. The second is radialRows.
 func (k *Matern52) vectorRows(dst, dphi, x, xs []float64) bool {
 	if !radialVector {
 		return false
@@ -24,18 +25,42 @@ func (k *Matern52) vectorRows(dst, dphi, x, xs []float64) bool {
 	d := k.dim
 	x = x[:d]
 	inv := k.invLen[:d]
-	for i := range dst {
-		row := xs[i*d : i*d+d : i*d+d]
-		var s float64
-		for j, rv := range row {
-			diff := (x[j] - rv) * inv[j]
-			s += diff * diff
+	if !r2Vec(dst, x, xs, inv) {
+		for i := range dst {
+			row := xs[i*d : i*d+d : i*d+d]
+			var s float64
+			for j, rv := range row {
+				diff := (x[j] - rv) * inv[j]
+				s += diff * diff
+			}
+			dst[i] = s
 		}
-		dst[i] = s
 	}
 	radialRows(dst, dphi, k.variance)
 	return true
 }
+
+// r2Vec writes each of the len(dst) rows' r² by r2AVX2 and reports true
+// where len(x) is a multiple of four; otherwise it does nothing and
+// reports false. The caller has checked the operands' lengths.
+func r2Vec(dst, x, xs, inv []float64) bool {
+	d := len(x)
+	if d%4 != 0 {
+		return false
+	}
+	r2AVX2(dst, x, xs[:len(dst)*d], inv[:d])
+	return true
+}
+
+// r2AVX2 writes r² = Σ_t ((x[t] − X_i[t])·inv[t])² for each of the
+// len(dst) rows X_i of xs into dst[i], with the scalar loop's bits: four
+// rows at a time, their squared differences transposed in registers so
+// that one lane per row sums them from +0 in increasing t, then the last
+// len(dst) mod 4 rows one at a time. len(x) = len(inv) is a positive
+// multiple of four, and xs holds len(dst)·len(x) values.
+//
+//go:noescape
+func r2AVX2(dst, x, xs, inv []float64)
 
 // radialRows replaces each r² in dst by v·φ(r²) and, unless dphi is nil,
 // writes dφ/d(r²) into dphi (len(dst) long). radialAVX2 takes four rows

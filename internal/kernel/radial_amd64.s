@@ -187,3 +187,102 @@ done:
 	MOVQ AX, ret+32(FP)
 	VZEROUPPER
 	RET
+
+// func r2AVX2(dst, x, xs, inv []float64)
+//
+// For rows i < len(dst) of xs (d = len(x) values each), dst[i] =
+// Σ_t ((x[t] − xs[i][t])·inv[t])², summed from +0 in increasing t as the
+// scalar loop sums it. Four rows at a time: each row's squared
+// differences of four dimensions are transposed (VUNPCKLPD, VUNPCKHPD,
+// VPERM2F128) into one vector per dimension, which is added to the four
+// rows' running sums in dimension order. The last len(dst) mod 4 rows run
+// the same operations one lane at a time. Every operation takes its
+// operands in the Go expression's order; no FMA.
+TEXT ·r2AVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), R10
+	MOVQ xs_base+48(FP), R8
+	MOVQ inv_base+72(FP), R9
+	SHLQ $3, R10             // row length in bytes
+	LEAQ (R8)(R10*1), R12    // row 1 of the block
+	LEAQ (R12)(R10*1), R13   // row 2
+	LEAQ (R13)(R10*1), DX    // row 3
+	MOVQ CX, R11
+	ANDQ $-4, R11            // rows in whole blocks
+	XORQ AX, AX
+	TESTQ R11, R11
+	JZ   rows
+
+block:
+	VXORPD Y0, Y0, Y0
+	XORQ   BX, BX
+
+dims:
+	VMOVUPD    (SI)(BX*1), Y1 // x
+	VMOVUPD    (R9)(BX*1), Y2 // inv
+	VMOVUPD    (R8)(BX*1), Y3
+	VSUBPD     Y3, Y1, Y3
+	VMULPD     Y2, Y3, Y3
+	VMULPD     Y3, Y3, Y3     // row 0: d0 d1 d2 d3
+	VMOVUPD    (R12)(BX*1), Y4
+	VSUBPD     Y4, Y1, Y4
+	VMULPD     Y2, Y4, Y4
+	VMULPD     Y4, Y4, Y4     // row 1
+	VMOVUPD    (R13)(BX*1), Y5
+	VSUBPD     Y5, Y1, Y5
+	VMULPD     Y2, Y5, Y5
+	VMULPD     Y5, Y5, Y5     // row 2
+	VMOVUPD    (DX)(BX*1), Y6
+	VSUBPD     Y6, Y1, Y6
+	VMULPD     Y2, Y6, Y6
+	VMULPD     Y6, Y6, Y6     // row 3
+	VUNPCKLPD  Y4, Y3, Y7     // r0d0 r1d0 r0d2 r1d2
+	VUNPCKHPD  Y4, Y3, Y8     // r0d1 r1d1 r0d3 r1d3
+	VUNPCKLPD  Y6, Y5, Y9     // r2d0 r3d0 r2d2 r3d2
+	VUNPCKHPD  Y6, Y5, Y10    // r2d1 r3d1 r2d3 r3d3
+	VPERM2F128 $0x20, Y9, Y7, Y3  // dimension 0 of rows 0–3
+	VPERM2F128 $0x20, Y10, Y8, Y4 // dimension 1
+	VPERM2F128 $0x31, Y9, Y7, Y5  // dimension 2
+	VPERM2F128 $0x31, Y10, Y8, Y6 // dimension 3
+	VADDPD     Y3, Y0, Y0
+	VADDPD     Y4, Y0, Y0
+	VADDPD     Y5, Y0, Y0
+	VADDPD     Y6, Y0, Y0
+	ADDQ       $32, BX
+	CMPQ       BX, R10
+	JB         dims
+	VMOVUPD    Y0, (DI)(AX*8)
+	LEAQ       (R8)(R10*4), R8
+	LEAQ       (R12)(R10*4), R12
+	LEAQ       (R13)(R10*4), R13
+	LEAQ       (DX)(R10*4), DX
+	ADDQ       $4, AX
+	CMPQ       AX, R11
+	JB         block
+
+rows:
+	CMPQ   AX, CX
+	JAE    done
+	VXORPD X0, X0, X0
+	XORQ   BX, BX
+
+rowdims:
+	VMOVSD (SI)(BX*1), X1
+	VMOVSD (R8)(BX*1), X3
+	VSUBSD X3, X1, X3
+	VMULSD (R9)(BX*1), X3, X3
+	VMULSD X3, X3, X3
+	VADDSD X3, X0, X0
+	ADDQ   $8, BX
+	CMPQ   BX, R10
+	JB     rowdims
+	VMOVSD X0, (DI)(AX*8)
+	ADDQ   R10, R8
+	INCQ   AX
+	JMP    rows
+
+done:
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -26,6 +27,34 @@ func TestRadialVectorEnabled(t *testing.T) {
 	}
 	if !radialVector {
 		t.Fatal("AVX2+FMA host, but the radial pass's self-check switched it off")
+	}
+}
+
+// TestGradVectorEnabled does for the r² pass and the two gradient bodies
+// what TestRadialVectorEnabled does for the radial pass: on an AVX2+FMA
+// host each must take the paper's d = 12 and the fleets' d = 24, and
+// decline d = 6.
+func TestGradVectorEnabled(t *testing.T) {
+	if !simd.AVX2FMA() {
+		t.Skip("the probe found no AVX2+FMA")
+	}
+	for _, d := range []int{6, 12, 24} {
+		const n = 9
+		k := NewMatern52(d)
+		stream := rng.New(89, uint64(d))
+		_, xs := rowBlock(stream, n, d)
+		x := randPoint(stream, d)
+		v, dphi := make([]float64, n), make([]float64, n)
+		want := d%4 == 0
+		if got := r2Vec(v, x, xs, k.invLen); got != want {
+			t.Errorf("d=%d: r² pass ran %v, want %v", d, got, want)
+		}
+		if got := k.hyperGradVec(make([]float64, 1+d), x, xs, v, dphi, v, 2); got != want {
+			t.Errorf("d=%d: LML trace body ran %v, want %v", d, got, want)
+		}
+		if got := k.gradXVec(make([]float64, d), make([]float64, d), x, xs, dphi, v, v); got != want {
+			t.Errorf("d=%d: posterior gradient body ran %v, want %v", d, got, want)
+		}
 	}
 }
 
@@ -181,6 +210,75 @@ func FuzzRadial(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
 		if bad := checkRadialRows(t, []float64{a, b, c, d, e}, 1.3); bad != 0 {
 			t.Fatalf("%d of 5 rows differ from phiDeriv", bad)
+		}
+	})
+}
+
+// checkR2Rows runs r2Vec on n rows of d values and counts the rows whose
+// r² differs in any bit from the per-pair r2 with the same inverse
+// lengthscales (with anyNaN, two NaNs match whatever their payloads); it
+// fails the test where r2Vec's report is not d%4 == 0.
+func checkR2Rows(t *testing.T, label string, k *Matern52, x, xs []float64, anyNaN bool) int {
+	t.Helper()
+	d := k.Dim()
+	n := len(xs) / d
+	got := make([]float64, n+1)[1:]
+	if ran := r2Vec(got, x, xs, k.invLen); ran != (d%4 == 0) {
+		t.Fatalf("%s: r2Vec ran %v on d=%d", label, ran, d)
+	} else if !ran {
+		return 0
+	}
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = k.r2(x, xs[i*d:(i+1)*d])
+	}
+	return bitsDiffer(t, label, got, want, anyNaN)
+}
+
+// TestR2RowsMatchGoLoop is the four-row r² pass's oracle: over
+// d ∈ {1…13, 24} (the pass takes the multiples of four and declines the
+// rest), 0–67 rows, misaligned operands, and points and inverse
+// lengthscales laced with signed zeros, subnormals, infinities and NaNs,
+// every row's r² has the scalar loop's bits, NaN payloads included.
+func TestR2RowsMatchGoLoop(t *testing.T) {
+	stream := rng.New(83, 2)
+	bad, checked := 0, 0
+	for _, d := range oracleDims {
+		for n := 0; n <= 67; n++ {
+			special := []int{0, 9, 3}[n%3]
+			k := oracleKernel(stream, d, []int{0, 0, 4}[n%3])
+			x := oracleVec(stream, d, n%4, special)
+			xs := oracleVec(stream, n*d, 3-n%4, special)
+			bad += checkR2Rows(t, fmt.Sprintf("d %d n %d", d, n), k, x, xs, false)
+			checked += n
+		}
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d rows differ from the scalar loop", bad, checked)
+	}
+	t.Logf("%d rows checked, 0 mismatches", checked)
+}
+
+// FuzzR2Rows drives the r² oracle with byte-derived operands: the first
+// byte picks d (1–13 or 24), the second the row count (0–67) and a
+// misalignment; the rest fills the inverse lengthscales, the point and
+// the rows. Two NaNs match whatever their payloads (see bitsDiffer).
+func FuzzR2Rows(f *testing.F) {
+	f.Add([]byte{11, 9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 10 {
+			return
+		}
+		d := oracleDims[int(data[0])%len(oracleDims)]
+		n, off := int(data[1])%68, int(data[1])>>6
+		value := fuzzValues(data[2:])
+		k := NewMatern52(d)
+		for i := range k.invLen {
+			k.invLen[i] = value()
+		}
+		x, xs := fuzzVec(value, d, off), fuzzVec(value, n*d, 3-off)
+		if bad := checkR2Rows(t, "fuzz", k, x, xs, true); bad != 0 {
+			t.Fatalf("%d of %d rows differ from the scalar loop", bad, n)
 		}
 	})
 }

@@ -39,11 +39,10 @@ func BenchmarkEvalRowFillAuto8192(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalRowRadial184 times the k★ fill of one posterior value
-// pass at a paper day's last fit: 184 training rows of d = 12.
-func BenchmarkEvalRowRadial184(b *testing.B) {
-	const n, d = 184, 12
-	stream := rng.New(4, 184)
+// benchEvalRowRadial times the k★ fill of one posterior value pass over
+// n training rows of d dimensions.
+func benchEvalRowRadial(b *testing.B, n, d int) {
+	stream := rng.New(4, uint64(n))
 	_, flat := rowBlock(stream, n, d)
 	x := randPoint(stream, d)
 	k := NewMatern52(d)
@@ -54,3 +53,11 @@ func BenchmarkEvalRowRadial184(b *testing.B) {
 		k.EvalRowRadial(dst, dphi, x, flat)
 	}
 }
+
+// BenchmarkEvalRowRadial184 is the fill at a paper day's last fit: 184
+// training rows of d = 12.
+func BenchmarkEvalRowRadial184(b *testing.B) { benchEvalRowRadial(b, 184, 12) }
+
+// BenchmarkEvalRowRadial96D24 is the fill at a fleet cell's size: 96
+// rows of the horizon-2 cell's d = 24.
+func BenchmarkEvalRowRadial96D24(b *testing.B) { benchEvalRowRadial(b, 96, 24) }

@@ -119,28 +119,37 @@ func (c *Cholesky) factorize(a *Dense, jitter float64) bool {
 	l := c.l
 	ad := a.data
 	for j := 0; j < n; j++ {
+		m := n - j
 		col := l[colOffset(j, n):colOffset(j+1, n)]
 		for i := range col {
 			col[i] = ad[(j+i)*n+j]
 		}
 		col[0] += jitter
-		k := 0
-		// Four finished columns per sweep (subMul4), the updates still
-		// landing in increasing k.
+		// off is the packed index of L[j][k], where finished column k's
+		// last m entries L[j..n)[k] start; column k+1's start one column
+		// length n−k−1 later.
+		k, off := 0, j
+		// Four finished columns per sweep, the updates still landing in
+		// increasing k: the AVX2 body where subMul4Vec takes it, else the
+		// Go loop.
 		for ; k+4 <= j; k += 4 {
-			c0 := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
-			c1 := l[colOffset(k+1, n)+j-k-1 : colOffset(k+2, n)]
-			c2 := l[colOffset(k+2, n)+j-k-2 : colOffset(k+3, n)]
-			c3 := l[colOffset(k+3, n)+j-k-3 : colOffset(k+4, n)]
-			subMul4(col, c0, c1, c2, c3, c0[0], c1[0], c2[0], c3[0])
+			o1 := off + n - k - 1
+			o2 := o1 + n - k - 2
+			o3 := o2 + n - k - 3
+			c0, c1, c2, c3 := l[off:off+m], l[o1:o1+m], l[o2:o2+m], l[o3:o3+m]
+			if !subMul4Vec(col, c0, c1, c2, c3, c0[0], c1[0], c2[0], c3[0]) {
+				subMul4Go(col, c0, c1, c2, c3, c0[0], c1[0], c2[0], c3[0])
+			}
+			off = o3 + n - k - 4
 		}
 		for ; k < j; k++ {
-			ck := l[colOffset(k, n)+j-k : colOffset(k+1, n)]
+			ck := l[off : off+m]
 			lk := ck[0]
 			ck = ck[:len(col)]
 			for i := range col {
 				col[i] -= ck[i] * lk
 			}
+			off += n - k - 1
 		}
 		d := col[0]
 		if d <= 0 || math.IsNaN(d) {
@@ -268,10 +277,11 @@ func (c *Cholesky) forwardSolve(y []float64, from int) {
 	l := c.l
 	y = y[:n]
 	k := from
-	// Four columns per sweep (subMul4): each tail element is loaded and
-	// stored once for all four updates. The subtractions land in
-	// increasing-k order, exactly as a column-at-a-time sweep would apply
-	// them; only the memory traffic is batched, not the arithmetic.
+	// Four columns per sweep (subMul4Vec, else subMul4Go): each tail
+	// element is loaded and stored once for all four updates. The
+	// subtractions land in increasing-k order, exactly as a
+	// column-at-a-time sweep would apply them; only the memory traffic is
+	// batched, not the arithmetic.
 	for ; k+4 <= n; k += 4 {
 		off0 := colOffset(k, n)
 		off1 := off0 + (n - k)
@@ -286,7 +296,10 @@ func (c *Cholesky) forwardSolve(y []float64, from int) {
 		y[k+2] = yk2
 		yk3 := (((y[k+3] - l[off0+3]*yk0) - l[off1+2]*yk1) - l[off2+1]*yk2) / l[off3]
 		y[k+3] = yk3
-		subMul4(y[k+4:], l[off0+4:off1], l[off1+3:off2], l[off2+2:off3], l[off3+1:off3+n-k-3], yk0, yk1, yk2, yk3)
+		tail, c0, c1, c2, c3 := y[k+4:], l[off0+4:off1], l[off1+3:off2], l[off2+2:off3], l[off3+1:off3+n-k-3]
+		if !subMul4Vec(tail, c0, c1, c2, c3, yk0, yk1, yk2, yk3) {
+			subMul4Go(tail, c0, c1, c2, c3, yk0, yk1, yk2, yk3)
+		}
 	}
 	for ; k < n; k++ {
 		off := colOffset(k, n)
@@ -352,6 +365,9 @@ const invRowBand = 64
 // pooled fit workspaces hand in dirty scratch. The arithmetic is
 // identical to Inverse; above invParallelN both phases run over parallel
 // row bands with bitwise-identical results (TestInverseIntoParallelBitIdentity).
+// Where the AVX2 product runs, wt is transposed in place between the
+// phases (invTransposeVec), so that afterwards it holds L⁻¹ in its lower
+// triangle rather than L⁻ᵀ in its upper one.
 func (c *Cholesky) InverseInto(inv, wt *Dense) *Dense {
 	n := c.n
 	if inv.rows != n || inv.cols != n {
@@ -366,16 +382,27 @@ func (c *Cholesky) InverseInto(inv, wt *Dense) *Dense {
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled
 		}
+		vec := invTransposeVec(wt)
 		if err := parallel.ForEachBand(context.Background(), 0, n, invRowBand, func(lo, hi int) {
-			c.invProductRows(inv, wt, lo, hi)
+			c.invProduct(inv, wt, vec, lo, hi)
 		}); err != nil {
 			panic(err) // unreachable: the background context is never cancelled
 		}
 	} else {
 		c.invTransposeRows(wt, 0, n)
-		c.invProductRows(inv, wt, 0, n)
+		c.invProduct(inv, wt, invTransposeVec(wt), 0, n)
 	}
 	return inv
+}
+
+// invProduct runs the product phase over rows [lo, hi): the AVX2 body
+// where invTransposeVec transposed wt (vec), else invProductRows.
+func (c *Cholesky) invProduct(inv, wt *Dense, vec bool, lo, hi int) {
+	if vec {
+		invProductVec(inv, wt, lo, hi)
+		return
+	}
+	c.invProductRows(inv, wt, lo, hi)
 }
 
 // invTransposeRows fills rows [lo, hi) of wt with L⁻ᵀ: row i of wt is

@@ -45,10 +45,11 @@ func BenchmarkExtendCols1024(b *testing.B) {
 	}
 }
 
-// The two n=184 benchmarks time the factor sizes of a paper day's last
+// The three n=184 benchmarks time the factor sizes of a paper day's last
 // fit (128 initial points plus eight cycles of eight): the in-place
-// refactorization a pooled fit workspace runs per LML evaluation, and the
-// forward solve at the bottom of every posterior prediction.
+// refactorization a pooled fit workspace runs per LML evaluation, the
+// inverse every LML gradient starts from, and the forward solve at the
+// bottom of every posterior prediction.
 
 const paperN = 184
 
@@ -64,6 +65,19 @@ func BenchmarkCholesky184(b *testing.B) {
 		if err := c.Refactorize(a, 0, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkInverse184(b *testing.B) {
+	c, err := NewCholesky(randomSPD(rng.New(8, 184), paperN), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv, wt := NewDense(paperN, paperN, nil), NewDense(paperN, paperN, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.InverseInto(inv, wt)
 	}
 }
 

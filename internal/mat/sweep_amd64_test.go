@@ -5,13 +5,13 @@ package mat
 import (
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/simd"
 )
 
 // TestSweepVectorEnabled makes a silent fallback fail loudly: where the
-// probe finds AVX2 and FMA, the AVX2 body must take the whole
-// multiple-of-four prefix of an 11-entry sweep and leave the Go loop's
-// bits.
+// probe finds AVX2 and FMA, the AVX2 body must take the whole 11-entry
+// sweep, its three-entry tail included, and leave the Go loop's bits.
 func TestSweepVectorEnabled(t *testing.T) {
 	if !simd.AVX2FMA() {
 		t.Skip("the probe found no AVX2+FMA")
@@ -26,13 +26,46 @@ func TestSweepVectorEnabled(t *testing.T) {
 		}
 	}
 	want = dst
-	if got := subMul4Vec(dst[:], c[0][:], c[1][:], c[2][:], c[3][:], 0.7, -1.3, 2.9, 0.11); got != 8 {
-		t.Fatalf("the AVX2 body finished %d of %d entries, want 8", got, n)
+	if !subMul4Vec(dst[:], c[0][:], c[1][:], c[2][:], c[3][:], 0.7, -1.3, 2.9, 0.11) {
+		t.Fatal("the AVX2 body declined the sweep")
 	}
-	subMul4Go(want[:8], c[0][:], c[1][:], c[2][:], c[3][:], 0.7, -1.3, 2.9, 0.11)
+	subMul4Go(want[:], c[0][:], c[1][:], c[2][:], c[3][:], 0.7, -1.3, 2.9, 0.11)
 	for i := range want {
 		if !sameBits(dst[i], want[i]) {
 			t.Fatalf("entry %d: AVX2 body %v, Go loop %v", i, dst[i], want[i])
 		}
+	}
+}
+
+// TestInverseVectorEnabled makes a silent fallback of the inverse product
+// fail loudly: where the probe finds AVX2 and FMA, InverseInto must leave
+// its scratch transposed, L⁻¹ in the lower triangle, which only the AVX2
+// product's path does, and the product must have the Go loop's bits.
+func TestInverseVectorEnabled(t *testing.T) {
+	if !simd.AVX2FMA() {
+		t.Skip("the probe found no AVX2+FMA")
+	}
+	const n = 23
+	c, err := NewCholesky(randomSPD(rng.New(53, 5), n), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt := NewDense(n, n, nil)
+	c.invTransposeRows(wt, 0, n)
+	want := NewDense(n, n, nil)
+	c.invProductRows(want, wt, 0, n)
+
+	scratch := NewDense(n, n, nil)
+	got := c.InverseInto(NewDense(n, n, nil), scratch)
+	for i := 0; i < n; i++ {
+		for k := i; k < n; k++ {
+			if !sameBits(scratch.At(k, i), wt.At(i, k)) {
+				t.Fatalf("scratch (%d, %d) = %v, want L⁻¹[%d][%d] = %v: the AVX2 product did not run",
+					k, i, scratch.At(k, i), k, i, wt.At(i, k))
+			}
+		}
+	}
+	if bad := countMismatches(t, got, want, "InverseInto", false); bad != 0 {
+		t.Fatalf("%d cells differ from the Go loop", bad)
 	}
 }

@@ -32,13 +32,16 @@ func sweepOperand(stream *rng.Stream, n, salt int) []float64 {
 // bits, NaN payloads included.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkSubMul4 runs subMul4 and its Go oracle on copies of dst and
-// reports every entry whose bits differ.
+// checkSubMul4 runs the sweep as factorize dispatches it (subMul4Vec,
+// else subMul4Go) and its Go oracle on copies of dst and reports every
+// entry whose bits differ.
 func checkSubMul4(t *testing.T, dst, c0, c1, c2, c3 []float64, a0, a1, a2, a3 float64) int {
 	t.Helper()
 	got := append([]float64(nil), dst...)
 	want := append([]float64(nil), dst...)
-	subMul4(got, c0, c1, c2, c3, a0, a1, a2, a3)
+	if !subMul4Vec(got, c0, c1, c2, c3, a0, a1, a2, a3) {
+		subMul4Go(got, c0, c1, c2, c3, a0, a1, a2, a3)
+	}
 	subMul4Go(want, c0, c1, c2, c3, a0, a1, a2, a3)
 	bad := 0
 	for i := range want {
@@ -54,13 +57,34 @@ func checkSubMul4(t *testing.T, dst, c0, c1, c2, c3 []float64, a0, a1, a2, a3 fl
 }
 
 // TestSubMul4MatchesGoLoop is the sweep's oracle: over lengths 0–67, all
-// four misalignments of every operand's start, and operands laced with
-// signed zeros, subnormals, infinities and NaN, the dispatched sweep
+// four misalignments of every operand's start, operands laced with
+// signed zeros, subnormals, infinities and NaN, and columns whose entries
+// and multiplier are NaNs of different payloads, the dispatched sweep
 // (the vector body where the probe allows it) has the Go loop's bits.
 func TestSubMul4MatchesGoLoop(t *testing.T) {
 	stream := rng.New(41, 4)
 	bad, checked := 0, 0
 	for n := 0; n <= 67; n++ {
+		// Column k's multiplier and entries are NaNs of different
+		// payloads and everything else is finite, so each product of
+		// column k meets two NaNs and the entry keeps the payload of the
+		// product's first operand.
+		for k := 0; k < 4; k++ {
+			ops := make([][]float64, 5)
+			for j := range ops {
+				ops[j] = make([]float64, n)
+				for i := range ops[j] {
+					ops[j][i] = 1.5 + float64(i)
+					if j == k+1 {
+						ops[j][i] = nanPayloads[i%len(nanPayloads)]
+					}
+				}
+			}
+			a := [4]float64{0.5, 0.5, 0.5, 0.5}
+			a[k] = nanPayloads[(k+1)%len(nanPayloads)]
+			bad += checkSubMul4(t, ops[0], ops[1], ops[2], ops[3], ops[4], a[0], a[1], a[2], a[3])
+			checked += n
+		}
 		for off := 0; off < 4; off++ {
 			ops := make([][]float64, 5)
 			for j := range ops {

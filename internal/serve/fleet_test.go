@@ -2,10 +2,16 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fp"
 	"repro/internal/scenario"
 	"repro/internal/session"
@@ -220,4 +226,131 @@ func TestFleetAcceptanceYear(t *testing.T) {
 	}
 	got := runFleet(t, cfg, fB)
 	sameFleetReport(t, "migrated year", want, got)
+}
+
+// requestCounter counts the tell requests and the long-poll asks that
+// pass through it to the default transport.
+type requestCounter struct {
+	tells, waits atomic.Int64
+}
+
+func (c *requestCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch {
+	case req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/tell"):
+		c.tells.Add(1)
+	case req.Method == http.MethodGet && strings.HasSuffix(req.URL.Path, "/ask"):
+		c.waits.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// drivePerBatch is FleetRunner.drive with one tell per batch of each
+// round instead of one per round; it returns the number of batches told.
+func drivePerBatch(ctx context.Context, c *Client, id string, cons *scenario.Constrained) (int, error) {
+	batches := 0
+	for {
+		b, done, err := c.AskWait(ctx, id, time.Minute)
+		if done {
+			return batches, nil
+		}
+		if errors.Is(err, ErrNotReady) {
+			continue
+		}
+		if err != nil {
+			return batches, err
+		}
+		round := []*core.Batch{b}
+		for {
+			nb, ndone, nerr := c.Ask(ctx, id)
+			if ndone || errors.Is(nerr, ErrNotReady) {
+				break
+			}
+			if nerr != nil {
+				return batches, nerr
+			}
+			round = append(round, nb)
+		}
+		for _, rb := range round {
+			if _, err := c.Tell(ctx, id, roundResults([]*core.Batch{rb}, cons)); err != nil {
+				return batches, err
+			}
+			batches++
+		}
+	}
+}
+
+// TestFleetTellPerRoundMatchesPerBatch drives one served asynchronous day
+// twice, telling each batch of a round on its own and then, as RunDay
+// does, the whole round in one request: every X and Y must keep its bits,
+// and RunDay must send one tell per round (one per long-poll ask), fewer
+// than one per batch.
+func TestFleetTellPerRoundMatchesPerBatch(t *testing.T) {
+	ctx := context.Background()
+	cfg := fleetTestCfg(1, 1, 1, 31)
+	cfg.Opt.BatchSize = 3
+	cfg.Opt.MaxCycles = 4
+	base := uphes.DefaultConfig()
+	spec := &scenario.DaySpec{
+		Gen:          cfg.Gen,
+		Cons:         cfg.Cons,
+		Horizon:      cfg.Horizon,
+		Start:        uphes.DefaultState(&base.Plant),
+		SimLatencyNS: cfg.SimLatency,
+	}
+	served := func() (*FleetRunner, *requestCounter) {
+		c := fleetServer(t)
+		counter := &requestCounter{}
+		c.HTTPClient = &http.Client{Transport: counter}
+		return &FleetRunner{Client: c, FleetID: "tells"}, counter
+	}
+
+	perBatch, perBatchCount := served()
+	if _, err := perBatch.attach(ctx, spec, cfg.Opt); err != nil {
+		t.Fatal(err)
+	}
+	id := perBatch.SessionID(spec.Member, spec.Day)
+	_, cons, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := drivePerBatch(ctx, perBatch.Client, id, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := perBatch.Client.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	perRound, perRoundCount := served()
+	got, err := perRound.RunDay(ctx, spec, cfg.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got.X) != len(want.X) || len(got.Y) != len(want.Y) {
+		t.Fatalf("per round: %d points, %d values; per batch: %d, %d", len(got.X), len(got.Y), len(want.X), len(want.Y))
+	}
+	for i := range want.X {
+		if math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
+			t.Fatalf("Y[%d]: per round %v, per batch %v", i, got.Y[i], want.Y[i])
+		}
+		for j := range want.X[i] {
+			if math.Float64bits(got.X[i][j]) != math.Float64bits(want.X[i][j]) {
+				t.Fatalf("X[%d][%d]: per round %v, per batch %v", i, j, got.X[i][j], want.X[i][j])
+			}
+		}
+	}
+	if n := perBatchCount.tells.Load(); n != int64(batches) {
+		t.Fatalf("per-batch driver sent %d tells for %d batches", n, batches)
+	}
+	rounds, tells := perRoundCount.waits.Load(), perRoundCount.tells.Load()
+	// The last long-poll ask of a day answers done and starts no round.
+	if tells != rounds-1 {
+		t.Errorf("RunDay sent %d tells over %d long-poll asks, want one per round", tells, rounds)
+	}
+	if tells >= int64(batches) {
+		t.Errorf("RunDay sent %d tells for %d batches, want fewer", tells, batches)
+	}
+	t.Logf("%d evaluations: %d batches told one by one, %d tells one per round", len(want.Y), batches, tells)
 }

@@ -138,8 +138,10 @@ func (f *FleetRunner) recover(ctx context.Context, id string, cons *scenario.Con
 // and fetch the result. Each round long-polls one batch, drains every
 // further batch the session will hand out without waiting (asynchronous
 // sessions expose up to BatchSize in-flight slots), evaluates the round
-// locally and tells in ask order — a deterministic schedule, so a
-// re-driven session replays bit-identically.
+// locally and tells all of it in one request, in ask order — a
+// deterministic schedule, so a re-driven session replays bit-identically,
+// and the same engine calls as one tell per batch with fewer round trips
+// and snapshot writes.
 func (f *FleetRunner) RunDay(ctx context.Context, spec *scenario.DaySpec, opt scenario.OptConfig) (*core.Result, error) {
 	_, cons, err := spec.Build()
 	if err != nil {
@@ -196,15 +198,25 @@ func (f *FleetRunner) drive(ctx context.Context, id string, cons *scenario.Const
 			}
 			round = append(round, nb)
 		}
-		for _, rb := range round {
-			results := make([]session.EvalResult, len(rb.Points))
-			for m, x := range rb.Points {
-				y, cost := cons.Eval(x)
-				results[m] = session.EvalResult{BatchID: rb.ID, Member: m, Y: y, CostNS: int64(cost)}
-			}
-			if _, err := f.Client.Tell(ctx, id, results); err != nil {
-				return err
-			}
+		// One tell per round: the session forwards completed batches in
+		// ask order whatever the grouping, so the engine sees the calls a
+		// tell per batch would make, with one round trip and one durable
+		// write per round.
+		if _, err := f.Client.Tell(ctx, id, roundResults(round, cons)); err != nil {
+			return err
 		}
 	}
+}
+
+// roundResults evaluates every member of a round's batches and returns
+// the results in ask order.
+func roundResults(round []*core.Batch, cons *scenario.Constrained) []session.EvalResult {
+	var results []session.EvalResult
+	for _, b := range round {
+		for m, x := range b.Points {
+			y, cost := cons.Eval(x)
+			results = append(results, session.EvalResult{BatchID: b.ID, Member: m, Y: y, CostNS: int64(cost)})
+		}
+	}
+	return results
 }

@@ -6,14 +6,17 @@
 #   hotpath  — the steady-state prediction/acquisition benchmarks whose
 #              zero-allocation budgets DESIGN.md §9 pins, the k★ fill of
 #              a paper-size value pass (EvalRowRadial at n=184, d=12) and
-#              one UPHES expected-profit evaluation (16 scenarios)
+#              of a fleet cell's (n=96, d=24), and one UPHES
+#              expected-profit evaluation (16 scenarios)
 #   linalg   — the large-n linear algebra: ExtendCols, batched k★ fills,
 #              n=4096 prediction and fantasy, and the paper-size factor
-#              kernels: a Cholesky and a forward solve at n=184
+#              kernels: a Cholesky, an inverse and a forward solve at
+#              n=184
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes)
 #   fit      — the per-iteration LML objective cost (banded vs serial at
-#              GOMAXPROCS 1 at n=1024, pooled small-n), the whole cold fit at
+#              GOMAXPROCS 1 at n=1024, pooled small-n), its gradient half
+#              at the paper day's n=184, d=12, the whole cold fit at
 #              the paper day's n=184 (concurrent starts vs GOMAXPROCS 1),
 #              the n=4096 fantasy-chain extension, and the resident factor
 #              footprint at n=4096
@@ -26,8 +29,9 @@
 # Every row written names its host: the GOMAXPROCS the benchmark ran
 # under (from the name's -N suffix, 1 without one), the CPU from go
 # test's "cpu:" line, the Go version, and the CPU probe's verdict
-# ("avx2+fma" or "generic": which bodies the Cholesky sweep and the
-# Matérn radial pass ran, DESIGN.md §9.5), so two files can be compared.
+# ("avx2+fma" or "generic": whether the AVX2 bodies of the Cholesky
+# sweep, the inverse product, the Matérn radial and r² passes and the two
+# gradient sums ran, DESIGN.md §9.5), so two files can be compared.
 #
 # Usage:
 #   ./scripts/bench.sh          # 2 s per benchmark; rewrites BENCH_<suite>.json
@@ -40,9 +44,10 @@
 #     pair EIAcceptedStep256 (a trial, then its gradient on the trial's
 #     value pass) and the pooled small-n fit objective FitLML128 hold 0
 #     allocs/op (DESIGN.md §9). A regression means a pooled workspace or
-#     destination-passing path started allocating again. UPHESProfit and
-#     the paper-size EvalRowRadial184, Cholesky184 and ForwardSolve184
-#     run (presence only: a timing ratio flakes on a shared host).
+#     destination-passing path started allocating again. UPHESProfit,
+#     the paper-size EvalRowRadial184, Cholesky184, Inverse184 and
+#     ForwardSolve184 and the fleet-size EvalRowRadial96D24 run (presence
+#     only: a timing ratio flakes on a shared host).
 #   - snapshot: both codec benchmarks report frame-bytes, so the evidence
 #     cannot go stale; the n=1024 decode holds ≤ 100 allocs/op (the
 #     sectioned v3 layout lands at ~21 — more means a matrix path went
@@ -52,9 +57,9 @@
 #     one (GOMAXPROCS 1 and every band threshold forced off), so it may
 #     never cost more than 1.10× serial at n=1024;
 #     the n=4096 factor footprint stays at one packed triangle,
-#     n·(n+1)/2·8 = 67125248 bytes; the n=4096 fantasy chain and both
-#     n=184 whole-fit benchmarks run (presence only: a timing ratio of
-#     single iterations flakes on a shared host).
+#     n·(n+1)/2·8 = 67125248 bytes; the n=4096 fantasy chain, the n=184
+#     LML gradient half and both n=184 whole-fit benchmarks run (presence
+#     only: a timing ratio of single iterations flakes on a shared host).
 #   - async: the asynchronous protocol completes at least as many
 #     evaluations per virtual hour as the batch-synchronous one — a
 #     property of the schedules on the virtual clock, not of the host.
@@ -90,13 +95,13 @@ bench() {
 
 # Anchored names: the LargeN linalg benchmarks also contain "Predict" /
 # "Fantasize" and must not leak into the hotpath suite.
-bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$' \
+bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$|EvalRowRadial96D24$' \
     ./internal/gp/ ./internal/acq/ ./internal/uphes/ ./internal/kernel/
-bench linalg "$other" 'ExtendCols1024$|EvalRowFill|Cholesky184$|ForwardSolve184$' ./internal/mat/ ./internal/kernel/
+bench linalg "$other" 'ExtendCols1024$|EvalRowFill|Cholesky184$|Inverse184$|ForwardSolve184$' ./internal/mat/ ./internal/kernel/
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
 # The fantasy bench also runs in the linalg suite.
-bench fit "$other" 'FitLML128$|FitLML1024$|FitLML1024Serial$|FitFactorBytes4096$|LargeNFantasize4096$|FitHyper184$|FitHyper184Serial$' ./internal/gp/
+bench fit "$other" 'FitLML128$|FitLML1024$|FitLML1024Serial$|LMLGrad184$|FitFactorBytes4096$|LargeNFantasize4096$|FitHyper184$|FitHyper184Serial$' ./internal/gp/
 bench async "$other" 'VirtualThroughput$' ./internal/core/
 bench scenario "$other" 'FleetSerial$|FleetParallel$' ./internal/scenario/
 # The fleet gate's rounds: each is a go test run of its own.
@@ -201,7 +206,9 @@ for name in Predict256 PredictWithGrad256 EIEval256 EIGrad256 EIValueOnly256 EIA
 done
 present hotpath UPHESProfit ns/op
 present hotpath EvalRowRadial184 ns/op
+present hotpath EvalRowRadial96D24 ns/op
 present linalg Cholesky184 ns/op
+present linalg Inverse184 ns/op
 present linalg ForwardSolve184 ns/op
 at_most fit FitLML128 allocs/op 0
 
@@ -213,6 +220,7 @@ at_most snapshot SnapshotDecode1024 ns/op 6084544
 ratio_at_most fit FitLML1024 FitLML1024Serial ns/op 1.10
 at_most fit FitFactorBytes4096 factor-bytes 67125248
 present fit LargeNFantasize4096 ns/op
+present fit LMLGrad184 ns/op
 present fit FitHyper184 ns/op
 present fit FitHyper184Serial ns/op
 

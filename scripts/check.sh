@@ -12,8 +12,8 @@
 # named re-run of the kill-and-resume determinism tests for the
 # session/serving stack (still under -race; each named group fails if a
 # listed name matches no test), 10 s fuzz runs of the prediction
-# workspace's value-pass reuse and of both vector bodies against their
-# Go oracles, the hot-path allocation-regression tests without the race
+# workspace's value-pass reuse and of every vector body against its Go
+# oracle, the hot-path allocation-regression tests without the race
 # detector (alloc counts are only meaningful uninstrumented), a
 # single-iteration pass over every benchmark so bench code cannot rot
 # uncompiled, and one fast `bench.sh -check` pass that enforces the
@@ -22,8 +22,8 @@
 #
 # Every -race run builds with the purego tag: the race detector does not
 # see loads and stores made inside assembly, so the portable Go loops
-# keep the Cholesky sweep and the radial pass under its eye (DESIGN.md
-# §9.5).
+# keep the Cholesky sweep, the inverse product, the radial and r² passes
+# and the two gradient sums under its eye (DESIGN.md §9.5).
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -171,13 +171,19 @@ echo "== fuzz the value-pass reuse for 10 s"
 # runs with every go test.
 go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s ./internal/gp/
 
-echo "== fuzz both vector bodies against their Go oracles, 10 s each"
+echo "== fuzz every vector body against its Go oracle, 10 s each"
 # The Cholesky sweep on byte-derived operands (any bit pattern, lengths
-# 0-67, misaligned starts) and the radial pass on arbitrary r², each
+# 0-67, misaligned starts), the inverse product on byte-derived scratch,
+# the radial pass on arbitrary r², and the r² pass and the LML-trace and
+# posterior-gradient sums on byte-derived points, rows and kernels, each
 # held to the Go loop's bits; the seed corpora under each package's
 # testdata/fuzz also run with every go test.
 go test -run '^$' -fuzz '^FuzzSubMul4$' -fuzztime 10s ./internal/mat/
+go test -run '^$' -fuzz '^FuzzInverseProduct$' -fuzztime 10s ./internal/mat/
 go test -run '^$' -fuzz '^FuzzRadial$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzR2Rows$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzHyperGradSum$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzGradXSum$' -fuzztime 10s ./internal/kernel/
 
 echo "== alloc-regression tests (no race detector)"
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/core/ ./internal/scenario/
