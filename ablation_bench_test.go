@@ -1,8 +1,7 @@
 // Ablation benchmarks for the design choices called out in DESIGN.md §5:
-// the mic-q-EGO criterion mix, the multi-infill TuRBO variant the paper
-// proposes as future work, BSP-EGO's candidate oversampling factor, and
-// the subset-of-data cap on GP fitting. Each ablation runs matched short
-// UPHES optimizations and reports the final profit as a benchmark metric.
+// BSP-EGO's candidate oversampling factor, the subset-of-data cap on GP
+// fitting and the refit schedule. Each ablation runs matched short UPHES
+// optimizations and reports the final profit as a benchmark metric.
 package pbo
 
 import (
@@ -40,50 +39,6 @@ func ablationRun(b *testing.B, s core.Strategy, model core.ModelConfig, seed uin
 		b.Fatal(err)
 	}
 	return res
-}
-
-func BenchmarkAblation_MicCriteria(b *testing.B) {
-	variants := []struct {
-		name     string
-		criteria []string
-	}{
-		{"EI-only", []string{strategy.CritEI}},
-		{"EI+UCB (paper)", []string{strategy.CritEI, strategy.CritUCB}},
-		{"EI+UCB+PI", []string{strategy.CritEI, strategy.CritUCB, strategy.CritPI}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := strategy.NewMICQEGO()
-				s.Criteria = v.criteria
-				res := ablationRun(b, s, core.ModelConfig{}, 21)
-				if i == 0 {
-					fmt.Printf("mic criteria %-16s: best %8.0f EUR (%d sims)\n", v.name, res.BestY, res.Evals)
-				}
-				b.ReportMetric(res.BestY, "bestEUR")
-			}
-		})
-	}
-}
-
-func BenchmarkAblation_TuRBOMultiInfill(b *testing.B) {
-	for _, multi := range []bool{false, true} {
-		name := "qEI (paper)"
-		if multi {
-			name = "multi-infill (future work)"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := strategy.NewTuRBO()
-				s.MultiInfill = multi
-				res := ablationRun(b, s, core.ModelConfig{}, 22)
-				if i == 0 {
-					fmt.Printf("TuRBO %-26s: best %8.0f EUR (%d sims)\n", name, res.BestY, res.Evals)
-				}
-				b.ReportMetric(res.BestY, "bestEUR")
-			}
-		})
-	}
 }
 
 func BenchmarkAblation_BSPOversample(b *testing.B) {
@@ -134,29 +89,6 @@ func BenchmarkAblation_RefitEvery(b *testing.B) {
 				}
 				b.ReportMetric(res.BestY, "bestEUR")
 				b.ReportMetric(float64(res.Cycles), "cycles")
-			}
-		})
-	}
-}
-
-// BenchmarkExtension_Strategies compares the batch APs implemented beyond
-// the paper (strategy.ExtendedNames: the UCB1 acquisition portfolio)
-// against the paper's best UPHES performer on a matched short budget.
-func BenchmarkExtension_Strategies(b *testing.B) {
-	names := append([]string{"mic-q-EGO"}, strategy.ExtendedNames...)
-	for _, name := range names {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := strategy.ByName(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := ablationRun(b, s, core.ModelConfig{}, 26)
-				if i == 0 {
-					fmt.Printf("extension %-10s: best %8.0f EUR (%d sims, %d cycles)\n",
-						name, res.BestY, res.Evals, res.Cycles)
-				}
-				b.ReportMetric(res.BestY, "bestEUR")
 			}
 		})
 	}

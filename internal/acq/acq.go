@@ -1,7 +1,7 @@
 // Package acq implements the acquisition functions (infill criteria) used
 // by the paper's five batch acquisition processes: analytic Expected
-// Improvement, Upper Confidence Bound and Probability of Improvement with
-// gradients for L-BFGS optimization, and Monte-Carlo multi-point q-EI via
+// Improvement and Upper Confidence Bound with gradients for L-BFGS
+// optimization, and Monte-Carlo multi-point q-EI via
 // the reparameterization trick with fixed quasi-MC base samples (the
 // BoTorch construction used by MC-based q-EGO and TuRBO).
 //
@@ -149,78 +149,6 @@ func (u *UCB) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
 		return -mu + b*sd
 	}
 	return mu + b*sd
-}
-
-// PI is the Probability of Improvement criterion of Kushner.
-type PI struct {
-	// Best is the incumbent objective value.
-	Best float64
-	// Minimize selects the improvement direction.
-	Minimize bool
-	// Xi is an optional improvement margin.
-	Xi float64
-}
-
-// Name implements Acquisition.
-func (p *PI) Name() string { return "PI" }
-
-// Eval implements Acquisition.
-func (p *PI) Eval(g surrogate.Surrogate, x []float64) float64 {
-	mu, sd := g.Predict(x)
-	return piValue(mu, sd, p.Best, p.Minimize, p.Xi)
-}
-
-// EvalWithGrad implements Acquisition.
-func (p *PI) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64 {
-	if grad == nil {
-		mu, sd := g.PredictWithGrad(x, nil, nil)
-		return piValue(mu, sd, p.Best, p.Minimize, p.Xi)
-	}
-	s := grabGradScratch(len(x))
-	defer gradScratchPool.Put(s)
-	mu, sd := g.PredictWithGrad(x, s.dMu, s.dSD)
-	var m float64
-	if p.Minimize {
-		m = p.Best - mu - p.Xi
-	} else {
-		m = mu - p.Best - p.Xi
-	}
-	if sd < 1e-12 {
-		for j := range grad {
-			grad[j] = 0
-		}
-		if m > 0 {
-			return 1
-		}
-		return 0
-	}
-	z := m / sd
-	pdf := rng.NormPDF(z)
-	sign := 1.0
-	if p.Minimize {
-		sign = -1
-	}
-	// ∂Φ(z)/∂x = φ(z)·(sign·dμ·σ − m·dσ)/σ².
-	for j := range grad {
-		grad[j] = pdf * (sign*s.dMu[j]*sd - m*s.dSD[j]) / (sd * sd)
-	}
-	return rng.NormCDF(z)
-}
-
-func piValue(mu, sd, best float64, minimize bool, xi float64) float64 {
-	var m float64
-	if minimize {
-		m = best - mu - xi
-	} else {
-		m = mu - best - xi
-	}
-	if sd < 1e-12 {
-		if m > 0 {
-			return 1
-		}
-		return 0
-	}
-	return rng.NormCDF(m / sd)
 }
 
 // QEI is the Monte-Carlo multi-point Expected Improvement

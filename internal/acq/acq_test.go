@@ -101,32 +101,6 @@ func TestUCBGradFiniteDiff(t *testing.T) {
 	}
 }
 
-func TestPIGradFiniteDiff(t *testing.T) {
-	g := fit1D(t, 0.1, 0.35, 0.6, 0.85)
-	p := &PI{Best: 0.1, Minimize: true}
-	grad := make([]float64, 1)
-	for _, x0 := range []float64{0.3, 0.55, 0.75} {
-		x := []float64{x0}
-		p.EvalWithGrad(g, x, grad)
-		const h = 1e-6
-		num := (p.Eval(g, []float64{x0 + h}) - p.Eval(g, []float64{x0 - h})) / (2 * h)
-		if math.Abs(num-grad[0]) > 1e-4*(1+math.Abs(num)) {
-			t.Fatalf("PI grad %v, fd %v", grad[0], num)
-		}
-	}
-}
-
-func TestPIInUnitInterval(t *testing.T) {
-	g := fit1D(t, 0.1, 0.5, 0.9)
-	p := &PI{Best: bestMin(g), Minimize: true}
-	for i := 0; i <= 20; i++ {
-		v := p.Eval(g, []float64{float64(i) / 20})
-		if v < 0 || v > 1 {
-			t.Fatalf("PI = %v outside [0,1]", v)
-		}
-	}
-}
-
 func TestUCBExplorationWeight(t *testing.T) {
 	g := fit1D(t, 0.4, 0.5, 0.6)
 	// Far from data the sd dominates: larger beta must increase UCB more

@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-// TestAcqValueOnlyBits: EI, UCB, PI and their feasibility-weighted forms
+// TestAcqValueOnlyBits: EI, UCB and their feasibility-weighted forms
 // return the full call's bits when asked for the value only, over a
 // plain GP at random points, at training points — where the fixture's
 // 1e-18 noise puts the posterior variance under PredictWithGrad's clamp —
@@ -37,10 +37,8 @@ func TestAcqValueOnlyBits(t *testing.T) {
 		&EI{Best: best, Xi: 0.01},
 		&UCB{Minimize: true},
 		&UCB{Beta: 0.5},
-		&PI{Best: best, Minimize: true},
-		&PI{Best: best},
 	}
-	for _, b := range criteria[:6] {
+	for _, b := range criteria[:4] {
 		criteria = append(criteria, &FeasibilityWeighted{Base: b, Model: linPoF{}})
 	}
 	grad := make([]float64, len(lo))

@@ -586,8 +586,8 @@ func runAskTell(ctx context.Context, at *AskTell) (*Result, error) {
 
 // StrategyCheckpointer is an optional Strategy capability: strategies
 // whose internal state evolves across cycles (TuRBO's trust region,
-// BSP-EGO's partition tree, the portfolio's arm statistics) implement it
-// so a resumed run replays byte-for-byte. Stateless strategies need not.
+// BSP-EGO's partition tree) implement it so a resumed run replays
+// byte-for-byte. Stateless strategies need not.
 type StrategyCheckpointer interface {
 	// StrategyState serializes the run-specific state.
 	StrategyState() ([]byte, error)

@@ -201,9 +201,11 @@ func (c *Checkpoint) MarshalSections() ([]byte, [][]float64, error) {
 // section backing — one slice-header array instead of an allocation per
 // row. Safe because ResumeAskTell deep-clones every checkpoint matrix it
 // takes. A zero-row matrix decodes to nil, matching the nil the encoder
-// saw (cloneMatrix preserves nil).
+// saw (cloneMatrix preserves nil). rows and cols come from the frame's
+// JSON shell, so they are held to the section's length before rows sizes
+// an allocation: a negative count, or rows of width 0, is corrupt.
 func unflattenMatrix(flat []float64, rows, cols int) ([][]float64, error) {
-	if len(flat) != rows*cols {
+	if rows < 0 || cols < 0 || rows > 0 && (cols == 0 || rows > len(flat)/cols) || rows*cols != len(flat) {
 		return nil, fmt.Errorf("core: section holds %d values, want %d×%d", len(flat), rows, cols)
 	}
 	if rows == 0 {

@@ -62,7 +62,7 @@ func (m smoothPoF) PoFWithGrad(x, grad []float64) float64 {
 }
 
 // TestPenaltyValueOnlyBits: the busy-point penalty's value-only
-// PredictWithGrad returns the full call's bits, and so do EI, UCB, PI and
+// PredictWithGrad returns the full call's bits, and so do EI, UCB and
 // their feasibility-weighted forms over the penalized surrogate. The
 // fixture must hold points where Predict's sd differs from the full
 // call's, so a value-only path that delegated to Predict (or built ψ
@@ -87,7 +87,7 @@ func TestPenaltyValueOnlyBits(t *testing.T) {
 	}
 
 	_, _, best := ps.BestObserved(true)
-	base := []acq.Acquisition{&acq.EI{Best: best, Minimize: true}, &acq.UCB{Minimize: true}, &acq.PI{Best: best, Minimize: true}}
+	base := []acq.Acquisition{&acq.EI{Best: best, Minimize: true}, &acq.UCB{Minimize: true}}
 	criteria := append([]acq.Acquisition(nil), base...)
 	for _, b := range base {
 		criteria = append(criteria, &acq.FeasibilityWeighted{Base: b, Model: smoothPoF{}})

@@ -26,13 +26,6 @@ import (
 	"repro/internal/surrogate"
 )
 
-// parallelJointN is the training-set size at which PredictJoint splits
-// its q independent fill+solve columns over parallel.Compute.
-// Below it the forward solves are too cheap to amortize the fan-out. A
-// variable (not a const) so bit-identity tests can force both branches
-// on small fixtures.
-var parallelJointN = 4096
-
 // gramParallelN is the fitted-set size at which gramInto splits its row
 // fill into parallel.ForEachBand bands. The split is bit-safe at every
 // size — each band writes disjoint cells and the batched row fill is
@@ -673,7 +666,7 @@ func (g *GP) Predict(x []float64) (mean, sd float64) {
 	ws := g.ws.Get().(*predictWorkspace)
 	ws.valueOK = false
 	g.normalizeInto(ws.u, x)
-	kernel.EvalRowAuto(g.kern, ws.ks, ws.u, g.x.Data())
+	g.kern.EvalRow(ws.ks, ws.u, g.x.Data())
 	mu := mat.Dot(ws.ks, g.alpha)
 	g.chol.ForwardSolveVecInto(ws.v, ws.ks)
 	variance := g.kern.Eval(ws.u, ws.u) - mat.Dot(ws.v, ws.v)
@@ -736,7 +729,7 @@ func sameBits(a, b []float64) bool {
 // solve, the standardized mean and the sd with the variance clamped at
 // 1e-300.
 func (g *GP) posteriorValue(ws *predictWorkspace) {
-	kernel.EvalRowRadialAuto(g.kern, ws.ks, ws.dphi, ws.u, g.x.Data())
+	g.kern.EvalRowRadial(ws.ks, ws.dphi, ws.u, g.x.Data())
 	g.chol.ForwardSolveVecInto(ws.v, ws.ks) // L⁻¹ k*
 	ws.mu = mat.Dot(ws.ks, g.alpha)         // standardized mean
 	variance := g.kern.Eval(ws.u, ws.u) - mat.Dot(ws.v, ws.v)
@@ -783,32 +776,15 @@ func (g *GP) PredictJoint(xs [][]float64) (*JointPrediction, error) {
 	}
 	mean := make([]float64, q)
 	vstore := mat.NewDense(q, n, nil) // row i holds L⁻¹ k*(x_i)
-	if n >= parallelJointN && q > 1 {
-		// Large-n batch path: the q fill+solve columns are independent, so
-		// split them over the budgeted fan-out. Row i's k★ lands in
-		// vstore.Row(i) and is forward-solved in place (ForwardSolveVecInto
-		// permits dst aliasing b), so no scratch is shared between
-		// iterations and the result is bitwise-identical to the serial
-		// loop below.
-		if err := parallel.Compute(context.Background(), 0, q, func(i int) {
-			row := vstore.Row(i)
-			g.kern.EvalRow(row, ustore.Row(i), g.x.Data())
-			mean[i] = g.ymean + g.ystd*mat.Dot(row, g.alpha)
-			g.chol.ForwardSolveVecInto(row, row)
-		}); err != nil {
-			panic(err) // unreachable: the background context is never cancelled
-		}
-	} else {
-		ws := g.ws.Get().(*predictWorkspace)
-		ws.valueOK = false
-		ks := ws.ks
-		for i := 0; i < q; i++ {
-			kernel.EvalRowAuto(g.kern, ks, ustore.Row(i), g.x.Data())
-			mean[i] = g.ymean + g.ystd*mat.Dot(ks, g.alpha)
-			g.chol.ForwardSolveVecInto(vstore.Row(i), ks)
-		}
-		g.ws.Put(ws)
+	ws := g.ws.Get().(*predictWorkspace)
+	ws.valueOK = false
+	ks := ws.ks
+	for i := 0; i < q; i++ {
+		g.kern.EvalRow(ks, ustore.Row(i), g.x.Data())
+		mean[i] = g.ymean + g.ystd*mat.Dot(ks, g.alpha)
+		g.chol.ForwardSolveVecInto(vstore.Row(i), ks)
 	}
+	g.ws.Put(ws)
 	cov := mat.NewDense(q, q, nil)
 	for i := 0; i < q; i++ {
 		for j := 0; j <= i; j++ {
@@ -841,7 +817,7 @@ func (g *GP) Fantasize(x []float64, y float64) (surrogate.Surrogate, error) {
 	// so the batched kernel row fills it directly (k is symmetric, bitwise)
 	// and ExtendCols consumes it without any transpose pass.
 	bcol := make([]float64, n)
-	kernel.EvalRowAuto(g.kern, bcol, u, g.x.Data())
+	g.kern.EvalRow(bcol, u, g.x.Data())
 	cc := mat.NewDense(1, 1, nil)
 	cc.Set(0, 0, g.kern.Eval(u, u)+g.noise)
 	ext, err := g.chol.ExtendCols(bcol, cc)

@@ -58,7 +58,7 @@ func TestConstrainedValueOnlyBits(t *testing.T) {
 		}
 	}
 	_, _, best := cs.BestObserved(false)
-	for _, base := range []acq.Acquisition{&acq.EI{Best: best}, &acq.UCB{}, &acq.PI{Best: best}, &acq.UCB{Minimize: true}} {
+	for _, base := range []acq.Acquisition{&acq.EI{Best: best}, &acq.UCB{}, &acq.UCB{Minimize: true}} {
 		a := acq.Weighted(base, cs)
 		if _, ok := a.(*acq.FeasibilityWeighted); !ok {
 			t.Fatalf("%s over the constrained composite is not feasibility-weighted", base.Name())

@@ -56,8 +56,8 @@ type SessionSpec struct {
 	// must match [A-Za-z0-9._-]+.
 	ID      string      `json:"id"`
 	Problem ProblemSpec `json:"problem"`
-	// Strategy is a registry name: one of strategy.Names, or "Portfolio"
-	// (strategy.ExtendedNames). A name the registry does not know fails
+	// Strategy is a registry name: one of strategy.Names or an alias
+	// strategy.ByName accepts. A name the registry does not know fails
 	// create and resume alike with "strategy: unknown strategy".
 	Strategy string `json:"strategy"`
 	// Mode selects the engine protocol: "" or "sync" for the

@@ -230,6 +230,12 @@ func splitPayload(payload []byte) (shell []byte, sections [][]float64, err error
 	}
 	nsec := binary.BigEndian.Uint32(rest)
 	rest = rest[4:]
+	// Every section carries at least its own 8-byte count, so a count
+	// the remaining bytes cannot hold is rejected before it sizes an
+	// allocation: 2³²−1 section headers would ask for 96 GiB at once.
+	if uint64(nsec) > uint64(len(rest))/8 {
+		return nil, nil, fmt.Errorf("%w: section count %d overruns the %d bytes left", ErrCorrupt, nsec, len(rest))
+	}
 	sections = make([][]float64, nsec)
 	for i := range sections {
 		if len(rest) < 8 {

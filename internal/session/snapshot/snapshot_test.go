@@ -246,6 +246,9 @@ func TestDecodeV3RejectsInconsistentSections(t *testing.T) {
 			binary.BigEndian.PutUint32(p[4+slen:], 7)
 			return p
 		},
+		"section count 2^32-1 under an empty shell": func([]byte) []byte {
+			return []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
+		},
 		"trailing bytes after sections": func(p []byte) []byte {
 			return append(p, 0xde, 0xad)
 		},

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,6 +109,142 @@ func TestStrategyKillAndResume(t *testing.T) {
 
 				if !reflect.DeepEqual(ref, got) {
 					t.Fatalf("resume after tell %d diverged from uninterrupted run:\nref %+v\ngot %+v", k, ref, got)
+				}
+			}
+		})
+	}
+}
+
+// asyncEngine is the golden engine in the asynchronous mode (BatchSize
+// points in flight, one point per ask, busy points fantasized) run for 12
+// cycles rather than 3, so later asks read the state that earlier tells
+// evolved.
+func asyncEngine(s core.Strategy) *core.Engine {
+	e := checkpointEngine(s)
+	e.Mode = core.Asynchronous
+	e.MaxCycles = 12
+	return e
+}
+
+// driveAsyncLIFO is the deterministic LIFO drive of the asynchronous
+// schedule (fill all free slots, tell the newest pending point) from the
+// strategy layer's vantage, stopping after stopAfter asks and tells
+// (< 0 runs to completion).
+func driveAsyncLIFO(t *testing.T, e *core.Engine, at *core.AskTell, stopAfter int) (*core.Result, bool) {
+	t.Helper()
+	ctx := context.Background()
+	ops := 0
+	boundary := func() bool { ops++; return stopAfter >= 0 && ops == stopAfter }
+	for {
+		filling := true
+		for filling {
+			_, err := at.Ask(ctx)
+			switch {
+			case err == nil:
+				if boundary() {
+					return nil, false
+				}
+			case errors.Is(err, core.ErrNoBatchReady), errors.Is(err, core.ErrDone):
+				filling = false
+			default:
+				t.Fatal(err)
+			}
+		}
+		pend := at.Pending()
+		if len(pend) == 0 {
+			if !at.Done() {
+				t.Fatal("no pending work but run not done")
+			}
+			return at.Result(), true
+		}
+		b := pend[len(pend)-1]
+		br, err := e.Pool.EvalBatch(ctx, e.Problem.Evaluator, b.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
+			t.Fatal(err)
+		}
+		if boundary() {
+			return nil, false
+		}
+	}
+}
+
+// TestStatefulStrategyAsyncKillAndResume: TuRBO's trust region and
+// BSP-EGO's partition ride the engine checkpoint in the asynchronous mode
+// too, so a run killed mid-flight — with fantasized points outstanding —
+// and resumed from the JSON round-tripped checkpoint finishes
+// bit-identical to the uninterrupted reference. At every boundary the
+// checkpointed state must differ from a fresh instance's, or the resume
+// would prove nothing about the codec.
+func TestStatefulStrategyAsyncKillAndResume(t *testing.T) {
+	for _, name := range []string{"TuRBO", "BSP-EGO"} {
+		t.Run(name, func(t *testing.T) {
+			refEngine := asyncEngine(mustByName(t, name))
+			refAT, err := core.NewAskTell(refEngine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refAT.SetNow(detNow())
+			ref, done := driveAsyncLIFO(t, refEngine, refAT, -1)
+			if !done {
+				t.Fatal("reference run stopped early")
+			}
+			fresh, err := mustByName(t, name).(core.StrategyCheckpointer).StrategyState()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Boundaries straddle the design/cycle transition: 13 and 14
+			// are the first two cycle asks (one then two points
+			// mid-flight, replacement proposals conditioned on
+			// fantasies) and 16 the third. By 26 TuRBO's region has
+			// doubled, so a resume that lost its state would propose
+			// from a different box: dropping RestoreStrategyState's
+			// assignment fails this boundary alone. BSP-EGO's state
+			// cannot steer an async run: an ask proposes one point, and
+			// the split-without-merge that follows leaves three leaves
+			// where the next ask wants two, so every ask rebuilds the
+			// partition.
+			for _, k := range []int{13, 14, 16, 26} {
+				e1 := asyncEngine(mustByName(t, name))
+				at1, err := core.NewAskTell(e1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at1.SetNow(detNow())
+				if _, done := driveAsyncLIFO(t, e1, at1, k); done {
+					t.Fatalf("boundary %d: run completed before checkpoint", k)
+				}
+				cp, err := at1.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(cp.StrategyState, fresh) {
+					t.Fatalf("boundary %d: checkpointed state %s equals a fresh instance's", k, cp.StrategyState)
+				}
+				data, err := json.Marshal(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cp2 core.Checkpoint
+				if err := json.Unmarshal(data, &cp2); err != nil {
+					t.Fatal(err)
+				}
+
+				e2 := asyncEngine(mustByName(t, name))
+				at2, err := core.ResumeAskTell(e2, &cp2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at2.SetNow(detNow())
+				got, done := driveAsyncLIFO(t, e2, at2, -1)
+				if !done {
+					t.Fatal("resumed run stopped early")
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("async resume at op %d diverged:\nref %+v\ngot %+v", k, ref, got)
 				}
 			}
 		})

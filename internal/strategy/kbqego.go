@@ -18,8 +18,6 @@ import (
 type KBQEGO struct {
 	// Opt configures the inner EI optimization.
 	Opt AFOpt
-	// Xi is the EI exploration offset (0 = classical EI).
-	Xi float64
 }
 
 // NewKBQEGO returns the strategy with default inner optimization.
@@ -43,7 +41,7 @@ func (s *KBQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *cor
 	// model predicts better-than-observed values at selected points.
 	best := st.BestY
 	for i := 0; i < q; i++ {
-		ei := &acq.EI{Best: best, Minimize: p.Minimize, Xi: s.Xi}
+		ei := &acq.EI{Best: best, Minimize: p.Minimize}
 		x, _ := s.Opt.Maximize(ctx, cur, ei, p.Lo, p.Hi, incumbent(st), stream.Split(uint64(i)))
 		batch = append(batch, x)
 		if i == q-1 {

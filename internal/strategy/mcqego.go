@@ -17,21 +17,10 @@ import (
 // difference gradients — the MC estimator has no cheap analytic gradient
 // in this stack). As the paper notes, the q·d inner problem is what makes
 // this AP expensive for large batches.
-type MCQEGO struct {
-	// Samples is the number of MC base samples (default 64).
-	Samples int
-	// Starts is the number of joint restarts (default 2).
-	Starts int
-	// EvalBudget caps the total number of q-EI evaluations per proposal
-	// (default 1500). Because a finite-difference gradient costs 2·q·d
-	// evaluations, the effective number of L-BFGS iterations shrinks as
-	// the batch grows — the joint inner problem genuinely gets harder
-	// with q, which is the paper's central scalability observation.
-	EvalBudget int
-}
+type MCQEGO struct{}
 
-// NewMCQEGO returns the default configuration.
-func NewMCQEGO() *MCQEGO { return &MCQEGO{Samples: 64, Starts: 2, EvalBudget: 1500} }
+// NewMCQEGO returns the strategy.
+func NewMCQEGO() *MCQEGO { return &MCQEGO{} }
 
 // Name implements core.Strategy.
 func (s *MCQEGO) Name() string { return "MC-based q-EGO" }
@@ -44,33 +33,34 @@ func (s *MCQEGO) Observe(*core.State, [][]float64, []float64) {}
 
 // Propose implements core.Strategy.
 func (s *MCQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *core.State, q int, stream *rng.Stream) ([][]float64, error) {
-	return proposeJointQEI(ctx, model, st, q, st.Problem.Lo, st.Problem.Hi,
-		s.Samples, s.Starts, s.EvalBudget, stream)
+	return proposeJointQEI(ctx, model, st, q, st.Problem.Lo, st.Problem.Hi, stream)
 }
+
+// The joint q-EI optimization's settings, shared by MC-based q-EGO and
+// TuRBO: jointSamples MC base samples, jointStarts Sobol restarts (plus
+// one anchored at the incumbent), and a cap of jointEvalBudget q-EI
+// evaluations per proposal. Because a finite-difference gradient costs
+// 2·q·d evaluations, the number of L-BFGS iterations the cap allows
+// shrinks as the batch grows — the joint inner problem genuinely gets
+// harder with q, which is the paper's central scalability observation.
+const (
+	jointSamples    = 64
+	jointStarts     = 2
+	jointEvalBudget = 1500
+)
 
 // proposeJointQEI optimizes MC q-EI jointly over a (possibly restricted)
 // box — shared by MC-based q-EGO (full domain) and TuRBO (trust region).
-func proposeJointQEI(ctx context.Context, model surrogate.Surrogate, st *core.State, q int, lo, hi []float64,
-	samples, starts, evalBudget int, stream *rng.Stream) ([][]float64, error) {
-
+func proposeJointQEI(ctx context.Context, model surrogate.Surrogate, st *core.State, q int, lo, hi []float64, stream *rng.Stream) ([][]float64, error) {
 	p := st.Problem
 	d := p.Dim()
-	if samples <= 0 {
-		samples = 64
-	}
-	if starts <= 0 {
-		starts = 2
-	}
-	if evalBudget <= 0 {
-		evalBudget = 1500
-	}
 	// One finite-difference gradient costs 2·q·d evaluations plus a few
 	// line-search probes; divide the budget into iterations accordingly.
-	maxIter := evalBudget / ((starts + 1) * (2*q*d + 8))
+	maxIter := jointEvalBudget / ((jointStarts + 1) * (2*q*d + 8))
 	if maxIter < 3 {
 		maxIter = 3
 	}
-	qei := acq.NewQEI(q, samples, st.BestY, p.Minimize, stream.Split(0))
+	qei := acq.NewQEI(q, jointSamples, st.BestY, p.Minimize, stream.Split(0))
 	flat := qei.FlatObjective(model, d)
 	// Constraint-aware runs weight the joint criterion by the product of
 	// per-point feasibility probabilities (the independence approximation
@@ -89,13 +79,13 @@ func proposeJointQEI(ctx context.Context, model surrogate.Surrogate, st *core.St
 	// Starts: Sobol batches plus one batch anchored at the incumbent with
 	// Sobol fill — mirroring BoTorch's batch_initial_conditions heuristic.
 	startStream := stream.Split(1)
-	flatStarts := make([][]float64, 0, starts+1)
-	for k := 0; k < starts; k++ {
+	flatStarts := make([][]float64, 0, jointStarts+1)
+	for k := 0; k < jointStarts; k++ {
 		pts := rng.SobolDesign(q, lo, hi, startStream.Split(uint64(k)))
 		flatStarts = append(flatStarts, flatten(pts, d))
 	}
 	if st.BestX != nil {
-		pts := rng.SobolDesign(q, lo, hi, startStream.Split(uint64(starts)))
+		pts := rng.SobolDesign(q, lo, hi, startStream.Split(uint64(jointStarts)))
 		copy(pts[0], clampVec(st.BestX, lo, hi))
 		flatStarts = append(flatStarts, flatten(pts, d))
 	}

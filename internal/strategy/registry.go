@@ -16,9 +16,6 @@ var (
 	_ core.Strategy = (*MCQEGO)(nil)
 	_ core.Strategy = (*BSPEGO)(nil)
 	_ core.Strategy = (*TuRBO)(nil)
-	_ core.Strategy = (*Portfolio)(nil)
-
-	_ core.StrategyCheckpointer = (*Portfolio)(nil)
 )
 
 // ByName constructs a fresh strategy from its paper name.
@@ -34,16 +31,9 @@ func ByName(name string) (core.Strategy, error) {
 		return NewBSPEGO(), nil
 	case "TuRBO", "turbo":
 		return NewTuRBO(), nil
-	case "Portfolio", "portfolio", "aph":
-		return NewPortfolio(), nil
 	}
 	return nil, fmt.Errorf("strategy: unknown strategy %q", name)
 }
-
-// ExtendedNames lists the batch APs implemented beyond the paper's five:
-// the UCB1 acquisition portfolio in the spirit of aphBO-2GP-3B, the natural
-// partner of the asynchronous engine mode.
-var ExtendedNames = []string{"Portfolio"}
 
 // All returns fresh instances of the five strategies under comparison.
 func All() []core.Strategy {

@@ -22,25 +22,16 @@ import (
 // ("inner optimization"): multi-start bounded L-BFGS, as BoTorch's
 // optimize_acqf does with L-BFGS-B.
 type AFOpt struct {
-	// Starts is the number of Sobol restarts (default 8).
+	// Starts is the number of Sobol restarts (4 in DefaultAFOpt, 2 in
+	// BSP-EGO's per-leaf searches).
 	Starts int
-	// MaxIter bounds L-BFGS iterations per start (default 60).
+	// MaxIter bounds L-BFGS iterations per start (40 in DefaultAFOpt, 30
+	// in BSP-EGO's).
 	MaxIter int
 }
 
 // DefaultAFOpt returns the standard inner-optimization configuration.
 func DefaultAFOpt() AFOpt { return AFOpt{Starts: 4, MaxIter: 40} }
-
-func (o AFOpt) defaults() AFOpt {
-	d := o
-	if d.Starts <= 0 {
-		d.Starts = 8
-	}
-	if d.MaxIter <= 0 {
-		d.MaxIter = 60
-	}
-	return d
-}
 
 // Maximize finds argmax of the acquisition function over [lo, hi] using
 // multi-start L-BFGS with the model's gradient information. Anchors (e.g.
@@ -58,7 +49,6 @@ func (o AFOpt) defaults() AFOpt {
 // unconstrained runs (and their golden traces) are untouched.
 func (o AFOpt) Maximize(ctx context.Context, m surrogate.Surrogate, af acq.Acquisition, lo, hi []float64, anchors [][]float64, stream *rng.Stream) ([]float64, float64) {
 	af = acq.Weighted(af, m)
-	cfg := o.defaults()
 	// A line-search trial's nil grad passes through: the criterion then
 	// returns its value only, and the negation loop has nothing to do.
 	obj := func(x, grad []float64) float64 {
@@ -68,8 +58,8 @@ func (o AFOpt) Maximize(ctx context.Context, m surrogate.Surrogate, af acq.Acqui
 		}
 		return -v
 	}
-	starts := optim.DefaultStarts(cfg.Starts, anchors, lo, hi, stream)
-	ms := &optim.MultiStart{Local: &optim.LBFGSB{MaxIter: cfg.MaxIter, GTol: 1e-7}}
+	starts := optim.DefaultStarts(o.Starts, anchors, lo, hi, stream)
+	ms := &optim.MultiStart{Local: &optim.LBFGSB{MaxIter: o.MaxIter, GTol: 1e-7}}
 	res := ms.Run(ctx, optim.Shared(obj), starts, lo, hi)
 	return res.X, -res.F
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acq"
 	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/parallel"
@@ -121,18 +122,26 @@ func TestKBProposalsNearPredictedOptimum(t *testing.T) {
 	}
 }
 
+// TestMICUsesConfiguredCriteria: a round proposes the paper's two
+// criteria on one model state, the EI maximizer on the cycle stream's
+// first split, then the UCB (β = 2) maximizer on its second.
 func TestMICUsesConfiguredCriteria(t *testing.T) {
+	p := sphereProblem()
+	m, st := fitState(t, p, 16)
 	s := NewMICQEGO()
-	if len(s.Criteria) != 2 || s.Criteria[0] != CritEI || s.Criteria[1] != CritUCB {
-		t.Fatalf("default criteria = %v", s.Criteria)
+	ctx := context.Background()
+	batch, err := s.Propose(ctx, m, st, 2, rng.New(11, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.criterion("bogus", 0, true); err == nil {
-		t.Fatal("expected error for unknown criterion")
-	}
-	for _, name := range []string{CritEI, CritUCB, CritPI} {
-		af, err := s.criterion(name, 1, true)
-		if err != nil || af == nil {
-			t.Fatalf("criterion %s: %v", name, err)
+	ref := rng.New(11, 3)
+	ei, _ := s.Opt.Maximize(ctx, m, &acq.EI{Best: st.BestY, Minimize: true}, p.Lo, p.Hi, incumbent(st), ref.Split(0))
+	ucb, _ := s.Opt.Maximize(ctx, m, &acq.UCB{Beta: 2, Minimize: true}, p.Lo, p.Hi, incumbent(st), ref.Split(1))
+	for i, want := range [][]float64{ei, ucb} {
+		for j := range want {
+			if math.Float64bits(batch[i][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("point %d = %v, want %v", i, batch[i], want)
+			}
 		}
 	}
 }
@@ -218,8 +227,7 @@ func TestTuRBOTrustRegionContainsIncumbentAndShrinks(t *testing.T) {
 	}
 	// Failures shrink the region.
 	l0 := s.length
-	_, _, _, _, failTol := s.params(p.Dim(), 2)
-	for i := 0; i < failTol; i++ {
+	for i := 0; i < max(4, p.Dim()/2); i++ {
 		s.Observe(st, [][]float64{{2, 2}}, []float64{999}) // no improvement
 	}
 	if s.length >= l0 {
@@ -252,28 +260,14 @@ func TestTuRBORestartOnCollapse(t *testing.T) {
 	s := NewTuRBO()
 	s.Reset()
 	s.haveState = true
-	s.length = math.Pow(0.5, 7) * 1.5 // just above LMin
-	_, _, _, _, failTol := s.params(p.Dim(), 2)
-	for i := 0; i < failTol; i++ {
+	s.length = turboLMin * 1.5
+	for i := 0; i < max(4, p.Dim()/2); i++ {
 		s.Observe(st, [][]float64{{2, 2}}, []float64{999})
 	}
 	// One halving pushes below LMin and triggers the restart.
 	if s.length != 0.8 {
 		t.Fatalf("expected restart to 0.8, got %v", s.length)
 	}
-}
-
-func TestTuRBOMultiInfillVariant(t *testing.T) {
-	p := sphereProblem()
-	m, st := fitState(t, p, 16)
-	s := NewTuRBO()
-	s.MultiInfill = true
-	s.Reset()
-	batch, err := s.Propose(context.Background(), m, st, 4, rng.New(10, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inBounds(t, p, batch, 4)
 }
 
 func TestRegistry(t *testing.T) {
@@ -288,7 +282,7 @@ func TestRegistry(t *testing.T) {
 	}
 	// "nope", plus the names and aliases of strategies the package no
 	// longer provides: a spec naming one of them must fail loudly.
-	for _, name := range []string{"nope", "TS-RFF", "ts-rff", "ts", "LP-EGO", "lp-ego", "lp", "BNN-GA", "bnn-ga", "bnn"} {
+	for _, name := range []string{"nope", "TS-RFF", "ts-rff", "ts", "LP-EGO", "lp-ego", "lp", "BNN-GA", "bnn-ga", "bnn", "Portfolio", "portfolio", "aph"} {
 		if _, err := ByName(name); err == nil {
 			t.Fatalf("ByName(%q) accepted an unknown strategy", name)
 		}

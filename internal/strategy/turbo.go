@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/acq"
 	"repro/internal/core"
 	"repro/internal/fp"
 	"repro/internal/rng"
@@ -16,34 +15,29 @@ import (
 // per-dimension side lengths are shaped by the GP's ARD lengthscales while
 // preserving total volume L^d — inside which a batch is selected with
 // Monte-Carlo q-EI, exactly as MC-based q-EGO does on the full domain.
-// The base length L expands after consecutive improving cycles and shrinks
-// after consecutive failures; when it collapses below LMin the region is
-// re-initialized ("restart").
+// The base length L starts at turboLInit and doubles (up to turboLMax)
+// after turboSuccTol consecutive improving cycles, halves after
+// max(4, d/q) consecutive failures, and re-initializes ("restart") when
+// it collapses below turboLMin.
 type TuRBO struct {
-	// Samples, Starts, EvalBudget configure the inner joint q-EI
-	// optimization (defaults as MCQEGO).
-	Samples, Starts, EvalBudget int
-	// LInit, LMin, LMax control the base side length on the normalized
-	// unit cube (defaults 0.8, 0.5^7, 1.6 — Eriksson et al.).
-	LInit, LMin, LMax float64
-	// SuccTol and FailTol are the consecutive-success/failure counts
-	// triggering expansion/shrinkage (defaults 3 and max(4, d/q)).
-	SuccTol, FailTol int
-	// MultiInfill switches the inner AP from joint q-EI to the mic-style
-	// EI+UCB sequential fill — the "multi-infill-criterion TuRBO" the
-	// paper's §4 proposes as future work.
-	MultiInfill bool
-
 	length    float64
 	succ      int
 	fail      int
 	haveState bool
 }
 
+// Trust-region constants of Eriksson et al. on the normalized unit cube:
+// the initial, minimum and maximum base side lengths, and the
+// consecutive-success count that triggers expansion.
+const (
+	turboLInit   = 0.8
+	turboLMin    = 0.0078125 // 0.5⁷
+	turboLMax    = 1.6
+	turboSuccTol = 3
+)
+
 // NewTuRBO returns the paper's single-trust-region configuration.
-func NewTuRBO() *TuRBO {
-	return &TuRBO{Samples: 64, Starts: 2, EvalBudget: 1500}
-}
+func NewTuRBO() *TuRBO { return &TuRBO{} }
 
 // Name implements core.Strategy.
 func (s *TuRBO) Name() string { return "TuRBO" }
@@ -51,33 +45,6 @@ func (s *TuRBO) Name() string { return "TuRBO" }
 // Reset implements core.Strategy.
 func (s *TuRBO) Reset() {
 	s.length, s.succ, s.fail, s.haveState = 0, 0, 0, false
-}
-
-func (s *TuRBO) params(d, q int) (lInit, lMin, lMax float64, succTol, failTol int) {
-	lInit = s.LInit
-	if lInit <= 0 {
-		lInit = 0.8
-	}
-	lMin = s.LMin
-	if lMin <= 0 {
-		lMin = math.Pow(0.5, 7)
-	}
-	lMax = s.LMax
-	if lMax <= 0 {
-		lMax = 1.6
-	}
-	succTol = s.SuccTol
-	if succTol <= 0 {
-		succTol = 3
-	}
-	failTol = s.FailTol
-	if failTol <= 0 {
-		failTol = d / q
-		if failTol < 4 {
-			failTol = 4
-		}
-	}
-	return lInit, lMin, lMax, succTol, failTol
 }
 
 // lengthscaler is the optional surrogate capability TuRBO uses to shape
@@ -134,50 +101,12 @@ func (s *TuRBO) trustRegion(model surrogate.Surrogate, st *core.State) (lo, hi [
 
 // Propose implements core.Strategy.
 func (s *TuRBO) Propose(ctx context.Context, model surrogate.Surrogate, st *core.State, q int, stream *rng.Stream) ([][]float64, error) {
-	p := st.Problem
-	lInit, _, _, _, _ := s.params(p.Dim(), q)
 	if !s.haveState {
-		s.length = lInit
+		s.length = turboLInit
 		s.haveState = true
 	}
 	lo, hi := s.trustRegion(model, st)
-	if s.MultiInfill {
-		return s.proposeMultiInfill(ctx, model, st, q, lo, hi, stream)
-	}
-	return proposeJointQEI(ctx, model, st, q, lo, hi, s.Samples, s.Starts, s.EvalBudget, stream)
-}
-
-// proposeMultiInfill runs the EI+UCB sequential fill restricted to the
-// trust region (extension experiment).
-func (s *TuRBO) proposeMultiInfill(ctx context.Context, model surrogate.Surrogate, st *core.State, q int, lo, hi []float64, stream *rng.Stream) ([][]float64, error) {
-	p := st.Problem
-	opt := DefaultAFOpt()
-	batch := make([][]float64, 0, q)
-	cur := model
-	best := st.BestY
-	for i := 0; i < q; i++ {
-		var af acq.Acquisition
-		if i%2 == 0 {
-			af = &acq.EI{Best: best, Minimize: p.Minimize}
-		} else {
-			af = &acq.UCB{Beta: 2, Minimize: p.Minimize}
-		}
-		x, _ := opt.Maximize(ctx, cur, af, lo, hi, incumbent(st), stream.Split(uint64(i)))
-		batch = append(batch, x)
-		if i == q-1 {
-			break
-		}
-		// Believer chain: each extension is one O(n²) factor extension
-		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
-		mu, _ := cur.Predict(x)
-		if fg, err := cur.Fantasize(x, mu); err == nil {
-			cur = fg
-			if p.Better(mu, best) {
-				best = mu
-			}
-		}
-	}
-	return batch, nil
+	return proposeJointQEI(ctx, model, st, q, lo, hi, stream)
 }
 
 // Observe implements core.Strategy: success/failure counting and trust
@@ -187,10 +116,7 @@ func (s *TuRBO) Observe(st *core.State, xs [][]float64, ys []float64) {
 	if !s.haveState {
 		return
 	}
-	p := st.Problem
-	d := p.Dim()
-	q := len(xs)
-	lInit, lMin, lMax, succTol, failTol := s.params(d, max(q, 1))
+	failTol := max(4, st.Problem.Dim()/max(len(xs), 1))
 
 	improved := false
 	for _, y := range ys {
@@ -202,8 +128,8 @@ func (s *TuRBO) Observe(st *core.State, xs [][]float64, ys []float64) {
 	if improved {
 		s.succ++
 		s.fail = 0
-		if s.succ >= succTol {
-			s.length = math.Min(2*s.length, lMax)
+		if s.succ >= turboSuccTol {
+			s.length = math.Min(2*s.length, turboLMax)
 			s.succ = 0
 		}
 	} else {
@@ -214,12 +140,12 @@ func (s *TuRBO) Observe(st *core.State, xs [][]float64, ys []float64) {
 			s.fail = 0
 		}
 	}
-	if s.length < lMin {
+	if s.length < turboLMin {
 		// Restart: re-inflate the region around the incumbent. (The full
 		// TuRBO restart also discards data; with the paper's single
 		// region and tight time budget we keep the data set — see
 		// DESIGN.md.)
-		s.length = lInit
+		s.length = turboLInit
 		s.succ, s.fail = 0, 0
 	}
 }

@@ -102,18 +102,6 @@ type PlantConfig struct {
 	// forbidden zone [MW] at nominal head (scaled with head).
 	CavitationLow, CavitationHigh float64
 
-	// PenstockLossCoeff is the friction head-loss coefficient c in
-	// h_loss = c·Q² [m per (m³/s)²]; 0 disables penstock losses. Losses
-	// reduce the effective head for generation and increase it for
-	// pumping (the classical Darcy–Weisbach quadratic law). Optional
-	// high-fidelity feature, off in the calibrated default.
-	PenstockLossCoeff float64
-	// RampLimitMW caps the power setpoint change between consecutive
-	// energy slots [MW]; 0 disables ramp limits. Violations are clamped
-	// and the curtailed energy settles as imbalance. Optional
-	// high-fidelity feature, off in the calibrated default.
-	RampLimitMW float64
-
 	// GroundwaterLevel is the surrounding water-table elevation [m].
 	GroundwaterLevel float64
 	// GroundwaterRate is the exchange coefficient [m³/s per m of level

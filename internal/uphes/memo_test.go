@@ -67,15 +67,9 @@ func checkPlant(t *testing.T, label string, p *Plant) {
 	}
 }
 
-// memoConfigs are the calibrated default and the same plant with both
-// optional fidelity features on, so the flows run their penstock sweeps
-// and the day its ramp limit.
-func memoConfigs() []Config {
-	lossy := DefaultConfig()
-	lossy.Plant.PenstockLossCoeff = 0.15
-	lossy.Plant.RampLimitMW = 3
-	return []Config{DefaultConfig(), lossy}
-}
+// arbitrage is a profitable reference schedule: pump before dawn,
+// generate in the morning and evening peaks.
+var arbitrage = []float64{-8, -8, 8, 0, 0, 0, 8, 0, 0, 0, 2, 0}
 
 // TestPlantMemoBits pins the plant's memo of its math.Pow terms: after
 // every kind of volume change — turbine and pump moves, inflow,
@@ -84,101 +78,100 @@ func memoConfigs() []Config {
 // unmemoized reference bit for bit, and so do Detail and SimulateDay on
 // seeded schedules against refSimulateOn.
 func TestPlantMemoBits(t *testing.T) {
-	for ci, cfg := range memoConfigs() {
-		pc := cfg.Plant
-		stream := rng.New(41, uint64(ci)+1)
-		p := NewPlant(&pc)
-		checkPlant(t, "new plant", p)
-		for step := 0; step < 400; step++ {
-			var label string
-			switch op := stream.IntN(8); op {
-			case 0:
-				p.moveTurbine(stream.Uniform(0, 0.3*pc.UpperVolumeMax))
-				label = "moveTurbine"
-			case 1:
-				p.movePump(stream.Uniform(0, 0.3*pc.LowerVolumeMax))
-				label = "movePump"
-			case 2:
-				p.inflowStep(stream.Uniform(0, 4*pc.InflowMean), 900)
-				label = "inflowStep"
-			case 3:
-				p.groundwaterStep(stream.Uniform(0, 3600))
-				label = "groundwaterStep"
-			case 4:
-				p.SetState(PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: stream.Uniform(0, pc.LowerVolumeMax)})
-				label = "SetState"
-			case 5:
-				// The bounds, and a volume of one reservoir kept while the
-				// other changes.
-				bounds := []float64{0, pc.LowerVolumeMax, p.lowerV}
-				p.SetState(PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: bounds[stream.IntN(len(bounds))]})
-				label = "SetState at a bound"
-			case 6:
-				orig := p
-				p = p.Clone()
-				p.moveTurbine(stream.Uniform(0, 0.1*pc.UpperVolumeMax))
-				checkPlant(t, "original after its clone moved", orig)
-				label = "Clone"
-			default:
-				p.upperV = stream.Uniform(0, pc.UpperVolumeMax)
-				label = "direct write"
-			}
-			checkPlant(t, fmt.Sprintf("config %d step %d after %s", ci, step, label), p)
+	cfg := DefaultConfig()
+	pc := cfg.Plant
+	stream := rng.New(41, 1)
+	p := NewPlant(&pc)
+	checkPlant(t, "new plant", p)
+	for step := 0; step < 400; step++ {
+		var label string
+		switch op := stream.IntN(8); op {
+		case 0:
+			p.moveTurbine(stream.Uniform(0, 0.3*pc.UpperVolumeMax))
+			label = "moveTurbine"
+		case 1:
+			p.movePump(stream.Uniform(0, 0.3*pc.LowerVolumeMax))
+			label = "movePump"
+		case 2:
+			p.inflowStep(stream.Uniform(0, 4*pc.InflowMean), 900)
+			label = "inflowStep"
+		case 3:
+			p.groundwaterStep(stream.Uniform(0, 3600))
+			label = "groundwaterStep"
+		case 4:
+			p.SetState(PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: stream.Uniform(0, pc.LowerVolumeMax)})
+			label = "SetState"
+		case 5:
+			// The bounds, and a volume of one reservoir kept while the
+			// other changes.
+			bounds := []float64{0, pc.LowerVolumeMax, p.lowerV}
+			p.SetState(PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: bounds[stream.IntN(len(bounds))]})
+			label = "SetState at a bound"
+		case 6:
+			orig := p
+			p = p.Clone()
+			p.moveTurbine(stream.Uniform(0, 0.1*pc.UpperVolumeMax))
+			checkPlant(t, "original after its clone moved", orig)
+			label = "Clone"
+		default:
+			p.upperV = stream.Uniform(0, pc.UpperVolumeMax)
+			label = "direct write"
 		}
+		checkPlant(t, fmt.Sprintf("step %d after %s", step, label), p)
+	}
 
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := s.Bounds()
+	schedules := [][]float64{arbitrage, make([]float64, Dim)}
+	for i := 0; i < 24; i++ {
+		schedules = append(schedules, stream.UniformVec(lo, hi))
+	}
+	in := testDayInput(&cfg)
+	in.Activated = [ReserveSlots]float64{0.5, 0, 1, 0.25}
+	for i, x := range schedules {
+		got := s.Detail(x)
+		var want Breakdown
+		for k := range s.scenarios {
+			b := refSimulateOn(s, x, &s.scenarios[k], NewPlant(&s.cfg.Plant), nil)
+			want.EnergyRevenue += b.EnergyRevenue
+			want.ReserveRevenue += b.ReserveRevenue
+			want.StoredValue += b.StoredValue
+			want.ImbalancePenalty += b.ImbalancePenalty
+			want.ReservePenalty += b.ReservePenalty
+			want.CavitationPenalty += b.CavitationPenalty
 		}
-		lo, hi := s.Bounds()
-		schedules := [][]float64{arbitrage, make([]float64, Dim)}
-		for i := 0; i < 24; i++ {
-			schedules = append(schedules, stream.UniformVec(lo, hi))
-		}
-		in := testDayInput(&cfg)
-		in.Activated = [ReserveSlots]float64{0.5, 0, 1, 0.25}
-		for i, x := range schedules {
-			got := s.Detail(x)
-			var want Breakdown
-			for k := range s.scenarios {
-				b := refSimulateOn(s, x, &s.scenarios[k], NewPlant(&s.cfg.Plant), nil)
-				want.EnergyRevenue += b.EnergyRevenue
-				want.ReserveRevenue += b.ReserveRevenue
-				want.StoredValue += b.StoredValue
-				want.ImbalancePenalty += b.ImbalancePenalty
-				want.ReservePenalty += b.ReservePenalty
-				want.CavitationPenalty += b.CavitationPenalty
-			}
-			n := float64(len(s.scenarios))
-			want.EnergyRevenue /= n
-			want.ReserveRevenue /= n
-			want.StoredValue /= n
-			want.ImbalancePenalty /= n
-			want.ReservePenalty /= n
-			want.CavitationPenalty /= n
-			want.Profit = want.EnergyRevenue + want.ReserveRevenue + want.StoredValue -
-				want.ImbalancePenalty - want.ReservePenalty - want.CavitationPenalty -
-				s.cfg.Market.DailyFixedCost
-			checkBreakdown(t, fmt.Sprintf("config %d schedule %d: Detail", ci, i), *got, want)
+		n := float64(len(s.scenarios))
+		want.EnergyRevenue /= n
+		want.ReserveRevenue /= n
+		want.StoredValue /= n
+		want.ImbalancePenalty /= n
+		want.ReservePenalty /= n
+		want.CavitationPenalty /= n
+		want.Profit = want.EnergyRevenue + want.ReserveRevenue + want.StoredValue -
+			want.ImbalancePenalty - want.ReservePenalty - want.CavitationPenalty -
+			s.cfg.Market.DailyFixedCost
+		checkBreakdown(t, fmt.Sprintf("schedule %d: Detail", i), *got, want)
 
-			start := PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: stream.Uniform(0, pc.LowerVolumeMax)}
-			gotB, gotEnd, gotDM := s.SimulateDay(x, start, in)
-			pl := NewPlant(&s.cfg.Plant)
-			pl.SetState(start)
-			var wantDM DayMetrics
-			sc := scenario{price: in.Price, inflow: in.Inflow, activated: in.Activated}
-			wantB := refSimulateOn(s, x, &sc, pl, &wantDM)
-			wantB.Profit = wantB.EnergyRevenue + wantB.ReserveRevenue + wantB.StoredValue -
-				wantB.ImbalancePenalty - wantB.ReservePenalty - wantB.CavitationPenalty -
-				s.cfg.Market.DailyFixedCost
-			label := fmt.Sprintf("config %d schedule %d: SimulateDay", ci, i)
-			checkBreakdown(t, label, gotB, wantB)
-			if wantEnd := pl.State(); !sameBits(gotEnd.UpperV, wantEnd.UpperV) || !sameBits(gotEnd.LowerV, wantEnd.LowerV) {
-				t.Fatalf("%s: end state %+v, reference %+v", label, gotEnd, wantEnd)
-			}
-			if gotDM != wantDM {
-				t.Fatalf("%s: metrics %+v, reference %+v", label, gotDM, wantDM)
-			}
+		start := PlantState{UpperV: stream.Uniform(0, pc.UpperVolumeMax), LowerV: stream.Uniform(0, pc.LowerVolumeMax)}
+		gotB, gotEnd, gotDM := s.SimulateDay(x, start, in)
+		pl := NewPlant(&s.cfg.Plant)
+		pl.SetState(start)
+		var wantDM DayMetrics
+		sc := scenario{price: in.Price, inflow: in.Inflow, activated: in.Activated}
+		wantB := refSimulateOn(s, x, &sc, pl, &wantDM)
+		wantB.Profit = wantB.EnergyRevenue + wantB.ReserveRevenue + wantB.StoredValue -
+			wantB.ImbalancePenalty - wantB.ReservePenalty - wantB.CavitationPenalty -
+			s.cfg.Market.DailyFixedCost
+		label := fmt.Sprintf("schedule %d: SimulateDay", i)
+		checkBreakdown(t, label, gotB, wantB)
+		if wantEnd := pl.State(); !sameBits(gotEnd.UpperV, wantEnd.UpperV) || !sameBits(gotEnd.LowerV, wantEnd.LowerV) {
+			t.Fatalf("%s: end state %+v, reference %+v", label, gotEnd, wantEnd)
+		}
+		if gotDM != wantDM {
+			t.Fatalf("%s: metrics %+v, reference %+v", label, gotDM, wantDM)
 		}
 	}
 }
@@ -205,7 +198,6 @@ func refSimulateOn(s *Simulator, x []float64, sc *scenario, pl *Plant, dm *DayMe
 	var b Breakdown
 	startEnergy := fresh(pl).storedEnergyMWh()
 	dtSec := StepHours * 3600
-	prevSigned := 0.0
 	for t := 0; t < Steps; t++ {
 		slot := t / (Steps / EnergySlots)
 		rslot := t / (Steps / ReserveSlots)
@@ -216,13 +208,6 @@ func refSimulateOn(s *Simulator, x []float64, sc *scenario, pl *Plant, dm *DayMe
 		pl.inflowStep(sc.inflow, dtSec)
 		fresh(pl).groundwaterStep(dtSec)
 
-		if r := cfg.Plant.RampLimitMW; r > 0 {
-			clamped := clamp(set, prevSigned-r, prevSigned+r)
-			if diff := math.Abs(set - clamped); diff > 1e-12 {
-				b.ImbalancePenalty += diff * StepHours * price * 0.5
-			}
-			set = clamped
-		}
 		mode := modeIdle
 		target := 0.0
 		switch {
@@ -242,7 +227,6 @@ func refSimulateOn(s *Simulator, x []float64, sc *scenario, pl *Plant, dm *DayMe
 			mode = modeIdle
 		}
 
-		realizedSigned := 0.0
 		switch mode {
 		case modeTurbine:
 			scheduled := target
@@ -262,7 +246,6 @@ func refSimulateOn(s *Simulator, x []float64, sc *scenario, pl *Plant, dm *DayMe
 			vol := fresh(pl).turbineFlow(p) * dtSec
 			frac := pl.moveTurbine(vol)
 			delivered := p * frac
-			realizedSigned = delivered
 			b.EnergyRevenue += delivered * StepHours * price
 			if shortfall := scheduled - delivered; shortfall > 1e-9 {
 				b.ImbalancePenalty += shortfall * StepHours * price * cfg.Market.ImbalanceBuyFactor
@@ -274,13 +257,11 @@ func refSimulateOn(s *Simulator, x []float64, sc *scenario, pl *Plant, dm *DayMe
 			vol := fresh(pl).pumpFlow(p) * dtSec
 			frac := pl.movePump(vol)
 			consumed := p * frac
-			realizedSigned = -consumed
 			b.EnergyRevenue -= consumed * StepHours * price
 			if shortfall := scheduled - consumed; shortfall > 1e-9 {
 				b.ImbalancePenalty += shortfall * StepHours * price * 0.5
 			}
 		}
-		prevSigned = realizedSigned
 
 		if reserve > 0 {
 			_, hi := fresh(pl).turbineRange()

@@ -187,42 +187,23 @@ func (p *Plant) pumpEff(P float64) float64 {
 }
 
 // turbineFlow returns the discharge [m³/s] needed to generate P MW at the
-// current head: Q = P / (η·ρ·g·h_eff). With penstock losses enabled the
-// effective head shrinks by c·Q², solved by a few fixed-point sweeps.
+// current head: Q = P / (η·ρ·g·h).
 func (p *Plant) turbineFlow(P float64) float64 {
 	h := p.head()
 	if h <= 0 {
 		return 0
 	}
-	q := P * 1e6 / (p.turbineEff(P) * rhoWater * gravity * h)
-	if c := p.cfg.PenstockLossCoeff; c > 0 {
-		for iter := 0; iter < 4; iter++ {
-			hEff := h - c*q*q
-			if hEff < 1 {
-				hEff = 1
-			}
-			q = P * 1e6 / (p.turbineEff(P) * rhoWater * gravity * hEff)
-		}
-	}
-	return q
+	return P * 1e6 / (p.turbineEff(P) * rhoWater * gravity * h)
 }
 
 // pumpFlow returns the lift flow [m³/s] achieved by P MW of pumping:
-// Q = η·P / (ρ·g·h_eff). Penstock losses increase the head the pump must
-// overcome.
+// Q = η·P / (ρ·g·h).
 func (p *Plant) pumpFlow(P float64) float64 {
 	h := p.head()
 	if h <= 0 {
 		return 0
 	}
-	q := p.pumpEff(P) * P * 1e6 / (rhoWater * gravity * h)
-	if c := p.cfg.PenstockLossCoeff; c > 0 {
-		for iter := 0; iter < 4; iter++ {
-			hEff := h + c*q*q
-			q = p.pumpEff(P) * P * 1e6 / (rhoWater * gravity * hEff)
-		}
-	}
-	return q
+	return p.pumpEff(P) * P * 1e6 / (rhoWater * gravity * h)
 }
 
 // moveTurbine discharges volume v [m³] from upper to lower, clamped by

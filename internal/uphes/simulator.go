@@ -197,7 +197,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 	var b Breakdown
 	startEnergy := pl.storedEnergyMWh()
 	dtSec := StepHours * 3600
-	prevSigned := 0.0 // realized signed power of the previous step [MW]
 
 	for t := 0; t < Steps; t++ {
 		slot := t / (Steps / EnergySlots)   // 12 steps per 3h slot
@@ -209,21 +208,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 		// Exogenous hydrology first.
 		pl.inflowStep(sc.inflow, dtSec)
 		pl.groundwaterStep(dtSec)
-
-		// Ramp limit (optional): the signed setpoint may move at most
-		// RampLimitMW per quarter-hour step from the previously realized
-		// power, so mode switches transit through the dead band over
-		// several steps. The curtailed energy settles as imbalance via
-		// the scheduled-vs-delivered logic below.
-		if r := cfg.Plant.RampLimitMW; r > 0 {
-			clamped := clamp(set, prevSigned-r, prevSigned+r)
-			if diff := math.Abs(set - clamped); diff > 1e-12 {
-				// The day-ahead position for the curtailed energy settles
-				// at a simplified half-spread imbalance price.
-				b.ImbalancePenalty += diff * StepHours * price * 0.5
-			}
-			set = clamped
-		}
 
 		// Decide the operating mode from the setpoint: the dead band
 		// between −PumpMin and +TurbineMin is idle (the mixed-integer
@@ -252,7 +236,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 			mode = modeIdle
 		}
 
-		realizedSigned := 0.0
 		switch mode {
 		case modeTurbine:
 			scheduled := target
@@ -277,7 +260,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 			vol := pl.turbineFlow(p) * dtSec
 			frac := pl.moveTurbine(vol)
 			delivered := p * frac
-			realizedSigned = delivered
 			b.EnergyRevenue += delivered * StepHours * price
 			if shortfall := scheduled - delivered; shortfall > 1e-9 {
 				b.ImbalancePenalty += shortfall * StepHours * price * cfg.Market.ImbalanceBuyFactor
@@ -290,7 +272,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 			vol := pl.pumpFlow(p) * dtSec
 			frac := pl.movePump(vol)
 			consumed := p * frac
-			realizedSigned = -consumed
 			b.EnergyRevenue -= consumed * StepHours * price
 			if shortfall := scheduled - consumed; shortfall > 1e-9 {
 				// Bought in day-ahead but not consumed: sold back at a
@@ -298,8 +279,6 @@ func (s *Simulator) simulateOn(x []float64, sc *scenario, pl *Plant, dm *DayMetr
 				b.ImbalancePenalty += shortfall * StepHours * price * 0.5
 			}
 		}
-
-		prevSigned = realizedSigned
 
 		// Reserve obligations: the offered capacity must be available as
 		// extra turbine output at every step of the reserve slot. While

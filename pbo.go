@@ -185,14 +185,6 @@ func CustomProblem(name string, f func(x []float64) float64, lo, hi []float64, m
 	}, nil
 }
 
-// ExtendedStrategies lists the batch acquisition processes implemented
-// beyond the paper's five (see DESIGN.md §5): "Portfolio", the UCB1
-// acquisition portfolio. They are accepted by Options.Strategy like the
-// core five.
-func ExtendedStrategies() []string {
-	return append([]string(nil), strategy.ExtendedNames...)
-}
-
 // SaveResult writes a result as indented JSON (full trace and per-cycle
 // history included) for archival and offline analysis.
 func SaveResult(w io.Writer, r *Result) error { return r.WriteJSON(w) }

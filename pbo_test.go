@@ -143,28 +143,6 @@ func TestUPHESSimulatorBreakdown(t *testing.T) {
 	}
 }
 
-func TestExtendedStrategiesAccepted(t *testing.T) {
-	names := ExtendedStrategies()
-	if len(names) != 1 || names[0] != "Portfolio" {
-		t.Fatalf("extended strategies = %v", names)
-	}
-	p, err := CustomProblem("s1", func(x []float64) float64 { return x[0] * x[0] },
-		[]float64{-1}, []float64{1}, true, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Optimize(p, Options{
-		Strategy: names[0], BatchSize: 2, InitSamples: 6,
-		Budget: 30 * time.Second, OverheadFactor: 1, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Strategy != names[0] {
-		t.Fatalf("strategy = %s", res.Strategy)
-	}
-}
-
 func TestSaveLoadResult(t *testing.T) {
 	p, err := CustomProblem("s2", func(x []float64) float64 { return x[0] * x[0] },
 		[]float64{-1}, []float64{1}, true, 10*time.Second)

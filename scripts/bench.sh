@@ -8,8 +8,8 @@
 #              a paper-size value pass (EvalRowRadial at n=184, d=12) and
 #              of a fleet cell's (n=96, d=24), and one UPHES
 #              expected-profit evaluation (16 scenarios)
-#   linalg   — the large-n linear algebra: ExtendCols, batched k★ fills,
-#              n=4096 prediction and fantasy, and the paper-size factor
+#   linalg   — the large-n linear algebra: ExtendCols, n=4096
+#              prediction and fantasy, and the paper-size factor
 #              kernels: a Cholesky, an inverse and a forward solve at
 #              n=184
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
@@ -97,7 +97,7 @@ bench() {
 # "Fantasize" and must not leak into the hotpath suite.
 bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$|EvalRowRadial96D24$' \
     ./internal/gp/ ./internal/acq/ ./internal/uphes/ ./internal/kernel/
-bench linalg "$other" 'ExtendCols1024$|EvalRowFill|Cholesky184$|Inverse184$|ForwardSolve184$' ./internal/mat/ ./internal/kernel/
+bench linalg "$other" 'ExtendCols1024$|Cholesky184$|Inverse184$|ForwardSolve184$' ./internal/mat/
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
 # The fantasy bench also runs in the linalg suite.

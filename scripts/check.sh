@@ -108,12 +108,11 @@ go test -race -tags purego ./...
 echo "== bit-identity property tests under -race"
 # Redundant with the full -race sweep above, but named explicitly so the
 # parallel linear-algebra contracts cannot be silently dropped from the
-# gate: the parallel k★ fill vs serial, the PredictJoint parallel branch
-# vs serial, the extension's input contract, concurrent solves on one
-# factor vs serial, and the unbounded-pool goroutine clamp.
+# gate: the extension's input contract, concurrent solves on one factor
+# vs serial, and the unbounded-pool goroutine clamp.
 named_race_group \
-    'TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendColsMatchesExtend|TestConcurrentSolvesMatchSerial|TestEvalBatchUnboundedClampsGoroutines' \
-    ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
+    'TestExtendColsMatchesExtend|TestConcurrentSolvesMatchSerial|TestEvalBatchUnboundedClampsGoroutines' \
+    ./internal/mat/ ./internal/parallel/
 
 echo "== fit-path bit-identity property tests under -race"
 # The fit-path scaling contracts (DESIGN.md §9): packed factorize/solve/
@@ -150,8 +149,9 @@ echo "== kill-and-resume determinism under -race"
 # core, per-strategy resume, the session ledger with partial tells and
 # corrupt-snapshot fallback, the concurrent HTTP e2e, and the real
 # SIGTERM drain-and-resume lifecycle of cmd/pboserver. The async chain is
-# pinned at every layer — core LIFO replay, the portfolio bandit's
-# checkpointed arm statistics, the session ledger with fantasized points
+# pinned at every layer — core LIFO replay, TuRBO's trust region and
+# BSP-EGO's partition checkpointed mid-flight, the session ledger with
+# fantasized points
 # in flight (plus its worker-pool goroutine-leak check), and the HTTP
 # kill-and-resume with metrics bit-identity. The migration protocol rides
 # in the same group: the kill-migrate-resume chain with Result AND
@@ -162,7 +162,7 @@ echo "== kill-and-resume determinism under -race"
 # → bit-identical year schedule and revenue) and the fleet driver's
 # mid-day kill-and-resume against a live in-process pboserver.
 named_race_group \
-    'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
+    'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestStatefulStrategyAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
     ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== fuzz the value-pass reuse for 10 s"
@@ -170,6 +170,13 @@ echo "== fuzz the value-pass reuse for 10 s"
 # against a fresh call; the seed corpus in internal/gp/testdata/fuzz also
 # runs with every go test.
 go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s ./internal/gp/
+
+echo "== fuzz the snapshot frame decoder for 10 s"
+# Byte-derived payloads under a valid header and CRC, as format versions
+# 1-3: Decode never panics and every error wraps ErrCorrupt or
+# ErrVersion. The seeds are the golden v1-v3 payloads and corruptions of
+# the v3 layout; inputs it finds land in internal/session/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/session/
 
 echo "== fuzz every vector body against its Go oracle, 10 s each"
 # The Cholesky sweep on byte-derived operands (any bit pattern, lengths
