@@ -18,12 +18,11 @@ import (
 // owning the evaluate step, an AskTell hands out batches (Ask) and ingests
 // their results (Tell), so evaluations can happen anywhere — an in-process
 // pool (Engine.Run is now a thin ask/tell client), external simulator
-// workers behind the pboserver HTTP API, or a test harness. The lifecycle
-// phases of a cycle are unchanged: Ask performs fitModel and acquireBatch,
-// Tell performs the observe/record bookkeeping evaluateBatch used to do,
-// and the virtual-clock accounting, stream consumption order and hook
-// sequence are identical to the closed loop — the golden strategy traces
-// pin this bit-for-bit.
+// workers behind the pboserver HTTP API, or a test harness. The phases
+// of a cycle are unchanged: Ask fits the model and acquires the batch,
+// Tell performs the observe/record bookkeeping, and the virtual-clock
+// accounting and stream consumption order are identical to the closed
+// loop — the golden strategy traces pin this bit-for-bit.
 
 // ErrDone is returned by Ask when the run is complete: the virtual budget
 // is exhausted or MaxCycles is reached. Result then reports the final
@@ -66,9 +65,9 @@ type pendingBatch struct {
 	acqVirtual time.Duration
 	fallback   bool
 	reason     string
-	// start is the virtual clock at the moment the batch was handed out.
-	// Asynchronous tells complete the point at start + its evaluation
-	// latency; synchronous mode never reads it.
+	// start is the virtual clock at the moment an asynchronous cycle's
+	// batch was handed out: its tell completes the point at start + its
+	// evaluation latency. Zero in synchronous mode, which never reads it.
 	start time.Duration
 }
 
@@ -81,7 +80,6 @@ type AskTell struct {
 	clock *Clock
 	st    *State
 	res   *Result
-	hook  CycleHook
 
 	factory ModelFactory
 	model   surrogate.Surrogate
@@ -125,6 +123,22 @@ type AskTell struct {
 // The Engine's Pool is used only for virtual-time accounting of told
 // batches (never for evaluation), and its Evaluator is never called.
 func NewAskTell(e *Engine) (*AskTell, error) {
+	at, err := buildAskTell(e)
+	if err != nil {
+		return nil, err
+	}
+	master := rng.New(at.cfg.Seed, 0)
+	at.designStream, at.acqStream = master.Split(1), master.Split(2)
+	at.jitterStream, at.fitStream = master.Split(3), master.Split(4)
+	p := at.cfg.Problem
+	at.design = rng.ScaleToBounds(rng.LatinHypercube(at.cfg.InitSamples, p.Dim(), at.designStream), p.Lo, p.Hi)
+	return at, nil
+}
+
+// buildAskTell is the part of opening a run that NewAskTell and
+// ResumeAskTell share: the engine defaulted and validated, the strategy
+// reset, the model factory made, and an empty run around them.
+func buildAskTell(e *Engine) (*AskTell, error) {
 	cfg := e.defaults()
 	if err := cfg.Problem.validate(); err != nil {
 		return nil, err
@@ -133,33 +147,19 @@ func NewAskTell(e *Engine) (*AskTell, error) {
 		return nil, errors.New("core: nil strategy")
 	}
 	cfg.Strategy.Reset()
-
-	master := rng.New(cfg.Seed, 0)
 	at := &AskTell{
-		cfg:          cfg,
-		clock:        NewClock(cfg.OverheadFactor),
-		st:           &State{Problem: cfg.Problem},
-		hook:         cfg.Hook,
-		factory:      cfg.Factory,
-		designStream: master.Split(1),
-		acqStream:    master.Split(2),
-		jitterStream: master.Split(3),
-		fitStream:    master.Split(4),
+		cfg:     cfg,
+		clock:   NewClock(cfg.OverheadFactor),
+		st:      &State{Problem: cfg.Problem},
+		factory: cfg.Factory,
 		//lint:ignore detorder sanctioned default for the injectable clock seam; tests swap it out
 		now:     time.Now,
 		pending: map[int]*pendingBatch{},
-		res: &Result{
-			Problem:  cfg.Problem.Name,
-			Strategy: cfg.Strategy.Name(),
-			Batch:    cfg.BatchSize,
-		},
+		res:     &Result{Problem: cfg.Problem.Name, Strategy: cfg.Strategy.Name(), Batch: cfg.BatchSize},
 	}
 	if at.factory == nil {
 		at.factory = cfg.defaultFactory()
 	}
-	at.design = rng.ScaleToBounds(
-		rng.LatinHypercube(cfg.InitSamples, cfg.Problem.Dim(), at.designStream),
-		cfg.Problem.Lo, cfg.Problem.Hi)
 	return at, nil
 }
 
@@ -193,37 +193,32 @@ func (at *AskTell) Ask(ctx context.Context) (*Batch, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Asynchronous mode hands out single points, at most BatchSize in
+	// flight; a full set of slots blocks the design and the cycles alike.
+	async := at.cfg.Mode == Asynchronous
+	if async && at.inFlightPoints() >= at.cfg.BatchSize {
+		return nil, ErrNoBatchReady
+	}
 
 	// Initial-design phase: hand out precomputed Latin-Hypercube waves —
-	// whole q-waves synchronously, single points (capped at BatchSize in
-	// flight) asynchronously.
+	// whole q-waves synchronously, single points asynchronously.
 	if at.designAsked < len(at.design) {
 		step := at.cfg.BatchSize
-		if at.cfg.Mode == Asynchronous {
-			if at.inFlightPoints() >= at.cfg.BatchSize {
-				return nil, ErrNoBatchReady
-			}
+		if async {
 			step = 1
 		}
 		end := min(at.designAsked+step, len(at.design))
-		b := at.addPending(0, at.design[at.designAsked:end], 0, 0, false, "")
+		pb := at.addPending(0, at.design[at.designAsked:end], 0, 0, false, "")
 		at.designAsked = end
-		return b, nil
+		return &pb.batch, nil
 	}
 	if at.designTold < len(at.design) {
 		return nil, ErrNoBatchReady
 	}
 
-	if at.cfg.Mode == Asynchronous {
-		return at.askAsync(ctx)
-	}
-
 	// Cycle phase. The guards run in the same order as the closed loop:
 	// budget, MaxCycles, context.
-	if at.clock.Elapsed() >= at.cfg.Budget {
-		return nil, ErrDone
-	}
-	if at.cfg.MaxCycles > 0 && at.cycle >= at.cfg.MaxCycles {
+	if at.cyclesDone() {
 		return nil, ErrDone
 	}
 	if err := ctx.Err(); err != nil {
@@ -258,19 +253,33 @@ func (at *AskTell) Ask(ctx context.Context) (*Batch, error) {
 		return nil, at.failed
 	}
 
-	points, acqVirtual, fallback, reason, err := at.acquireBatch(ctx, cycle)
+	// Asynchronous mode conditions on the busy points and asks for one
+	// point that dedupes against them.
+	model, q, busy := at.model, at.cfg.BatchSize, [][]float64(nil)
+	if async {
+		busy = at.busyPoints()
+		model, q = at.conditionOnBusy(busy), 1
+	}
+	points, acqVirtual, fallback, reason, err := at.acquire(ctx, cycle, model, q, busy)
 	if err != nil {
 		if rerr := at.rollbackCycle(rb); rerr != nil {
 			return nil, rerr
 		}
 		return nil, interrupted("acquisition", err)
 	}
-	// The lifecycle hooks fire only once the cycle is committed to the
-	// ledger, in the closed loop's OnFit→OnAcquire order; a rolled-back
-	// attempt is invisible to observers.
-	at.hook.OnFit(cycle, at.model, fitVirtual)
-	at.hook.OnAcquire(cycle, points, fallback, reason, acqVirtual)
-	return at.addPending(cycle, points, fitVirtual, acqVirtual, fallback, reason), nil
+	pb := at.addPending(cycle, points, fitVirtual, acqVirtual, fallback, reason)
+	if async {
+		// The point's evaluation clock starts now — after the fit and the
+		// acquisition have been charged — so its Tell completes it at
+		// start + latency regardless of what other points do in between.
+		pb.start = at.clock.Elapsed()
+	}
+	return &pb.batch, nil
+}
+
+// cyclesDone reports whether the budget or the cycle cap is exhausted.
+func (at *AskTell) cyclesDone() bool {
+	return at.clock.Elapsed() >= at.cfg.Budget || (at.cfg.MaxCycles > 0 && at.cycle >= at.cfg.MaxCycles)
 }
 
 // cycleRollback captures every piece of run state the cycle phase can
@@ -286,35 +295,24 @@ type cycleRollback struct {
 	acqStream        []byte
 	jitterStream     []byte
 	factoryState     []byte
-	hasFactory       bool
 	strategyState    []byte
-	hasStrategy      bool
 }
 
 func (at *AskTell) captureCycle() (*cycleRollback, error) {
-	rb := &cycleRollback{
+	factoryState, strategyState, err := at.saveState()
+	if err != nil {
+		return nil, err
+	}
+	return &cycleRollback{
 		cycle:            at.cycle,
 		elapsed:          at.clock.Elapsed(),
 		model:            at.model,
 		fantasyFallbacks: at.fantasyFallbacks,
 		acqStream:        at.acqStream.State(),
 		jitterStream:     at.jitterStream.State(),
-	}
-	if fc, ok := at.factory.(FactoryCheckpointer); ok {
-		state, err := fc.FactoryState()
-		if err != nil {
-			return nil, fmt.Errorf("core: capture factory state: %w", err)
-		}
-		rb.factoryState, rb.hasFactory = state, true
-	}
-	if sc, ok := at.cfg.Strategy.(StrategyCheckpointer); ok {
-		state, err := sc.StrategyState()
-		if err != nil {
-			return nil, fmt.Errorf("core: capture strategy state: %w", err)
-		}
-		rb.strategyState, rb.hasStrategy = state, true
-	}
-	return rb, nil
+		factoryState:     factoryState,
+		strategyState:    strategyState,
+	}, nil
 }
 
 // rollbackCycle rewinds a cancelled cycle to its captured state. A
@@ -329,11 +327,8 @@ func (at *AskTell) rollbackCycle(rb *cycleRollback) error {
 	if err == nil {
 		err = at.jitterStream.Restore(rb.jitterStream)
 	}
-	if err == nil && rb.hasFactory {
-		err = at.factory.(FactoryCheckpointer).RestoreFactoryState(rb.factoryState)
-	}
-	if err == nil && rb.hasStrategy {
-		err = at.cfg.Strategy.(StrategyCheckpointer).RestoreStrategyState(rb.strategyState)
+	if err == nil {
+		err = at.restoreState(rb.factoryState, rb.strategyState)
 	}
 	if err != nil {
 		at.failed = fmt.Errorf("core: rollback of cancelled cycle: %w", err)
@@ -347,7 +342,7 @@ func (at *AskTell) rollbackCycle(rb *cycleRollback) error {
 	return nil
 }
 
-func (at *AskTell) addPending(cycle int, points [][]float64, fitVirtual, acqVirtual time.Duration, fallback bool, reason string) *Batch {
+func (at *AskTell) addPending(cycle int, points [][]float64, fitVirtual, acqVirtual time.Duration, fallback bool, reason string) *pendingBatch {
 	id := at.nextID
 	at.nextID++
 	pb := &pendingBatch{
@@ -359,7 +354,7 @@ func (at *AskTell) addPending(cycle int, points [][]float64, fitVirtual, acqVirt
 	}
 	at.pending[id] = pb
 	at.order = append(at.order, id)
-	return &pb.batch
+	return pb
 }
 
 // Tell ingests the evaluation results of a previously asked batch: ys and
@@ -399,9 +394,6 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 		at.st.Observe(pb.batch.Points, ys)
 		at.designTold += n
 		at.res.InitEvals = len(at.st.Y)
-		if at.designTold == len(at.design) {
-			at.hook.OnInitialDesign(at.st, at.res.InitEvals)
-		}
 		return nil
 	}
 
@@ -417,7 +409,6 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	}
 	at.st.Observe(pb.batch.Points, ys)
 	at.cfg.Strategy.Observe(at.st, pb.batch.Points, ys)
-	at.hook.OnEvaluate(pb.batch.Cycle, pb.batch.Points, ys, evalVirtual)
 	at.record(pb.batch.Cycle, pb.fitVirtual, pb.acqVirtual, evalVirtual, pb.fallback, pb.reason)
 	return nil
 }
@@ -442,23 +433,15 @@ func (at *AskTell) fitModel(ctx context.Context, cycle int) (time.Duration, erro
 		return 0, err
 	}
 	at.model = model
-	fitVirtual := time.Duration(float64(fitReal) * at.clock.OverheadFactor)
-	at.clock.AddMeasured(fitReal)
-	return fitVirtual, nil
+	return at.clock.AddMeasured(fitReal), nil
 }
 
-// acquireBatch selects the cycle's batch (measured time, charged as
-// AcqTime), with the closed loop's fallback-to-random and dedupe behavior.
-// A non-nil error is returned only for cancellation.
-func (at *AskTell) acquireBatch(ctx context.Context, cycle int) (batch [][]float64, virtual time.Duration, fallback bool, reason string, err error) {
-	return at.acquire(ctx, cycle, at.model, at.cfg.BatchSize, nil)
-}
-
-// acquire is acquireBatch parameterized for both modes: the synchronous
-// path passes the fitted model, q = BatchSize and no busy points (the
-// computation is bit-identical to the historical acquireBatch); the
-// asynchronous path passes the busy-conditioned model, q = 1 and the
-// in-flight points so replacements dedupe against them.
+// acquire selects the cycle's batch (measured time, charged as AcqTime),
+// with the closed loop's fallback-to-random and dedupe behavior. The
+// synchronous cycle passes the fitted model, q = BatchSize and no busy
+// points; the asynchronous one passes the busy-conditioned model, q = 1
+// and the in-flight points so replacements dedupe against them. A
+// non-nil error is returned only for cancellation.
 func (at *AskTell) acquire(ctx context.Context, cycle int, model surrogate.Surrogate, q int, busy [][]float64) (batch [][]float64, virtual time.Duration, fallback bool, reason string, err error) {
 	cfg := &at.cfg
 	acqStart := at.now()
@@ -487,9 +470,7 @@ func (at *AskTell) acquire(ctx context.Context, cycle int, model surrogate.Surro
 		speedup = 1
 	}
 	acqReal /= time.Duration(speedup)
-	virtual = time.Duration(float64(acqReal) * at.clock.OverheadFactor)
-	at.clock.AddMeasured(acqReal)
-	return batch, virtual, fallback, reason, nil
+	return batch, at.clock.AddMeasured(acqReal), fallback, reason, nil
 }
 
 // record appends the cycle's history record.
@@ -510,7 +491,6 @@ func (at *AskTell) record(cycle int, fitVirtual, acqVirtual, evalVirtual time.Du
 	}
 	at.res.History = append(at.res.History, rec)
 	at.recorded++
-	at.hook.OnRecord(rec)
 }
 
 // Result seals and returns the run's result so far: final incumbent,
@@ -530,13 +510,7 @@ func (at *AskTell) Result() *Result {
 // Done reports whether Ask would return ErrDone: the design is complete
 // and the budget or cycle cap is exhausted.
 func (at *AskTell) Done() bool {
-	if at.designTold < len(at.design) {
-		return false
-	}
-	if at.clock.Elapsed() >= at.cfg.Budget {
-		return true
-	}
-	return at.cfg.MaxCycles > 0 && at.cycle >= at.cfg.MaxCycles
+	return at.designTold >= len(at.design) && at.cyclesDone()
 }
 
 // Pending returns the ledger of asked-but-untold batches, in ask order.
@@ -711,19 +685,9 @@ func (at *AskTell) Checkpoint() (*Checkpoint, error) {
 	if at.st.BestX != nil {
 		c.BestX = mat.CloneVec(at.st.BestX)
 	}
-	if fc, ok := at.factory.(FactoryCheckpointer); ok {
-		state, err := fc.FactoryState()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint factory state: %w", err)
-		}
-		c.FactoryState = state
-	}
-	if sc, ok := at.cfg.Strategy.(StrategyCheckpointer); ok {
-		state, err := sc.StrategyState()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint strategy state: %w", err)
-		}
-		c.StrategyState = state
+	var err error
+	if c.FactoryState, c.StrategyState, err = at.saveState(); err != nil {
+		return nil, err
 	}
 	for _, id := range at.order {
 		pb := at.pending[id]
@@ -746,16 +710,14 @@ func (at *AskTell) Checkpoint() (*Checkpoint, error) {
 // size, seed) are verified against the configuration; a mismatch is an
 // error, since the resumed run could not replay the original.
 func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
-	cfg := e.defaults()
-	if err := cfg.Problem.validate(); err != nil {
+	at, err := buildAskTell(e)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.Strategy == nil {
-		return nil, errors.New("core: nil strategy")
 	}
 	if c == nil {
 		return nil, errors.New("core: nil checkpoint")
 	}
+	cfg := &at.cfg
 	if c.Problem != cfg.Problem.Name || c.Strategy != cfg.Strategy.Name() ||
 		c.Batch != cfg.BatchSize || c.Seed != cfg.Seed || c.Mode != int(cfg.Mode) {
 		return nil, fmt.Errorf("core: checkpoint (%s/%s q=%d seed=%d %s) does not match configuration (%s/%s q=%d seed=%d %s)",
@@ -765,77 +727,32 @@ func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 	if len(c.Design) != cfg.InitSamples {
 		return nil, fmt.Errorf("core: checkpoint has %d design points, configuration wants %d", len(c.Design), cfg.InitSamples)
 	}
-
-	cfg.Strategy.Reset()
-	if c.StrategyState != nil {
-		sc, ok := cfg.Strategy.(StrategyCheckpointer)
-		if !ok {
-			return nil, fmt.Errorf("core: checkpoint carries strategy state but %s cannot restore it", cfg.Strategy.Name())
+	for _, s := range []struct {
+		name  string
+		state []byte
+		dst   **rng.Stream
+	}{
+		{"design", c.DesignStream, &at.designStream},
+		{"acq", c.AcqStream, &at.acqStream},
+		{"jitter", c.JitterStream, &at.jitterStream},
+		{"fit", c.FitStream, &at.fitStream},
+	} {
+		if *s.dst, err = rng.FromState(s.state); err != nil {
+			return nil, fmt.Errorf("core: restore %s stream: %w", s.name, err)
 		}
-		if err := sc.RestoreStrategyState(c.StrategyState); err != nil {
-			return nil, fmt.Errorf("core: restore strategy state: %w", err)
-		}
+	}
+	if err := at.restoreState(c.FactoryState, c.StrategyState); err != nil {
+		return nil, err
 	}
 
-	designStream, err := rng.FromState(c.DesignStream)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore design stream: %w", err)
-	}
-	acqStream, err := rng.FromState(c.AcqStream)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore acq stream: %w", err)
-	}
-	jitterStream, err := rng.FromState(c.JitterStream)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore jitter stream: %w", err)
-	}
-	fitStream, err := rng.FromState(c.FitStream)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore fit stream: %w", err)
-	}
-
-	at := &AskTell{
-		cfg:          cfg,
-		clock:        NewClock(cfg.OverheadFactor),
-		st:           &State{Problem: cfg.Problem, Cycle: c.Cycle},
-		hook:         cfg.Hook,
-		factory:      cfg.Factory,
-		designStream: designStream,
-		acqStream:    acqStream,
-		jitterStream: jitterStream,
-		fitStream:    fitStream,
-		//lint:ignore detorder sanctioned default for the injectable clock seam; tests swap it out
-		now:              time.Now,
-		design:           cloneMatrix(c.Design),
-		designAsked:      c.DesignAsked,
-		designTold:       c.DesignTold,
-		cycle:            c.Cycle,
-		recorded:         c.Recorded,
-		nextID:           c.NextID,
-		fantasyFallbacks: c.FantasyFallbacks,
-		pending:          map[int]*pendingBatch{},
-		res: &Result{
-			Problem:   cfg.Problem.Name,
-			Strategy:  cfg.Strategy.Name(),
-			Batch:     cfg.BatchSize,
-			InitEvals: c.InitEvals,
-			Fallbacks: c.Fallbacks,
-			History:   append([]CycleRecord(nil), c.History...),
-		},
-	}
 	at.clock.elapsed = time.Duration(c.ClockNS)
-	if at.factory == nil {
-		at.factory = cfg.defaultFactory()
-	}
-	if c.FactoryState != nil {
-		fc, ok := at.factory.(FactoryCheckpointer)
-		if !ok {
-			return nil, errors.New("core: checkpoint carries factory state but the model factory cannot restore it")
-		}
-		if err := fc.RestoreFactoryState(c.FactoryState); err != nil {
-			return nil, fmt.Errorf("core: restore factory state: %w", err)
-		}
-	}
+	at.st.Cycle = c.Cycle
+	at.design = cloneMatrix(c.Design)
+	at.designAsked, at.designTold = c.DesignAsked, c.DesignTold
+	at.cycle, at.recorded, at.nextID = c.Cycle, c.Recorded, c.NextID
+	at.fantasyFallbacks = c.FantasyFallbacks
+	at.res.InitEvals, at.res.Fallbacks = c.InitEvals, c.Fallbacks
+	at.res.History = append([]CycleRecord(nil), c.History...)
 
 	at.st.X = cloneMatrix(c.X)
 	at.st.Y = mat.CloneVec(c.Y)
@@ -862,6 +779,47 @@ func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 		at.order = append(at.order, pc.ID)
 	}
 	return at, nil
+}
+
+// saveState serializes the model factory's and the strategy's
+// checkpointable state, nil for a component without the capability.
+// Checkpoint and the cycle rollback both take it.
+func (at *AskTell) saveState() (factory, strategy []byte, err error) {
+	if fc, ok := at.factory.(FactoryCheckpointer); ok {
+		if factory, err = fc.FactoryState(); err != nil {
+			return nil, nil, fmt.Errorf("core: factory state: %w", err)
+		}
+	}
+	if sc, ok := at.cfg.Strategy.(StrategyCheckpointer); ok {
+		if strategy, err = sc.StrategyState(); err != nil {
+			return nil, nil, fmt.Errorf("core: strategy state: %w", err)
+		}
+	}
+	return factory, strategy, nil
+}
+
+// restoreState puts back what saveState took; a nil state leaves its
+// component as it is. ResumeAskTell and the cycle rollback both use it.
+func (at *AskTell) restoreState(factory, strategy []byte) error {
+	if strategy != nil {
+		sc, ok := at.cfg.Strategy.(StrategyCheckpointer)
+		if !ok {
+			return fmt.Errorf("core: checkpoint carries strategy state but %s cannot restore it", at.cfg.Strategy.Name())
+		}
+		if err := sc.RestoreStrategyState(strategy); err != nil {
+			return fmt.Errorf("core: restore strategy state: %w", err)
+		}
+	}
+	if factory != nil {
+		fc, ok := at.factory.(FactoryCheckpointer)
+		if !ok {
+			return errors.New("core: checkpoint carries factory state but the model factory cannot restore it")
+		}
+		if err := fc.RestoreFactoryState(factory); err != nil {
+			return fmt.Errorf("core: restore factory state: %w", err)
+		}
+	}
+	return nil
 }
 
 func cloneMatrix(xs [][]float64) [][]float64 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -9,75 +8,18 @@ import (
 	"repro/internal/surrogate"
 )
 
-// This file is the asynchronous half of the ask/tell engine (Engine.Mode =
-// Asynchronous). The synchronous protocol proposes q points per cycle and
-// barriers on the full batch; here every cycle proposes exactly one point,
-// up to BatchSize points are in flight at once, and a replacement Ask
-// becomes available the moment any Tell lands — the aphBO-2GP-3B schedule.
+// This file holds what the asynchronous mode (Engine.Mode = Asynchronous)
+// adds to Ask's one cycle phase. The synchronous protocol proposes q
+// points per cycle and barriers on the full batch; here every cycle
+// proposes exactly one point, up to BatchSize points are in flight at
+// once, and a replacement Ask becomes available the moment any Tell lands
+// — the aphBO-2GP-3B schedule.
 // Points that are still busy when a new proposal is made are treated as
 // Kriging-Believer fantasy observations (Ginsbourger et al.); when a
 // fantasy cannot be formed (a failed Cholesky extension, or a surrogate
 // without a conditioning update) the proposal falls back to a
 // local-penalty surrogate in the spirit of González et al.'s local
 // penalization, tracked by FantasyFallbacks.
-
-// askAsync is the cycle phase of Ask in asynchronous mode. Guard order,
-// transactional rollback, fit accounting and hook sequence mirror the
-// synchronous path exactly; the differences are the in-flight slot cap,
-// the busy-point conditioning before acquisition, and q = 1.
-func (at *AskTell) askAsync(ctx context.Context) (*Batch, error) {
-	if at.inFlightPoints() >= at.cfg.BatchSize {
-		return nil, ErrNoBatchReady
-	}
-	if at.clock.Elapsed() >= at.cfg.Budget {
-		return nil, ErrDone
-	}
-	if at.cfg.MaxCycles > 0 && at.cycle >= at.cfg.MaxCycles {
-		return nil, ErrDone
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, interrupted("between cycles", err)
-	}
-	var rb *cycleRollback
-	if ctx.Done() != nil {
-		var err error
-		if rb, err = at.captureCycle(); err != nil {
-			return nil, err
-		}
-	}
-	at.cycle++
-	cycle := at.cycle
-	at.st.Cycle = cycle
-
-	fitVirtual, err := at.fitModel(ctx, cycle)
-	if err != nil {
-		if ctx.Err() != nil {
-			if rerr := at.rollbackCycle(rb); rerr != nil {
-				return nil, rerr
-			}
-			return nil, interrupted("model fit", ctx.Err())
-		}
-		at.failed = fmt.Errorf("core: cycle %d fit: %w", cycle, err)
-		return nil, at.failed
-	}
-
-	busy := at.busyPoints()
-	points, acqVirtual, fallback, reason, err := at.acquire(ctx, cycle, at.conditionOnBusy(busy), 1, busy)
-	if err != nil {
-		if rerr := at.rollbackCycle(rb); rerr != nil {
-			return nil, rerr
-		}
-		return nil, interrupted("acquisition", err)
-	}
-	at.hook.OnFit(cycle, at.model, fitVirtual)
-	at.hook.OnAcquire(cycle, points, fallback, reason, acqVirtual)
-	b := at.addPending(cycle, points, fitVirtual, acqVirtual, fallback, reason)
-	// The point's evaluation clock starts now — after the fit and the
-	// acquisition have been charged — so its Tell completes it at
-	// start + latency regardless of what other points do in between.
-	at.pending[b.ID].start = at.clock.Elapsed()
-	return b, nil
-}
 
 // inFlightPoints counts asked-but-untold points across the pending ledger.
 func (at *AskTell) inFlightPoints() int {

@@ -64,6 +64,17 @@ func (m Mode) String() string {
 	return "sync"
 }
 
+// ParseMode reads a mode as String spells it; "" is Synchronous.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "sync":
+		return Synchronous, nil
+	case "async":
+		return Asynchronous, nil
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want \"sync\" or \"async\")", s)
+}
+
 // Problem is a black-box optimization problem with box bounds.
 type Problem struct {
 	// Name identifies the problem in reports.
@@ -128,9 +139,11 @@ func NewClock(factor float64) *Clock {
 func (c *Clock) AddSimulated(d time.Duration) { c.elapsed += d }
 
 // AddMeasured advances the clock by a measured real duration scaled by the
-// overhead factor.
-func (c *Clock) AddMeasured(d time.Duration) {
-	c.elapsed += time.Duration(float64(d) * c.OverheadFactor)
+// overhead factor, and returns the charge it added.
+func (c *Clock) AddMeasured(d time.Duration) time.Duration {
+	v := time.Duration(float64(d) * c.OverheadFactor)
+	c.elapsed += v
+	return v
 }
 
 // Elapsed returns the virtual time consumed so far.
@@ -242,46 +255,6 @@ func (f *gpFactory) Fit(ctx context.Context, st *State, cycle int) (surrogate.Su
 	f.model = m
 	return m, nil
 }
-
-// CycleHook observes engine lifecycle phases. All methods are called
-// synchronously from Run, in order: OnInitialDesign once, then per cycle
-// OnFit, OnAcquire, OnEvaluate, OnRecord. Implementations must not mutate
-// the arguments. Embed NopHook to implement only the phases of interest.
-type CycleHook interface {
-	// OnInitialDesign fires after the initial design has been fully
-	// evaluated; n is the number of design evaluations.
-	OnInitialDesign(st *State, n int)
-	// OnFit fires after the cycle's surrogate is ready. virtual is the
-	// FitTime charged to the clock.
-	OnFit(cycle int, model surrogate.Surrogate, virtual time.Duration)
-	// OnAcquire fires after the batch is selected (and deduplicated).
-	// fallback reports whether acquisition failed and the engine
-	// substituted uniform-random candidates; reason is empty otherwise.
-	OnAcquire(cycle int, batch [][]float64, fallback bool, reason string, virtual time.Duration)
-	// OnEvaluate fires after the batch has been evaluated and observed.
-	OnEvaluate(cycle int, batch [][]float64, ys []float64, virtual time.Duration)
-	// OnRecord fires last in a cycle with the appended history record.
-	OnRecord(rec CycleRecord)
-}
-
-// NopHook is a CycleHook that does nothing; it is the default and the
-// recommended embedding base for partial hooks.
-type NopHook struct{}
-
-// OnInitialDesign implements CycleHook.
-func (NopHook) OnInitialDesign(*State, int) {}
-
-// OnFit implements CycleHook.
-func (NopHook) OnFit(int, surrogate.Surrogate, time.Duration) {}
-
-// OnAcquire implements CycleHook.
-func (NopHook) OnAcquire(int, [][]float64, bool, string, time.Duration) {}
-
-// OnEvaluate implements CycleHook.
-func (NopHook) OnEvaluate(int, [][]float64, []float64, time.Duration) {}
-
-// OnRecord implements CycleHook.
-func (NopHook) OnRecord(CycleRecord) {}
 
 // CycleRecord captures one engine cycle for the paper's figures.
 type CycleRecord struct {
@@ -413,8 +386,6 @@ type Engine struct {
 	// Factory overrides the engine-side surrogate fit (default: the
 	// paper's GP with the Model schedule).
 	Factory ModelFactory
-	// Hook observes lifecycle phases; nil means NopHook.
-	Hook CycleHook
 	// Seed makes the run deterministic.
 	Seed uint64
 }
@@ -452,9 +423,6 @@ func (e *Engine) defaults() Engine {
 	}
 	if d.Model.RefitEvery <= 0 {
 		d.Model.RefitEvery = 3
-	}
-	if d.Hook == nil {
-		d.Hook = NopHook{}
 	}
 	return d
 }

@@ -239,7 +239,7 @@ func (r *StudyResult) PValueMatrix(q int) ([][]float64, []string, error) {
 	for _, alg := range order {
 		samples[alg] = r.FinalValues(alg, q)
 	}
-	m, err := stats.PairwisePValues(samples, order, "pooled")
+	m, err := stats.PairwisePValues(samples, order)
 	return m, order, err
 }
 

@@ -38,7 +38,8 @@ func (o *RandomSearch) Minimize(f Objective, lo, hi []float64, stream *rng.Strea
 
 // GA is a real-coded genetic algorithm with tournament selection, blend
 // (BLX-α) crossover, Gaussian mutation and elitism — one of the classical
-// metaheuristics the paper cites for cheap-model UPHES scheduling.
+// metaheuristics the paper cites for cheap-model UPHES scheduling. Each
+// gene mutates with probability 1/d.
 type GA struct {
 	// Pop is the population size (default 40).
 	Pop int
@@ -47,18 +48,15 @@ type GA struct {
 	// Evals optionally bounds total evaluations; when > 0 it preempts
 	// Generations.
 	Evals int
-	// TournamentK is the tournament size (default 3).
-	TournamentK int
-	// CrossoverP is the crossover probability (default 0.9).
-	CrossoverP float64
-	// MutationP is the per-gene mutation probability (default 1/d).
-	MutationP float64
-	// MutationScale is the mutation standard deviation as a fraction of the
-	// box width (default 0.1).
-	MutationScale float64
-	// Elite is the number of elites copied unchanged (default 2).
-	Elite int
 }
+
+// The GA's operator settings.
+const (
+	gaTournamentK   = 3   // tournament size
+	gaCrossoverP    = 0.9 // crossover probability
+	gaMutationScale = 0.1 // mutation standard deviation, as a fraction of the box width
+	gaElite         = 2   // elites copied unchanged
+)
 
 type gaIndividual struct {
 	x []float64
@@ -76,29 +74,8 @@ func (o *GA) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result 
 	if gens <= 0 {
 		gens = 50
 	}
-	tk := o.TournamentK
-	if tk <= 0 {
-		tk = 3
-	}
-	cxp := o.CrossoverP
-	if cxp <= 0 {
-		cxp = 0.9
-	}
-	mutp := o.MutationP
-	if mutp <= 0 {
-		mutp = 1 / float64(d)
-	}
-	mscale := o.MutationScale
-	if mscale <= 0 {
-		mscale = 0.1
-	}
-	elite := o.Elite
-	if elite <= 0 {
-		elite = 2
-	}
-	if elite > pop {
-		elite = pop
-	}
+	mutp := 1 / float64(d)
+	elite := min(gaElite, pop)
 
 	evals := 0
 	budgetLeft := func() bool { return o.Evals <= 0 || evals < o.Evals }
@@ -119,7 +96,7 @@ func (o *GA) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result 
 
 	tournament := func() gaIndividual {
 		best := cur[stream.IntN(pop)]
-		for i := 1; i < tk; i++ {
+		for i := 1; i < gaTournamentK; i++ {
 			c := cur[stream.IntN(pop)]
 			if c.f < best.f {
 				best = c
@@ -137,7 +114,7 @@ func (o *GA) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result 
 		for len(next) < pop && budgetLeft() {
 			p1, p2 := tournament(), tournament()
 			child := mat.CloneVec(p1.x)
-			if stream.Float64() < cxp {
+			if stream.Float64() < gaCrossoverP {
 				// BLX-0.5 blend crossover.
 				const blx = 0.5
 				for j := 0; j < d; j++ {
@@ -151,7 +128,7 @@ func (o *GA) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result 
 			}
 			for j := 0; j < d; j++ {
 				if stream.Float64() < mutp {
-					child[j] += mscale * (hi[j] - lo[j]) * stream.Norm()
+					child[j] += gaMutationScale * (hi[j] - lo[j]) * stream.Norm()
 				}
 			}
 			clampToBox(child, lo, hi)
@@ -183,14 +160,15 @@ type PSO struct {
 	// Evals optionally bounds total evaluations; when > 0 it preempts
 	// Iterations.
 	Evals int
-	// Inertia is the velocity inertia weight (default 0.72).
-	Inertia float64
-	// Cognitive and Social are the attraction coefficients (default 1.49).
-	Cognitive, Social float64
-	// VMaxFrac clamps velocity to this fraction of the box width
-	// (default 0.2).
-	VMaxFrac float64
 }
+
+// The swarm's update coefficients.
+const (
+	psoInertia   = 0.72 // velocity inertia weight
+	psoCognitive = 1.49 // attraction to the particle's own best
+	psoSocial    = 1.49 // attraction to the swarm's best
+	psoVMaxFrac  = 0.2  // velocity clamp, as a fraction of the box width
+)
 
 // Minimize runs the swarm within [lo, hi] and returns the best found.
 func (o *PSO) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result {
@@ -202,22 +180,6 @@ func (o *PSO) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result
 	iters := o.Iterations
 	if iters <= 0 {
 		iters = 60
-	}
-	w := o.Inertia
-	if w <= 0 {
-		w = 0.72
-	}
-	c1 := o.Cognitive
-	if c1 <= 0 {
-		c1 = 1.49
-	}
-	c2 := o.Social
-	if c2 <= 0 {
-		c2 = 1.49
-	}
-	vfrac := o.VMaxFrac
-	if vfrac <= 0 {
-		vfrac = 0.2
 	}
 
 	evals := 0
@@ -235,7 +197,7 @@ func (o *PSO) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result
 	gbestF := math.Inf(1)
 	vmax := make([]float64, d)
 	for j := 0; j < d; j++ {
-		vmax[j] = vfrac * (hi[j] - lo[j])
+		vmax[j] = psoVMaxFrac * (hi[j] - lo[j])
 	}
 	for i := 0; i < np; i++ {
 		x[i] = stream.UniformVec(lo, hi)
@@ -256,7 +218,7 @@ func (o *PSO) Minimize(f Objective, lo, hi []float64, stream *rng.Stream) Result
 		for i := 0; i < np && budgetLeft(); i++ {
 			for j := 0; j < d; j++ {
 				r1, r2 := stream.Float64(), stream.Float64()
-				v[i][j] = w*v[i][j] + c1*r1*(pbest[i][j]-x[i][j]) + c2*r2*(gbest[j]-x[i][j])
+				v[i][j] = psoInertia*v[i][j] + psoCognitive*r1*(pbest[i][j]-x[i][j]) + psoSocial*r2*(gbest[j]-x[i][j])
 				if v[i][j] > vmax[j] {
 					v[i][j] = vmax[j]
 				} else if v[i][j] < -vmax[j] {

@@ -21,38 +21,21 @@ const boundaryEps = 1e-9
 // violation magnitude comparable across constraint families.
 const switchScale = 0.1
 
-// ConstraintConfig bounds the plant operation the optimizer may commit.
-// Zero fields select the documented defaults.
-type ConstraintConfig struct {
-	// MinFill and MaxFill bound both reservoirs' fill fraction at every
-	// step of the day (defaults 0.05 and 0.98): never drain a basin to
-	// the dead zone, never run one to the brim.
-	MinFill float64 `json:"min_fill,omitempty"`
-	MaxFill float64 `json:"max_fill,omitempty"`
-	// MaxSwitchesPerDay caps pump↔turbine reversals per day (default 6)
-	// — the machine-wear limit.
-	MaxSwitchesPerDay int `json:"max_switches_per_day,omitempty"`
-	// EndFillBand bounds how far the upper reservoir's end-of-horizon
-	// fill may drift from its start-of-horizon fill (default 0.2),
-	// keeping the myopic horizon from strip-mining the stored water.
-	EndFillBand float64 `json:"end_fill_band,omitempty"`
-}
-
-func (c ConstraintConfig) withDefaults() ConstraintConfig {
-	if fp.Zero(c.MinFill) {
-		c.MinFill = 0.05
-	}
-	if fp.Zero(c.MaxFill) {
-		c.MaxFill = 0.98
-	}
-	if c.MaxSwitchesPerDay == 0 {
-		c.MaxSwitchesPerDay = 6
-	}
-	if fp.Zero(c.EndFillBand) {
-		c.EndFillBand = 0.2
-	}
-	return c
-}
+// The bounds on the plant operation the optimizer may commit.
+const (
+	// minFill and maxFill bound both reservoirs' fill fraction at every
+	// step of the day: never drain a basin to the dead zone, never run
+	// one to the brim.
+	minFill = 0.05
+	maxFill = 0.98
+	// maxSwitchesPerDay caps pump↔turbine reversals per day — the
+	// machine-wear limit.
+	maxSwitchesPerDay = 6
+	// endFillBand bounds how far the upper reservoir's end-of-horizon
+	// fill may drift from its start-of-horizon fill, keeping the myopic
+	// horizon from strip-mining the stored water.
+	endFillBand = 0.2
+)
 
 // excess returns the strict constraint excess of v beyond bound in the
 // given direction, with the boundary itself (and boundaryEps around it)
@@ -94,8 +77,6 @@ type Constrained struct {
 	Inputs []uphes.DayInput
 	// Start is the reservoir state carried into the horizon.
 	Start uphes.PlantState
-	// Cons is the defaulted constraint configuration.
-	Cons ConstraintConfig
 	// Latency is the simulated per-evaluation cost.
 	Latency time.Duration
 
@@ -134,7 +115,7 @@ func (c *Constrained) run(x []float64) evalRec {
 		state = next
 	}
 	endFill := state.UpperV / c.Sim.Config().Plant.UpperVolumeMax
-	rec.violation += excess(math.Abs(endFill-startFill), c.Cons.EndFillBand, true)
+	rec.violation += excess(math.Abs(endFill-startFill), endFillBand, true)
 
 	c.mu.Lock()
 	if c.cache == nil {
@@ -148,11 +129,11 @@ func (c *Constrained) run(x []float64) evalRec {
 // dayViolation aggregates one day's constraint excesses from its
 // operational metrics.
 func (c *Constrained) dayViolation(dm *uphes.DayMetrics) float64 {
-	v := excess(dm.MinUpperFill, c.Cons.MinFill, false)
-	v += excess(dm.MaxUpperFill, c.Cons.MaxFill, true)
-	v += excess(dm.MinLowerFill, c.Cons.MinFill, false)
-	v += excess(dm.MaxLowerFill, c.Cons.MaxFill, true)
-	if ex := dm.Switches - c.Cons.MaxSwitchesPerDay; ex > 0 {
+	v := excess(dm.MinUpperFill, minFill, false)
+	v += excess(dm.MaxUpperFill, maxFill, true)
+	v += excess(dm.MinLowerFill, minFill, false)
+	v += excess(dm.MaxLowerFill, maxFill, true)
+	if ex := dm.Switches - maxSwitchesPerDay; ex > 0 {
 		v += switchScale * float64(ex)
 	}
 	return v

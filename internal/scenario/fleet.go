@@ -14,13 +14,11 @@ import (
 )
 
 // FleetConfig describes a whole ensemble run: the scenario ensemble, the
-// constraints, the rolling-horizon geometry, the per-day optimizer
-// configuration and the member-level parallelism.
+// rolling-horizon geometry, the per-day optimizer configuration and the
+// member-level parallelism.
 type FleetConfig struct {
 	// Gen is the ensemble (Gen.Members sessions run).
 	Gen GenConfig `json:"gen"`
-	// Cons constrains every committed day.
-	Cons ConstraintConfig `json:"constraints"`
 	// Days is the number of operational days rolled per member.
 	Days int `json:"days"`
 	// Horizon is the look-ahead window of each day's optimization
@@ -39,7 +37,6 @@ type FleetConfig struct {
 
 func (c FleetConfig) withDefaults() FleetConfig {
 	c.Gen = c.Gen.withDefaults()
-	c.Cons = c.Cons.withDefaults()
 	c.Opt = c.Opt.withDefaults()
 	if c.Days <= 0 {
 		c.Days = 1
@@ -143,7 +140,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 	err := parallel.ForEach(ctx, cfg.Parallel, n, func(m int) {
-		results[m], errs[m] = RunMember(ctx, f.Runner, cfg.Gen, cfg.Cons, cfg.Opt,
+		results[m], errs[m] = RunMember(ctx, f.Runner, cfg.Gen, cfg.Opt,
 			m, cfg.Days, cfg.Horizon, cfg.SimLatency)
 		if m+slots >= n {
 			giveBack() // ForEach's slot m%slots has no member left

@@ -17,7 +17,6 @@ package scenario
 import (
 	"math"
 
-	"repro/internal/fp"
 	"repro/internal/rng"
 	"repro/internal/uphes"
 )
@@ -31,45 +30,36 @@ const (
 	seedStreamBase = uint64(1) << 34
 )
 
-// GenConfig parameterizes the scenario ensemble. The zero value is not
-// usable; call withDefaults via the package entry points, which accept
-// zero fields and fill in the documented defaults.
+// GenConfig parameterizes the scenario ensemble. Zero fields select the
+// documented defaults.
 type GenConfig struct {
 	// Seed drives every stream of the ensemble.
 	Seed uint64 `json:"seed"`
 	// Members is the ensemble size (default 8).
 	Members int `json:"members"`
-	// SeasonalAmp is the relative amplitude of the annual price cycle
-	// (default 0.18: winter peaks ~18% above the annual mean level).
-	SeasonalAmp float64 `json:"seasonal_amp,omitempty"`
-	// WeekendDip is the relative weekend price reduction (default 0.12).
-	WeekendDip float64 `json:"weekend_dip,omitempty"`
-	// InflowSeasonalAmp is the relative amplitude of the annual inflow
-	// cycle (default 0.5: spring inflow 50% above the mean).
-	InflowSeasonalAmp float64 `json:"inflow_seasonal_amp,omitempty"`
-	// BootstrapPool is the number of residual day-curves resampled into
-	// daily price paths (default 32).
-	BootstrapPool int `json:"bootstrap_pool,omitempty"`
 }
 
 func (g GenConfig) withDefaults() GenConfig {
 	if g.Members <= 0 {
 		g.Members = 8
 	}
-	if fp.Zero(g.SeasonalAmp) {
-		g.SeasonalAmp = 0.18
-	}
-	if fp.Zero(g.WeekendDip) {
-		g.WeekendDip = 0.12
-	}
-	if fp.Zero(g.InflowSeasonalAmp) {
-		g.InflowSeasonalAmp = 0.5
-	}
-	if g.BootstrapPool <= 0 {
-		g.BootstrapPool = 32
-	}
 	return g
 }
+
+// The ensemble's shape around the paper's day.
+const (
+	// seasonalAmp is the relative amplitude of the annual price cycle:
+	// winter peaks ~18% above the annual mean level.
+	seasonalAmp = 0.18
+	// weekendDip is the relative weekend price reduction.
+	weekendDip = 0.12
+	// inflowSeasonalAmp is the relative amplitude of the annual inflow
+	// cycle: spring inflow 50% above the mean.
+	inflowSeasonalAmp = 0.5
+	// bootstrapPool is the number of residual day-curves resampled into
+	// daily price paths.
+	bootstrapPool = 32
+)
 
 // Generator produces deterministic per-(member, day) realized inputs for
 // the rolling-horizon driver: the paper's price shape reshaped by annual
@@ -80,7 +70,7 @@ type Generator struct {
 	base uphes.Config
 	// pool holds the bootstrap residual curves at quarter-hour
 	// resolution, built once from the pool stream namespace.
-	pool [][uphes.Steps]float64
+	pool [bootstrapPool][uphes.Steps]float64
 }
 
 // NewGenerator builds the generator for a plant/market configuration.
@@ -88,7 +78,7 @@ type Generator struct {
 // ignored in favor of gen.Seed.
 func NewGenerator(base uphes.Config, gen GenConfig) *Generator {
 	cfg := gen.withDefaults()
-	g := &Generator{cfg: cfg, base: base, pool: make([][uphes.Steps]float64, cfg.BootstrapPool)}
+	g := &Generator{cfg: cfg, base: base}
 	for i := range g.pool {
 		stream := rng.New(cfg.Seed, poolStreamBase+uint64(i))
 		// AR(1) hourly residuals interpolated to quarter hours — the
@@ -116,12 +106,12 @@ func (g *Generator) Config() GenConfig { return g.cfg }
 // seasonalPrice is the annual price level factor for calendar day d:
 // peak around mid-January (day 15), trough in July.
 func (g *Generator) seasonalPrice(day int) float64 {
-	return 1 + g.cfg.SeasonalAmp*math.Cos(2*math.Pi*float64(day-15)/365)
+	return 1 + seasonalAmp*math.Cos(2*math.Pi*float64(day-15)/365)
 }
 
 // seasonalInflow is the annual inflow factor: peak in spring (day ~80).
 func (g *Generator) seasonalInflow(day int) float64 {
-	f := 1 + g.cfg.InflowSeasonalAmp*math.Sin(2*math.Pi*float64(day-80+91)/365)
+	f := 1 + inflowSeasonalAmp*math.Sin(2*math.Pi*float64(day-80+91)/365)
 	if f < 0 {
 		return 0
 	}
@@ -132,7 +122,7 @@ func (g *Generator) seasonalInflow(day int) float64 {
 // weekend (day 0 is a Monday by convention).
 func (g *Generator) weekday(day int) float64 {
 	if day%7 >= 5 {
-		return 1 - g.cfg.WeekendDip
+		return 1 - weekendDip
 	}
 	return 1
 }

@@ -23,8 +23,6 @@ type DaySpec struct {
 	// Gen is the ensemble configuration (the seed is the ensemble
 	// identity).
 	Gen GenConfig `json:"gen"`
-	// Cons is the constraint configuration.
-	Cons ConstraintConfig `json:"constraints"`
 	// Member and Day locate the cell in the ensemble.
 	Member int `json:"member"`
 	Day    int `json:"day"`
@@ -77,7 +75,6 @@ func (s *DaySpec) Build() (*core.Problem, *Constrained, error) {
 		Sim:     sim,
 		Inputs:  gen.Days(s.Member, s.Day, s.Horizon),
 		Start:   s.Start,
-		Cons:    s.Cons.withDefaults(),
 		Latency: latency,
 	}
 	dayLo, dayHi := sim.Bounds()
@@ -143,17 +140,6 @@ func (o OptConfig) withDefaults() OptConfig {
 	return o
 }
 
-func (o OptConfig) mode() (core.Mode, error) {
-	switch o.Mode {
-	case "", "sync":
-		return core.Synchronous, nil
-	case "async":
-		return core.Asynchronous, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown mode %q (want \"sync\" or \"async\")", o.Mode)
-	}
-}
-
 // Engine assembles the cell's core.Engine: the horizon problem, the
 // named strategy, and the constrained two-GP model factory, with the
 // engine seed derived from the fleet master seed so every cell is an
@@ -170,7 +156,7 @@ func (s *DaySpec) Engine(opt OptConfig) (*core.Engine, *Constrained, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mode, err := opt.mode()
+	mode, err := core.ParseMode(opt.Mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -290,7 +276,7 @@ func commitDay(cons *Constrained, res *core.Result, horizon int) (x []float64, b
 // the runner, commits the first day of the best feasible point, realizes
 // it on the member's actual day inputs, and carries the end state
 // forward. The trajectory is a pure function of (configs, seed).
-func RunMember(ctx context.Context, r DayRunner, gen GenConfig, cons ConstraintConfig, opt OptConfig, member, days, horizon int, latency time.Duration) (*MemberResult, error) {
+func RunMember(ctx context.Context, r DayRunner, gen GenConfig, opt OptConfig, member, days, horizon int, latency time.Duration) (*MemberResult, error) {
 	base := uphes.DefaultConfig()
 	state := uphes.DefaultState(&base.Plant)
 	mr := &MemberResult{Member: member, Days: make([]DayRecord, 0, days)}
@@ -300,7 +286,6 @@ func RunMember(ctx context.Context, r DayRunner, gen GenConfig, cons ConstraintC
 		}
 		spec := &DaySpec{
 			Gen:          gen,
-			Cons:         cons,
 			Member:       member,
 			Day:          day,
 			Horizon:      horizon,

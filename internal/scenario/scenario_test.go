@@ -121,8 +121,8 @@ func TestConstrainedBoundary(t *testing.T) {
 	base := uphes.DefaultConfig()
 	plant := &base.Plant
 	cons.Start = uphes.PlantState{
-		UpperV: cons.Cons.MinFill * plant.UpperVolumeMax,
-		LowerV: cons.Cons.MinFill * plant.LowerVolumeMax,
+		UpperV: minFill * plant.UpperVolumeMax,
+		LowerV: minFill * plant.LowerVolumeMax,
 	}
 	idle := make([]float64, uphes.Dim)
 	v := cons.Violation(idle)

@@ -131,33 +131,7 @@ func (c *Client) Status(ctx context.Context, id string) (session.Status, error) 
 // Ask requests the next batch. done=true reports run completion; a nil
 // batch with ErrNotReady means initial-design results are outstanding.
 func (c *Client) Ask(ctx context.Context, id string) (b *core.Batch, done bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sessions/"+id+"/ask", nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: ask %s: %w", id, err)
-	}
-	defer func() {
-		//lint:ignore errcheck response body close failures carry no information after a full read
-		_ = resp.Body.Close()
-	}()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: ask %s: %w", id, err)
-	}
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return nil, false, fmt.Errorf("serve client: ask %s: %w", id, ErrNotReady)
-	case resp.StatusCode != http.StatusOK:
-		return nil, false, fmt.Errorf("serve client: ask %s: %d: %s", id, resp.StatusCode, raw)
-	}
-	var ar AskResponse
-	if err := json.Unmarshal(raw, &ar); err != nil {
-		return nil, false, fmt.Errorf("serve client: ask %s: decode: %w", id, err)
-	}
-	return ar.Batch, ar.Done, nil
+	return c.ask(ctx, http.MethodPost, "/v1/sessions/"+id+"/ask")
 }
 
 // askWaitMargin pads the client-side deadline of a long poll past the
@@ -189,32 +163,19 @@ func (c *Client) AskWait(ctx context.Context, id string, wait time.Duration) (b 
 	}
 	ctx, cancel := context.WithTimeout(ctx, wait+askWaitMargin)
 	defer cancel()
-	path := "/v1/sessions/" + id + "/ask?wait=" + url.QueryEscape(wait.String())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: ask-wait %s: %w", id, err)
-	}
-	defer func() {
-		//lint:ignore errcheck response body close failures carry no information after a full read
-		_ = resp.Body.Close()
-	}()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve client: ask-wait %s: %w", id, err)
-	}
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return nil, false, fmt.Errorf("serve client: ask-wait %s: %w", id, ErrNotReady)
-	case resp.StatusCode != http.StatusOK:
-		return nil, false, fmt.Errorf("serve client: ask-wait %s: %d: %s", id, resp.StatusCode, raw)
-	}
+	return c.ask(ctx, http.MethodGet, "/v1/sessions/"+id+"/ask?wait="+url.QueryEscape(wait.String()))
+}
+
+// ask is the request and reply path Ask and AskWait share: a 409 answer
+// is ErrNotReady, any other failure do's error.
+func (c *Client) ask(ctx context.Context, method, path string) (*core.Batch, bool, error) {
 	var ar AskResponse
-	if err := json.Unmarshal(raw, &ar); err != nil {
-		return nil, false, fmt.Errorf("serve client: ask-wait %s: decode: %w", id, err)
+	err := c.do(ctx, method, path, nil, &ar)
+	if StatusCode(err) == http.StatusConflict {
+		return nil, false, fmt.Errorf("serve client: %s %s: %w", method, path, ErrNotReady)
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	return ar.Batch, ar.Done, nil
 }

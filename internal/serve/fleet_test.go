@@ -136,7 +136,6 @@ func TestFleetKillAndResume(t *testing.T) {
 	base := uphes.DefaultConfig()
 	spec := &scenario.DaySpec{
 		Gen:          cfg.Gen,
-		Cons:         cfg.Cons,
 		Member:       0,
 		Day:          0,
 		Horizon:      cfg.Horizon,
@@ -292,7 +291,6 @@ func TestFleetTellPerRoundMatchesPerBatch(t *testing.T) {
 	base := uphes.DefaultConfig()
 	spec := &scenario.DaySpec{
 		Gen:          cfg.Gen,
-		Cons:         cfg.Cons,
 		Horizon:      cfg.Horizon,
 		Start:        uphes.DefaultState(&base.Plant),
 		SimLatencyNS: cfg.SimLatency,

@@ -27,9 +27,6 @@ type FleetRunner struct {
 	// FleetID prefixes all session IDs of this fleet; it must match
 	// [A-Za-z0-9._-]+.
 	FleetID string
-	// Wait is the long-poll wait per ask round (default 30s; the server
-	// caps it below its own request timeout).
-	Wait time.Duration
 	// Evict unloads every finished day session from the server's live
 	// registry (persisted servers can still resume them). Year-long
 	// fleets set it to bound server residency at one live session per
@@ -37,16 +34,13 @@ type FleetRunner struct {
 	Evict bool
 }
 
+// fleetWait is the long-poll wait per ask round; the server caps it
+// below its own request timeout.
+const fleetWait = 30 * time.Second
+
 // SessionID returns the deterministic session name of one cell.
 func (f *FleetRunner) SessionID(member, day int) string {
 	return fmt.Sprintf("%s-m%03d-d%03d", f.FleetID, member, day)
-}
-
-func (f *FleetRunner) wait() time.Duration {
-	if f.Wait <= 0 {
-		return 30 * time.Second
-	}
-	return f.Wait
 }
 
 // sessionSpec assembles the create-session request of one cell.
@@ -174,7 +168,7 @@ func (f *FleetRunner) RunDay(ctx context.Context, spec *scenario.DaySpec, opt sc
 
 func (f *FleetRunner) drive(ctx context.Context, id string, cons *scenario.Constrained) error {
 	for {
-		b, done, err := f.Client.AskWait(ctx, id, f.wait())
+		b, done, err := f.Client.AskWait(ctx, id, fleetWait)
 		if done {
 			return nil
 		}

@@ -70,6 +70,16 @@ func (s *Server) store(id string) *snapshot.Store {
 // persistence enabled the spec itself is written next to the snapshots,
 // which is what makes Resume and ResumeAll possible after a restart.
 func (s *Server) Create(spec SessionSpec) (*session.Session, error) {
+	return s.install(spec, false, nil)
+}
+
+// install is the path Create and Import share: the spec is validated and
+// assembled into an engine, the ID is checked against the live registry
+// and the snapshot root, and the spec is persisted. The session then
+// comes to life on it — fresh, or restored from frame when restore is
+// set — and is registered live; if that fails, the persisted spec is
+// unwound.
+func (s *Server) install(spec SessionSpec, restore bool, frame []byte) (*session.Session, error) {
 	eng, err := spec.Engine()
 	if err != nil {
 		return nil, err
@@ -100,7 +110,15 @@ func (s *Server) Create(spec SessionSpec) (*session.Session, error) {
 			return nil, fmt.Errorf("serve: write spec: %w", err)
 		}
 	}
-	sess, err := session.New(session.Config{ID: spec.ID, Engine: eng, Store: store, Now: s.Now})
+	cfg := session.Config{ID: spec.ID, Engine: eng, Store: store, Now: s.Now}
+	var sess *session.Session
+	if restore {
+		if sess, err = session.Restore(cfg, frame); err != nil {
+			err = fmt.Errorf("serve: import %s: %w", spec.ID, err)
+		}
+	} else {
+		sess, err = session.New(cfg)
+	}
 	if err != nil {
 		if store != nil {
 			// Unwind the spec so ResumeAll does not trip forever over a
@@ -113,11 +131,16 @@ func (s *Server) Create(spec SessionSpec) (*session.Session, error) {
 		}
 		return nil, err
 	}
+	s.register(spec, sess)
+	return sess, nil
+}
+
+// register adds a session to the live registry. Callers hold s.mu.
+func (s *Server) register(spec SessionSpec, sess *session.Session) {
 	if s.sessions == nil {
 		s.sessions = map[string]*entry{}
 	}
 	s.sessions[spec.ID] = &entry{spec: spec, sess: sess}
-	return sess, nil
 }
 
 // Resume reopens a persisted session from its stored spec and newest
@@ -152,10 +175,7 @@ func (s *Server) Resume(id string) (*session.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.sessions == nil {
-		s.sessions = map[string]*entry{}
-	}
-	s.sessions[id] = &entry{spec: spec, sess: sess}
+	s.register(spec, sess)
 	return sess, nil
 }
 
@@ -333,10 +353,7 @@ func (s *Server) Export(id string) (*ExportBundle, error) {
 		// The session is still healthy in memory — put it back rather
 		// than dropping a live run over a serialization failure.
 		s.mu.Lock()
-		if s.sessions == nil {
-			s.sessions = map[string]*entry{}
-		}
-		s.sessions[id] = e
+		s.register(e.spec, e.sess)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("serve: export %s: %w", id, err)
 	}
@@ -349,52 +366,7 @@ func (s *Server) Export(id string) (*ExportBundle, error) {
 // partial tells intact — and registered live. Refuses IDs that are
 // already live or already persisted here, like Create.
 func (s *Server) Import(bundle ExportBundle) (*session.Session, error) {
-	spec := bundle.Spec
-	eng, err := spec.Engine()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sessions[spec.ID]; ok {
-		return nil, fmt.Errorf("serve: session %q: %w", spec.ID, ErrExists)
-	}
-	store := s.store(spec.ID)
-	if store != nil {
-		specPath := filepath.Join(store.Dir, specFile)
-		if _, err := os.Stat(specPath); err == nil {
-			return nil, fmt.Errorf("serve: session %q persisted in %s, resume it instead: %w", spec.ID, store.Dir, ErrExists)
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		if err := os.MkdirAll(store.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		raw, err := json.MarshalIndent(&spec, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		if err := snapshot.WriteFileDurable(specPath, raw); err != nil {
-			return nil, fmt.Errorf("serve: write spec: %w", err)
-		}
-	}
-	sess, err := session.Restore(session.Config{ID: spec.ID, Engine: eng, Store: store, Now: s.Now}, bundle.Frame)
-	if err != nil {
-		if store != nil {
-			// Unwind the spec so ResumeAll does not trip forever over a
-			// session that never came to life here.
-			//lint:ignore errcheck best-effort unwind, resume skips spec-less directories
-			_ = os.Remove(filepath.Join(store.Dir, specFile))
-			//lint:ignore errcheck best-effort unwind
-			_ = os.Remove(store.Dir)
-		}
-		return nil, fmt.Errorf("serve: import %s: %w", spec.ID, err)
-	}
-	if s.sessions == nil {
-		s.sessions = map[string]*entry{}
-	}
-	s.sessions[spec.ID] = &entry{spec: spec, sess: sess}
-	return sess, nil
+	return s.install(bundle.Spec, true, bundle.Frame)
 }
 
 // Handler returns the API's http.Handler with the request timeout

@@ -79,9 +79,23 @@ type SessionSpec struct {
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
+// Caps on the spec's size fields. Each field sizes an allocation or a
+// computation when the engine is built or first fitted, so a create
+// request may not choose it at will. Every cap is above any value the
+// repository's commands, tests and workloads use, and together they hold
+// the defaulted initial design (InitSamples × Dim float64s, InitSamples
+// defaulting to 16 × BatchSize) to 8 MiB: 1024 × 1024 × 8 bytes.
+const (
+	maxDim         = 1024 // benchmark input dimension
+	maxHorizon     = 30   // scenario look-ahead days (dimension 12 × horizon)
+	maxBatchSize   = 64
+	maxInitSamples = 1024
+	maxRestarts    = 64 // GP hyperparameter restarts per fit
+)
+
 // Validate checks the parts of the spec the server depends on before the
-// engine's own validation runs (the ID becomes a directory name, so it is
-// held to a strict charset).
+// engine's own validation runs: the ID becomes a directory name, so it is
+// held to a strict charset, and the size fields are held to their caps.
 func (s *SessionSpec) Validate() error {
 	if !idPattern.MatchString(s.ID) {
 		return fmt.Errorf("serve: session id %q must match %s", s.ID, idPattern)
@@ -89,30 +103,38 @@ func (s *SessionSpec) Validate() error {
 	if s.Strategy == "" {
 		return fmt.Errorf("serve: session %s: empty strategy", s.ID)
 	}
+	horizon := 0
 	switch s.Problem.Kind {
 	case "uphes", "benchmark":
 	case "scenario":
 		if s.Problem.Scenario == nil {
 			return fmt.Errorf("serve: session %s: scenario problem without a day spec", s.ID)
 		}
+		horizon = s.Problem.Scenario.Horizon
 	default:
 		return fmt.Errorf("serve: session %s: unknown problem kind %q", s.ID, s.Problem.Kind)
 	}
-	if _, err := s.mode(); err != nil {
-		return err
+	if s.Problem.Dim < 0 {
+		return fmt.Errorf("serve: session %s: negative problem.dim %d", s.ID, s.Problem.Dim)
+	}
+	for _, f := range []struct {
+		name     string
+		v, limit int
+	}{
+		{"problem.dim", s.Problem.Dim, maxDim},
+		{"scenario.horizon", horizon, maxHorizon},
+		{"batch_size", s.BatchSize, maxBatchSize},
+		{"init_samples", s.InitSamples, maxInitSamples},
+		{"model.restarts", s.Model.Restarts, maxRestarts},
+	} {
+		if f.v > f.limit {
+			return fmt.Errorf("serve: session %s: %s %d exceeds the cap of %d", s.ID, f.name, f.v, f.limit)
+		}
+	}
+	if _, err := core.ParseMode(s.Mode); err != nil {
+		return fmt.Errorf("serve: session %s: %w", s.ID, err)
 	}
 	return nil
-}
-
-func (s *SessionSpec) mode() (core.Mode, error) {
-	switch s.Mode {
-	case "", "sync":
-		return core.Synchronous, nil
-	case "async":
-		return core.Asynchronous, nil
-	default:
-		return 0, fmt.Errorf("serve: session %s: unknown mode %q (want \"sync\" or \"async\")", s.ID, s.Mode)
-	}
 }
 
 // Engine assembles a fresh core.Engine from the spec. Each call returns
@@ -137,7 +159,7 @@ func (s *SessionSpec) Engine() (*core.Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", s.ID, err)
 	}
-	mode, err := s.mode()
+	mode, err := core.ParseMode(s.Mode)
 	if err != nil {
 		return nil, err
 	}

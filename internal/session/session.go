@@ -77,9 +77,9 @@ type Status struct {
 	Pending   []PendingStatus `json:"pending,omitempty"`
 }
 
-// partial accumulates member results for one in-flight batch.
-type partial struct {
-	batch core.Batch
+// receipt accumulates the member results received so far for one
+// in-flight batch.
+type receipt struct {
 	ys    []float64
 	costs []time.Duration
 	got   []bool
@@ -93,8 +93,10 @@ type Session struct {
 	at    *core.AskTell
 	store *snapshot.Store
 
-	partials map[int]*partial
-	order    []int
+	// receipts holds one entry per in-flight batch, keyed by batch ID.
+	// The batches themselves and their ask order are the engine's pending
+	// ledger (core.AskTell.Pending); only the member receipts live here.
+	receipts map[int]*receipt
 
 	// changed is the broadcast channel for long-poll waiters: every
 	// state transition that could unblock an Ask closes it and installs
@@ -242,7 +244,7 @@ func New(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	at.SetNow(cfg.Now)
-	s := &Session{id: cfg.ID, at: at, store: cfg.Store, partials: map[int]*partial{}, changed: make(chan struct{})}
+	s := &Session{id: cfg.ID, at: at, store: cfg.Store, receipts: map[int]*receipt{}, changed: make(chan struct{})}
 	if err := s.snapshotLocked(); err != nil {
 		return nil, err
 	}
@@ -280,11 +282,12 @@ func Resume(cfg Config) (*Session, error) {
 }
 
 // fromPayload rebuilds a live session from a decoded snapshot payload:
-// engine resume, partial-tell ledger, usage counters taken verbatim.
-// Counter reconciliation for the source frame itself — Resume's "count
-// the frame we just loaded" — stays with the callers, because Resume
-// and Restore account for it differently. where names the payload's
-// origin in errors.
+// engine resume, partial-tell ledger, usage counters taken verbatim. The
+// ledger must hold exactly one entry per pending engine batch: a batch
+// without one could never be told. Counter reconciliation for the source
+// frame itself — Resume's "count the frame we just loaded" — stays with
+// the callers, because Resume and Restore account for it differently.
+// where names the payload's origin in errors.
 func fromPayload(cfg Config, p *payload, where string) (*Session, error) {
 	if p.ID != cfg.ID {
 		return nil, fmt.Errorf("session: %s belongs to session %q, not %q", where, p.ID, cfg.ID)
@@ -295,32 +298,35 @@ func fromPayload(cfg Config, p *payload, where string) (*Session, error) {
 	}
 	at.SetNow(cfg.Now)
 	s := &Session{
-		id: cfg.ID, at: at, store: cfg.Store, partials: map[int]*partial{}, changed: make(chan struct{}),
+		id: cfg.ID, at: at, store: cfg.Store, receipts: map[int]*receipt{}, changed: make(chan struct{}),
 		asks: p.Asks, tells: p.Tells, snapshots: p.Snapshots, snapshotBytes: p.SnapshotBytes,
 	}
-	pending := at.Pending()
-	byID := map[int]core.Batch{}
-	for _, b := range pending {
-		byID[b.ID] = b
+	sizes := map[int]int{}
+	for _, b := range at.Pending() {
+		sizes[b.ID] = len(b.Points)
 	}
 	for _, ps := range p.Partials {
-		b, ok := byID[ps.BatchID]
+		n, ok := sizes[ps.BatchID]
 		if !ok {
 			return nil, fmt.Errorf("session: %s: partial results for unknown batch %d", where, ps.BatchID)
 		}
-		n := len(b.Points)
+		if _, dup := s.receipts[ps.BatchID]; dup {
+			return nil, fmt.Errorf("session: %s: partial ledger lists batch %d twice", where, ps.BatchID)
+		}
 		if len(ps.Ys) != n || len(ps.CostsNS) != n || len(ps.Got) != n {
 			return nil, fmt.Errorf("session: %s: partial ledger for batch %d malformed", where, ps.BatchID)
 		}
-		pt := &partial{batch: b, ys: ps.Ys, costs: make([]time.Duration, n), got: ps.Got}
+		rc := &receipt{ys: ps.Ys, costs: make([]time.Duration, n), got: ps.Got}
 		for i, c := range ps.CostsNS {
-			pt.costs[i] = time.Duration(c)
+			rc.costs[i] = time.Duration(c)
 			if ps.Got[i] {
-				pt.n++
+				rc.n++
 			}
 		}
-		s.partials[b.ID] = pt
-		s.order = append(s.order, b.ID)
+		s.receipts[ps.BatchID] = rc
+	}
+	if len(s.receipts) != len(sizes) {
+		return nil, fmt.Errorf("session: %s: partial ledger covers %d of %d pending batches", where, len(s.receipts), len(sizes))
 	}
 	return s, nil
 }
@@ -396,13 +402,8 @@ func (s *Session) Ask(ctx context.Context) (*core.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.partials[b.ID] = &partial{
-		batch: *b,
-		ys:    make([]float64, len(b.Points)),
-		costs: make([]time.Duration, len(b.Points)),
-		got:   make([]bool, len(b.Points)),
-	}
-	s.order = append(s.order, b.ID)
+	n := len(b.Points)
+	s.receipts[b.ID] = &receipt{ys: make([]float64, n), costs: make([]time.Duration, n), got: make([]bool, n)}
 	s.asks++
 	if err := s.snapshotLocked(); err != nil {
 		return nil, err
@@ -464,14 +465,14 @@ func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 	// Validate the whole group first: a Tell is all-or-nothing.
 	staged := map[int]map[int]bool{}
 	for _, r := range results {
-		p, ok := s.partials[r.BatchID]
+		rc, ok := s.receipts[r.BatchID]
 		if !ok {
 			return fmt.Errorf("session: tell for unknown or completed batch %d", r.BatchID)
 		}
-		if r.Member < 0 || r.Member >= len(p.batch.Points) {
+		if r.Member < 0 || r.Member >= len(rc.got) {
 			return fmt.Errorf("session: batch %d has no member %d", r.BatchID, r.Member)
 		}
-		if p.got[r.Member] || staged[r.BatchID][r.Member] {
+		if rc.got[r.Member] || staged[r.BatchID][r.Member] {
 			return fmt.Errorf("session: duplicate result for batch %d member %d", r.BatchID, r.Member)
 		}
 		if r.CostNS < 0 {
@@ -487,35 +488,30 @@ func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 	}
 
 	for _, r := range results {
-		p := s.partials[r.BatchID]
-		p.ys[r.Member] = r.Y
-		p.costs[r.Member] = time.Duration(r.CostNS)
-		p.got[r.Member] = true
-		p.n++
+		rc := s.receipts[r.BatchID]
+		rc.ys[r.Member] = r.Y
+		rc.costs[r.Member] = time.Duration(r.CostNS)
+		rc.got[r.Member] = true
+		rc.n++
 	}
 	s.tells += int64(len(results))
 
-	// Forward every batch that just completed, in ask order — the order
-	// the closed loop would have told them, keeping sequential drivers
-	// bit-identical to Engine.Run. The ledger is rebuilt into a fresh
-	// slice (never in place over s.order's backing array) so that a
-	// forward error leaves it consistent: batches already forwarded are
-	// dropped, everything from the failed one on stays pending.
-	remaining := make([]int, 0, len(s.order))
-	for i, id := range s.order {
-		p := s.partials[id]
-		if p.n == len(p.batch.Points) {
-			if err := s.at.Tell(id, p.ys, p.costs); err != nil {
-				s.order = append(remaining, s.order[i:]...)
-				s.notifyLocked()
-				return err
-			}
-			delete(s.partials, id)
+	// Forward every batch that just completed, in the engine's ask order —
+	// the order the closed loop would have told them, keeping sequential
+	// drivers bit-identical to Engine.Run. A forward error leaves both
+	// ledgers consistent: batches already forwarded are gone from each,
+	// everything from the failed one on stays pending in each.
+	for _, b := range s.at.Pending() {
+		rc := s.receipts[b.ID]
+		if rc.n < len(rc.got) {
 			continue
 		}
-		remaining = append(remaining, id)
+		if err := s.at.Tell(b.ID, rc.ys, rc.costs); err != nil {
+			s.notifyLocked()
+			return err
+		}
+		delete(s.receipts, b.ID)
 	}
-	s.order = remaining
 	err := s.snapshotLocked()
 	// Wake long-poll waiters last, after the advanced state is durable:
 	// an engine-level tell may have freed an asynchronous in-flight slot
@@ -541,13 +537,12 @@ func (s *Session) Status() Status {
 		HaveBest:  res.BestX != nil,
 		VirtualNS: int64(s.at.Elapsed()),
 	}
-	for _, id := range s.order {
-		p := s.partials[id]
+	for _, b := range s.at.Pending() {
 		st.Pending = append(st.Pending, PendingStatus{
-			BatchID:  id,
-			Cycle:    p.batch.Cycle,
-			Size:     len(p.batch.Points),
-			Received: p.n,
+			BatchID:  b.ID,
+			Cycle:    b.Cycle,
+			Size:     len(b.Points),
+			Received: s.receipts[b.ID].n,
 		})
 	}
 	return st
@@ -582,14 +577,13 @@ func (s *Session) Metrics() Metrics {
 		Done:             s.at.Done(),
 		Asks:             s.asks,
 		Tells:            s.tells,
-		Pending:          len(s.order),
+		Pending:          len(s.receipts),
 		FantasyFallbacks: s.at.FantasyFallbacks(),
 		Snapshots:        s.snapshots,
 		SnapshotBytes:    s.snapshotBytes,
 	}
-	for _, id := range s.order {
-		p := s.partials[id]
-		m.PendingMembers += len(p.batch.Points) - p.n
+	for _, rc := range s.receipts {
+		m.PendingMembers += len(rc.got) - rc.n
 	}
 	return m
 }
@@ -609,10 +603,10 @@ type PendingBatch struct {
 func (s *Session) PendingWork() []PendingBatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]PendingBatch, 0, len(s.order))
-	for _, id := range s.order {
-		p := s.partials[id]
-		out = append(out, PendingBatch{Batch: p.batch, Received: append([]bool(nil), p.got...)})
+	pending := s.at.Pending()
+	out := make([]PendingBatch, 0, len(pending))
+	for _, b := range pending {
+		out = append(out, PendingBatch{Batch: b, Received: append([]bool(nil), s.receipts[b.ID].got...)})
 	}
 	return out
 }
@@ -665,17 +659,17 @@ func (s *Session) payloadLocked() (*payload, error) {
 		Asks: s.asks, Tells: s.tells,
 		Snapshots: s.snapshots, SnapshotBytes: s.snapshotBytes,
 	}
-	for _, id := range s.order {
-		pt := s.partials[id]
-		costs := make([]int64, len(pt.costs))
-		for i, c := range pt.costs {
+	for _, pc := range cp.Pending {
+		rc := s.receipts[pc.ID]
+		costs := make([]int64, len(rc.costs))
+		for i, c := range rc.costs {
 			costs[i] = int64(c)
 		}
 		p.Partials = append(p.Partials, partialSnapshot{
-			BatchID: id,
-			Ys:      pt.ys,
+			BatchID: pc.ID,
+			Ys:      rc.ys,
 			CostsNS: costs,
-			Got:     pt.got,
+			Got:     rc.got,
 		})
 	}
 	return p, nil

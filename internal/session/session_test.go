@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -335,6 +336,52 @@ func TestSessionResumeRejectsWrongID(t *testing.T) {
 	}
 	if _, err := Resume(Config{ID: "alpha", Engine: testEngine(t, "KB-q-EGO")}); err == nil {
 		t.Fatal("resume without a store accepted")
+	}
+}
+
+// TestRestoreRefusesLedgerMissingPendingBatch: a frame whose partial
+// ledger omits a batch the engine checkpoint holds pending must be
+// refused, by Restore and by Resume alike. Accepted, the session would
+// report nothing pending while the engine waits on the batch, and every
+// tell for it would fail.
+func TestRestoreRefusesLedgerMissingPendingBatch(t *testing.T) {
+	e := testEngine(t, "KB-q-EGO")
+	s, err := New(Config{ID: "gap", Engine: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ask(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(Config{ID: "gap", Engine: testEngine(t, "KB-q-EGO")}, frame); err != nil {
+		t.Fatalf("intact frame refused: %v", err)
+	}
+	var p payload
+	if err := snapshot.Decode(frame, &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Checkpoint.Pending) != 1 || len(p.Partials) != 1 {
+		t.Fatalf("frame holds %d pending batches, %d ledger entries", len(p.Checkpoint.Pending), len(p.Partials))
+	}
+	p.Partials = nil
+	gap, err := snapshot.Encode(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Restore(Config{ID: "gap", Engine: testEngine(t, "KB-q-EGO")}, gap)
+	if err == nil || !strings.Contains(err.Error(), "partial ledger covers 0 of 1 pending batches") {
+		t.Fatalf("restore of a ledger missing a pending batch: err = %v", err)
+	}
+	store := &snapshot.Store{Dir: t.TempDir()}
+	if _, err := store.SaveEncoded(gap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(Config{ID: "gap", Engine: testEngine(t, "KB-q-EGO"), Store: store}); err == nil {
+		t.Fatal("resume of a ledger missing a pending batch accepted")
 	}
 }
 

@@ -71,28 +71,6 @@ type TTestResult struct {
 	P  float64 // two-sided p-value
 }
 
-// WelchTTest performs the unequal-variance two-sample t-test (the robust
-// default for comparing optimizer outcome samples).
-func WelchTTest(a, b []float64) (TTestResult, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return TTestResult{}, fmt.Errorf("stats: need at least 2 samples per group (%d, %d)", len(a), len(b))
-	}
-	sa, sb := Summarize(a), Summarize(b)
-	na, nb := float64(sa.N), float64(sb.N)
-	va, vb := sa.SD*sa.SD, sb.SD*sb.SD
-	se2 := va/na + vb/nb
-	if fp.Zero(se2) {
-		// Identical constant samples: no evidence of difference.
-		if fp.Exact(sa.Mean, sb.Mean) {
-			return TTestResult{T: 0, DF: na + nb - 2, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(sign(sa.Mean - sb.Mean)), DF: na + nb - 2, P: 0}, nil
-	}
-	t := (sa.Mean - sb.Mean) / math.Sqrt(se2)
-	df := se2 * se2 / (va*va/(na*na*(na-1)) + vb*vb/(nb*nb*(nb-1)))
-	return TTestResult{T: t, DF: df, P: tTwoSidedP(t, df)}, nil
-}
-
 // PooledTTest performs the classical equal-variance Student's t-test, as
 // used in the paper's Figure 8.
 func PooledTTest(a, b []float64) (TTestResult, error) {
@@ -131,11 +109,10 @@ func tTwoSidedP(t, df float64) float64 {
 	return RegIncBeta(df/2, 0.5, x)
 }
 
-// PairwisePValues returns the symmetric matrix of two-sided p-values for
-// all pairs of named samples (Figure 8's heatmap). Diagonal entries are 1.
-// test selects the statistic ("welch" or "pooled", default pooled as in
-// the paper).
-func PairwisePValues(samples map[string][]float64, order []string, test string) ([][]float64, error) {
+// PairwisePValues returns the symmetric matrix of two-sided pooled
+// Student's t-test p-values for all pairs of named samples (Figure 8's
+// heatmap, which uses that test). Diagonal entries are 1.
+func PairwisePValues(samples map[string][]float64, order []string) ([][]float64, error) {
 	n := len(order)
 	out := make([][]float64, n)
 	for i := range out {
@@ -149,15 +126,7 @@ func PairwisePValues(samples map[string][]float64, order []string, test string) 
 			if !oka || !okb {
 				return nil, fmt.Errorf("stats: missing sample %q or %q", order[i], order[j])
 			}
-			var (
-				res TTestResult
-				err error
-			)
-			if test == "welch" {
-				res, err = WelchTTest(a, b)
-			} else {
-				res, err = PooledTTest(a, b)
-			}
+			res, err := PooledTTest(a, b)
 			if err != nil {
 				return nil, err
 			}

@@ -108,9 +108,9 @@ func TestTTwoSidedPReference(t *testing.T) {
 	}
 }
 
-func TestWelchTTestIdenticalSamples(t *testing.T) {
+func TestPooledTTestIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
-	res, err := WelchTTest(a, a)
+	res, err := PooledTTest(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,10 @@ func TestWelchTTestIdenticalSamples(t *testing.T) {
 	}
 }
 
-func TestWelchTTestClearDifference(t *testing.T) {
+func TestPooledTTestClearDifference(t *testing.T) {
 	a := []float64{10.1, 10.2, 9.9, 10.0, 10.1}
 	b := []float64{0.1, 0.2, -0.1, 0.0, -0.2}
-	res, err := WelchTTest(a, b)
+	res, err := PooledTTest(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPooledTTestMatchesKnownExample(t *testing.T) {
 }
 
 func TestTTestTooFewSamples(t *testing.T) {
-	if _, err := WelchTTest([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := PooledTTest([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("expected error")
 	}
 	if _, err := PooledTTest([]float64{1, 2}, []float64{3}); err == nil {
@@ -187,7 +187,7 @@ func TestPairwisePValues(t *testing.T) {
 		"C": mk(10),
 	}
 	order := []string{"A", "B", "C"}
-	m, err := PairwisePValues(samples, order, "pooled")
+	m, err := PairwisePValues(samples, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestPairwisePValues(t *testing.T) {
 	if m[0][1] < 0.05 {
 		t.Fatalf("A vs B p = %v, expected large", m[0][1])
 	}
-	if _, err := PairwisePValues(samples, []string{"A", "missing"}, "welch"); err == nil {
+	if _, err := PairwisePValues(samples, []string{"A", "missing"}); err == nil {
 		t.Fatal("expected error for missing sample")
 	}
 }
 
-// Property: Welch p-values lie in [0,1] and the test is symmetric in its
+// Property: pooled p-values lie in [0,1] and the test is symmetric in its
 // arguments.
-func TestWelchSymmetryProperty(t *testing.T) {
+func TestPooledSymmetryProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		stream := rng.New(seed, 3)
 		n := 3 + int(seed%8)
@@ -227,8 +227,8 @@ func TestWelchSymmetryProperty(t *testing.T) {
 			a[i] = stream.Norm()
 			b[i] = 0.5 + 2*stream.Norm()
 		}
-		r1, err1 := WelchTTest(a, b)
-		r2, err2 := WelchTTest(b, a)
+		r1, err1 := PooledTTest(a, b)
+		r2, err2 := PooledTTest(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}

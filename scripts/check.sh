@@ -6,15 +6,16 @@
 # own invariant linter (cmd/pbolint), the full test suite on the default
 # build (the AVX2 bodies wherever the CPU probe selects them), the
 # portable-path pass (the vector bodies' Go loops under the purego tag,
-# against the same golden traces and paper digests), the full test suite
-# under the race detector, a named re-run of the bit-identity property
-# tests for the parallel linear-algebra paths (still under -race), a
-# named re-run of the kill-and-resume determinism tests for the
-# session/serving stack (still under -race; each named group fails if a
-# listed name matches no test), 10 s fuzz runs of the prediction
-# workspace's value-pass reuse and of every vector body against its Go
-# oracle, the hot-path allocation-regression tests without the race
-# detector (alloc counts are only meaningful uninstrumented), a
+# against the same golden traces, paper digests and snapshot frame
+# digests), the full test suite under the race detector, a named re-run
+# of the bit-identity property tests for the parallel linear-algebra
+# paths (still under -race), a named re-run of the kill-and-resume
+# determinism tests for the session/serving stack (still under -race;
+# each named group fails if a listed name matches no test), 10 s fuzz
+# runs of the prediction workspace's value-pass reuse, of the snapshot
+# frame decoder, of the session spec and of every vector body against
+# its Go oracle, the hot-path allocation-regression tests without the
+# race detector (alloc counts are only meaningful uninstrumented), a
 # single-iteration pass over every benchmark so bench code cannot rot
 # uncompiled, and one fast `bench.sh -check` pass that enforces the
 # zero-allocation budgets of DESIGN.md §9 and the snapshot, fit, async
@@ -95,12 +96,13 @@ echo "== go test ./... (default build)"
 # pass's self-check falls back silently.
 go test -count 1 ./...
 
-echo "== portable path: mat, kernel, gp, golden traces and paper digests under -tags purego"
+echo "== portable path: mat, kernel, gp, golden traces, paper and frame digests under -tags purego"
 # The Go loops the AVX2 bodies replace must keep every bit: the same
-# golden traces and paper-workload digests hold on both paths.
+# golden traces, paper-workload digests and snapshot frame digests hold
+# on both paths.
 go test -tags purego -count 1 ./internal/mat/ ./internal/kernel/ ./internal/gp/
-go test -tags purego -count 1 -run '^(TestPaperStrategyTracesGolden|TestScenarioGoldenTraceDeterminism|TestPaperWorkloadDigests)$' \
-    ./internal/strategy/ ./internal/scenario/ .
+go test -tags purego -count 1 -run '^(TestPaperStrategyTracesGolden|TestScenarioGoldenTraceDeterminism|TestPaperWorkloadDigests|TestSnapshotFrameDigests)$' \
+    ./internal/strategy/ ./internal/scenario/ ./internal/session/ .
 
 echo "== go test -race ./... (purego)"
 go test -race -tags purego ./...
@@ -177,6 +179,14 @@ echo "== fuzz the snapshot frame decoder for 10 s"
 # ErrVersion. The seeds are the golden v1-v3 payloads and corruptions of
 # the v3 layout; inputs it finds land in internal/session/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/session/
+
+echo "== fuzz the session spec for 10 s"
+# Byte-derived create-request bodies: decoding and Validate never panic,
+# and every spec Validate accepts builds its engine and opens its run
+# without a panic, its initial design inside the size caps. The seeds
+# are the specs the serve tests create and the oversized rows; inputs it
+# finds land in internal/serve/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzSessionSpec$' -fuzztime 10s ./internal/serve/
 
 echo "== fuzz every vector body against its Go oracle, 10 s each"
 # The Cholesky sweep on byte-derived operands (any bit pattern, lengths
