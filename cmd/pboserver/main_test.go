@@ -29,7 +29,7 @@ func serverSpec() serve.SessionSpec {
 		MaxCycles:      2,
 		BudgetNS:       int64(time.Hour),
 		OverheadFactor: 1,
-		Model:          serve.ModelSpec{Restarts: 1, MaxIter: 10, FitSubsetMax: 48},
+		Model:          core.ModelConfig{Restarts: 1, MaxIter: 10, FitSubsetMax: 48},
 		Seed:           3,
 	}
 }

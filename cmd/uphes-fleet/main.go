@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/strategy"
@@ -83,8 +84,8 @@ func main() {
 	if *cycles <= 0 {
 		usageErr("cycle count must be positive, got %d", *cycles)
 	}
-	if *mode != "sync" && *mode != "async" {
-		usageErr(`mode must be "sync" or "async", got %q`, *mode)
+	if _, err := core.ParseMode(*mode); err != nil {
+		usageErr("%v", err)
 	}
 	if _, err := strategy.ByName(*strategyName); err != nil {
 		usageErr("unknown strategy %q (valid: %s)", *strategyName, strings.Join(pbo.Strategies(), ", "))

@@ -19,15 +19,10 @@ import (
 // Acquisition scores a single candidate point under a surrogate posterior
 // (the paper's GP, or any other surrogate.Surrogate).
 type Acquisition interface {
-	// Name identifies the criterion (for logging and Table 3).
-	Name() string
-	// Eval returns the utility of x.
-	Eval(g surrogate.Surrogate, x []float64) float64
-	// EvalWithGrad returns the utility and writes its gradient w.r.t. x
-	// into grad (length = dim). A nil grad asks for the value only, with
-	// the bits of a full call at x: the posterior comes from
-	// PredictWithGrad with nil gradient buffers, never from Predict, whose
-	// variance clamp differs (DESIGN.md §9.4).
+	// EvalWithGrad returns the utility of x and writes its gradient
+	// w.r.t. x into grad (length = dim). A nil grad asks for the value
+	// only, with the bits of a full call at x: the posterior comes from
+	// PredictWithGrad with nil gradient buffers (DESIGN.md §9.4).
 	EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float64
 }
 
@@ -40,16 +35,6 @@ type EI struct {
 	// Xi is an optional exploration offset added to the improvement
 	// threshold (0 is the classical criterion).
 	Xi float64
-}
-
-// Name implements Acquisition.
-func (e *EI) Name() string { return "EI" }
-
-// Eval implements Acquisition.
-func (e *EI) Eval(g surrogate.Surrogate, x []float64) float64 {
-	mu, sd := g.Predict(x)
-	v, _ := eiValue(mu, sd, e.Best, e.Minimize, e.Xi)
-	return v
 }
 
 // EvalWithGrad implements Acquisition.
@@ -108,23 +93,11 @@ type UCB struct {
 	Minimize bool
 }
 
-// Name implements Acquisition.
-func (u *UCB) Name() string { return "UCB" }
-
 func (u *UCB) beta() float64 {
 	if u.Beta <= 0 {
 		return 2
 	}
 	return u.Beta
-}
-
-// Eval implements Acquisition.
-func (u *UCB) Eval(g surrogate.Surrogate, x []float64) float64 {
-	mu, sd := g.Predict(x)
-	if u.Minimize {
-		return -mu + u.beta()*sd
-	}
-	return mu + u.beta()*sd
 }
 
 // EvalWithGrad implements Acquisition.
@@ -184,12 +157,6 @@ func NewQEI(q, samples int, best float64, minimize bool, stream *rng.Stream) *QE
 	}
 }
 
-// Q returns the batch size the criterion was built for.
-func (e *QEI) Q() int { return e.q }
-
-// Name identifies the criterion.
-func (e *QEI) Name() string { return "qEI" }
-
 // EvalBatch returns the MC estimate of qEI for the batch xs (len q). The
 // batch posterior comes from a single joint GP prediction.
 func (e *QEI) EvalBatch(g surrogate.Surrogate, xs [][]float64) float64 {
@@ -237,7 +204,7 @@ func (e *QEI) diagonalFallback(g surrogate.Surrogate, xs [][]float64) float64 {
 	for _, z := range e.base {
 		best := 0.0
 		for i, x := range xs {
-			mu, sd := g.Predict(x)
+			mu, sd := g.PredictWithGrad(x, nil, nil)
 			yi := mu + sd*z[i]
 			var imp float64
 			if e.Minimize {

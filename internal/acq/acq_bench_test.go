@@ -33,20 +33,6 @@ func benchGP(b *testing.B, n int) *gp.GP {
 	return g
 }
 
-func BenchmarkEIEval256(b *testing.B) {
-	g := benchGP(b, 256)
-	e := &EI{Best: 1, Minimize: true}
-	x := rng.New(2, 2).NormVec(12)
-	for i := range x {
-		x[i] = math.Abs(x[i]) / 3
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Eval(g, x)
-	}
-}
-
 func BenchmarkEIGrad256(b *testing.B) {
 	g := benchGP(b, 256)
 	e := &EI{Best: 1, Minimize: true}

@@ -7,19 +7,18 @@ import "repro/internal/surrogate"
 // surrogate of the violation magnitude. Implementations must be safe for
 // concurrent readers, like surrogate.Surrogate.
 type FeasibilityModel interface {
-	// PoF returns the probability of feasibility at x, in [0, 1].
-	PoF(x []float64) float64
-	// PoFWithGrad additionally writes ∂PoF/∂x into grad (length = dim).
-	// A nil grad asks for the value only, with the bits of a full call.
+	// PoFWithGrad returns the probability of feasibility at x, in
+	// [0, 1], and writes ∂PoF/∂x into grad (length = dim). A nil grad
+	// asks for the value only, with the bits of a full call.
 	PoFWithGrad(x, grad []float64) float64
 }
 
 // FeasibilityProvider is an optional surrogate capability: a composite
 // surrogate that carries a constraint model alongside the objective model
 // implements it, and the acquisition layer picks the constraint model up
-// without the strategies knowing (see Weighted). A nil FeasibilityModel
-// means "no constraint information this cycle" and disables weighting.
+// without the strategies knowing (see Weighted).
 type FeasibilityProvider interface {
+	// Feasibility returns the constraint model; it is never nil.
 	Feasibility() FeasibilityModel
 }
 
@@ -32,14 +31,6 @@ type FeasibilityProvider interface {
 type FeasibilityWeighted struct {
 	Base  Acquisition
 	Model FeasibilityModel
-}
-
-// Name implements Acquisition.
-func (w *FeasibilityWeighted) Name() string { return w.Base.Name() + "+PoF" }
-
-// Eval implements Acquisition.
-func (w *FeasibilityWeighted) Eval(g surrogate.Surrogate, x []float64) float64 {
-	return w.Base.Eval(g, x) * w.Model.PoF(x)
 }
 
 // EvalWithGrad implements Acquisition via the product rule:
@@ -71,11 +62,7 @@ func Weighted(base Acquisition, g surrogate.Surrogate) Acquisition {
 	if !ok {
 		return base
 	}
-	m := fp.Feasibility()
-	if m == nil {
-		return base
-	}
-	return &FeasibilityWeighted{Base: base, Model: m}
+	return &FeasibilityWeighted{Base: base, Model: fp.Feasibility()}
 }
 
 // PoFProduct returns the joint feasibility weight of a flattened batch of
@@ -88,12 +75,9 @@ func PoFProduct(g surrogate.Surrogate, flat []float64, q, d int) float64 {
 		return 1
 	}
 	m := fp.Feasibility()
-	if m == nil {
-		return 1
-	}
 	p := 1.0
 	for i := 0; i < q; i++ {
-		p *= m.PoF(flat[i*d : (i+1)*d])
+		p *= m.PoFWithGrad(flat[i*d:(i+1)*d], nil)
 	}
 	return p
 }

@@ -12,16 +12,12 @@ import (
 // finite differences without a second GP.
 type linPoF struct{}
 
-func (linPoF) PoF(x []float64) float64 {
+func (linPoF) PoFWithGrad(x, grad []float64) float64 {
 	s := 0.0
 	for _, v := range x {
 		s += v * v
 	}
-	return 1 / (1 + s)
-}
-
-func (p linPoF) PoFWithGrad(x, grad []float64) float64 {
-	v := p.PoF(x)
+	v := 1 / (1 + s)
 	for j := range grad {
 		grad[j] = -2 * x[j] * v * v
 	}
@@ -38,39 +34,32 @@ type provider struct {
 func (p *provider) Feasibility() FeasibilityModel { return p.m }
 
 func TestWeightedPassthroughForPlainSurrogate(t *testing.T) {
-	g := fit1D(t, 0, 0.3, 0.7, 1)
-	base := &EI{Best: bestMin(g), Minimize: true}
+	g, best := fit1D(t, 0, 0.3, 0.7, 1)
+	base := &EI{Best: best, Minimize: true}
 	if got := Weighted(base, g); got != Acquisition(base) {
 		t.Fatal("plain surrogate must pass the base criterion through unchanged")
-	}
-	// A provider with a nil model also disables weighting.
-	if got := Weighted(base, &provider{Surrogate: g}); got != Acquisition(base) {
-		t.Fatal("nil feasibility model must pass the base criterion through")
 	}
 }
 
 func TestWeightedMultipliesByPoF(t *testing.T) {
-	g := fit1D(t, 0, 0.3, 0.7, 1)
-	base := &EI{Best: bestMin(g), Minimize: true}
+	g, best := fit1D(t, 0, 0.3, 0.7, 1)
+	base := &EI{Best: best, Minimize: true}
 	p := &provider{Surrogate: g, m: linPoF{}}
 	w := Weighted(base, p)
 	if w == Acquisition(base) {
 		t.Fatal("constrained surrogate must produce a weighted criterion")
 	}
 	x := []float64{0.42}
-	want := base.Eval(g, x) * linPoF{}.PoF(x)
-	if got := w.Eval(g, x); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("weighted Eval = %v, want base·PoF = %v", got, want)
-	}
-	if w.Name() != base.Name()+"+PoF" {
-		t.Fatalf("weighted name = %q", w.Name())
+	want := eval(base, g, x) * linPoF{}.PoFWithGrad(x, nil)
+	if got := eval(w, g, x); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("weighted value = %v, want base·PoF = %v", got, want)
 	}
 }
 
 func TestFeasibilityWeightedGradFiniteDiff(t *testing.T) {
-	g := fit1D(t, 0, 0.3, 0.7, 1)
+	g, best := fit1D(t, 0, 0.3, 0.7, 1)
 	w := &FeasibilityWeighted{
-		Base:  &EI{Best: bestMin(g), Minimize: true},
+		Base:  &EI{Best: best, Minimize: true},
 		Model: linPoF{},
 	}
 	grad := make([]float64, 1)
@@ -78,11 +67,11 @@ func TestFeasibilityWeightedGradFiniteDiff(t *testing.T) {
 		x := []float64{xv}
 		v := w.EvalWithGrad(g, x, grad)
 		const h = 1e-6
-		fp := w.Eval(g, []float64{xv + h})
-		fm := w.Eval(g, []float64{xv - h})
+		fp := eval(w, g, []float64{xv + h})
+		fm := eval(w, g, []float64{xv - h})
 		num := (fp - fm) / (2 * h)
-		if math.Abs(v-w.Eval(g, x)) > 1e-12 {
-			t.Fatalf("EvalWithGrad value diverges from Eval at %v", xv)
+		if math.Abs(v-eval(w, g, x)) > 1e-12 {
+			t.Fatalf("EvalWithGrad value diverges from the value-only call at %v", xv)
 		}
 		if math.Abs(grad[0]-num) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("at %v: analytic grad %v, numeric %v", xv, grad[0], num)
@@ -91,7 +80,7 @@ func TestFeasibilityWeightedGradFiniteDiff(t *testing.T) {
 }
 
 func TestPoFProduct(t *testing.T) {
-	g := fit1D(t, 0, 0.3, 0.7, 1)
+	g, _ := fit1D(t, 0, 0.3, 0.7, 1)
 	flat := []float64{0.2, 0.5, 0.9}
 	if got := PoFProduct(g, flat, 3, 1); got != 1 {
 		t.Fatalf("plain surrogate PoFProduct = %v, want 1", got)
@@ -99,7 +88,7 @@ func TestPoFProduct(t *testing.T) {
 	p := &provider{Surrogate: g, m: linPoF{}}
 	want := 1.0
 	for _, v := range flat {
-		want *= linPoF{}.PoF([]float64{v})
+		want *= linPoF{}.PoFWithGrad([]float64{v}, nil)
 	}
 	if got := PoFProduct(p, flat, 3, 1); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("PoFProduct = %v, want %v", got, want)

@@ -110,9 +110,8 @@ type AskTell struct {
 	pending map[int]*pendingBatch
 	order   []int // pending batch IDs in ask order, for deterministic snapshots
 
-	// fantasyFallbacks counts asynchronous cycles whose busy points could
-	// not be fantasized and were handled by the local-penalty surrogate
-	// instead.
+	// fantasyFallbacks counts asynchronous cycles that skipped a busy
+	// point whose fantasy could not be formed.
 	fantasyFallbacks int
 
 	failed error // sticky fatal error (model fit failure)
@@ -597,8 +596,8 @@ type Checkpoint struct {
 	ClockNS  int64 `json:"clock_ns"`
 	Cycle    int   `json:"cycle"`
 	Recorded int   `json:"recorded"`
-	// FantasyFallbacks counts async cycles that used the local-penalty
-	// surrogate because a busy point could not be fantasized.
+	// FantasyFallbacks counts async cycles that skipped a busy point
+	// whose fantasy could not be formed.
 	FantasyFallbacks int `json:"fantasy_fallbacks,omitempty"`
 
 	Design      [][]float64 `json:"design"`

@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -255,24 +255,20 @@ func TestAsyncModeIsCheckpointIdentity(t *testing.T) {
 	}
 }
 
-// noFantasySurrogate is a minimal surrogate whose Fantasize is
-// unsupported, forcing the penalty fallback: mean = Σx, sd = 2.
+// noFantasySurrogate is a minimal surrogate whose Fantasize always
+// fails: mean = Σx, sd = 2.
 type noFantasySurrogate struct{}
 
-func (noFantasySurrogate) Predict(x []float64) (float64, float64) {
+func (noFantasySurrogate) PredictWithGrad(x []float64, dMean, dSD []float64) (float64, float64) {
 	var s float64
 	for _, v := range x {
 		s += v
 	}
-	return s, 2
-}
-
-func (noFantasySurrogate) PredictWithGrad(x []float64, dMean, dSD []float64) (float64, float64) {
 	for j := range dMean {
 		dMean[j] = 1
 		dSD[j] = 0
 	}
-	return noFantasySurrogate{}.Predict(x)
+	return s, 2
 }
 
 func (noFantasySurrogate) PredictJoint(xs [][]float64) (*surrogate.JointPrediction, error) {
@@ -286,10 +282,10 @@ func (noFantasySurrogate) PredictJoint(xs [][]float64) (*surrogate.JointPredicti
 }
 
 func (noFantasySurrogate) Fantasize([]float64, float64) (surrogate.Surrogate, error) {
-	return nil, surrogate.ErrUnsupported
+	return nil, errors.New("no conditioning update")
 }
 
-func (noFantasySurrogate) BestObserved(bool) (int, []float64, float64) { return 0, nil, 0 }
+func (noFantasySurrogate) Lengthscales() []float64 { return []float64{1, 1} }
 
 type noFantasyFactory struct{}
 
@@ -298,8 +294,8 @@ func (noFantasyFactory) Fit(context.Context, *State, int) (surrogate.Surrogate, 
 }
 
 // TestAsyncFantasyFallback: with a surrogate that cannot fantasize,
-// replacement proposals fall back to the local-penalty surrogate, the
-// fallback counter reflects it, and the counter survives checkpoint.
+// replacement proposals skip every busy point's fantasy, the fallback
+// counter reflects it, and the counter survives checkpoint.
 func TestAsyncFantasyFallback(t *testing.T) {
 	e := asyncEngine(46)
 	e.Factory = noFantasyFactory{}
@@ -312,7 +308,7 @@ func TestAsyncFantasyFallback(t *testing.T) {
 		t.Fatalf("cycles = %d", res.Cycles)
 	}
 	if at.FantasyFallbacks() == 0 {
-		t.Fatal("no penalty fallbacks recorded for a no-fantasy surrogate")
+		t.Fatal("no fantasy fallbacks recorded for a no-fantasy surrogate")
 	}
 	cp, err := at.Checkpoint()
 	if err != nil {
@@ -332,70 +328,119 @@ func TestAsyncFantasyFallback(t *testing.T) {
 	}
 }
 
-// TestPenaltySurrogate pins the local-penalty wrapper's math: sd vanishes
-// at busy points and recovers far away, the mean passes through untouched,
-// the analytic sd gradient matches finite differences, and PredictJoint
-// scales each Cholesky row by its point's penalty factor.
-func TestPenaltySurrogate(t *testing.T) {
-	lo := []float64{-3, -3}
-	hi := []float64{3, 3}
-	busy := [][]float64{{0.5, -0.2}, {-1, 1}}
-	ps := newPenaltySurrogate(noFantasySurrogate{}, busy, lo, hi)
+// chainSurrogate records the busy points it has been conditioned on. Its
+// Fantasize fails at the point fail and nowhere else.
+type chainSurrogate struct {
+	noFantasySurrogate
+	fail []float64
+	cond [][]float64
+}
 
-	// At a busy point the penalized sd is exactly zero; far away it is
-	// essentially the base sd.
-	if _, sd := ps.Predict(busy[0]); math.Abs(sd) > 1e-15 {
-		t.Fatalf("sd at busy point = %g, want 0", sd)
+func (s *chainSurrogate) Fantasize(x []float64, _ float64) (surrogate.Surrogate, error) {
+	if slices.Equal(x, s.fail) {
+		return nil, errors.New("degenerate extension")
 	}
-	far := []float64{2.9, 2.9}
-	if _, sd := ps.Predict(far); math.Abs(sd-2) > 1e-6 {
-		t.Fatalf("sd far from busy points = %g, want ~2", sd)
-	}
-	mu, _ := ps.Predict(far)
-	if math.Abs(mu-(far[0]+far[1])) > 1e-15 {
-		t.Fatalf("penalty changed the mean: %g", mu)
-	}
+	return &chainSurrogate{fail: s.fail, cond: append(slices.Clone(s.cond), x)}, nil
+}
 
-	// Analytic gradient vs central finite differences at a generic point.
-	x := []float64{0.3, 0.45}
-	dMean := make([]float64, 2)
-	dSD := make([]float64, 2)
-	gm, gsd := ps.PredictWithGrad(x, dMean, dSD)
-	pm, psd := ps.Predict(x)
-	if math.Abs(gm-pm) > 1e-15 || math.Abs(gsd-psd) > 1e-15 {
-		t.Fatalf("PredictWithGrad values (%g, %g) != Predict (%g, %g)", gm, gsd, pm, psd)
-	}
-	h := 1e-6
-	for j := 0; j < 2; j++ {
-		xp := append([]float64(nil), x...)
-		xm := append([]float64(nil), x...)
-		xp[j] += h
-		xm[j] -= h
-		_, sp := ps.Predict(xp)
-		_, sm := ps.Predict(xm)
-		fd := (sp - sm) / (2 * h)
-		if math.Abs(fd-dSD[j]) > 1e-5*(1+math.Abs(fd)) {
-			t.Fatalf("dSD[%d] = %g, finite difference %g", j, dSD[j], fd)
-		}
-		if math.Abs(dMean[j]-1) > 1e-15 {
-			t.Fatalf("dMean[%d] = %g, want 1 (pass-through)", j, dMean[j])
-		}
-	}
+type chainFactory struct{ fail []float64 }
 
-	// Joint posterior: row i of the factor scales by psi(x_i).
-	jp, err := ps.PredictJoint([][]float64{busy[0], far})
+func (f chainFactory) Fit(context.Context, *State, int) (surrogate.Surrogate, error) {
+	return &chainSurrogate{fail: f.fail}, nil
+}
+
+// chainPoint is the point chainStrategy proposes at a cycle.
+func chainPoint(cycle int) []float64 { return []float64{-2 + 0.25*float64(cycle), 1} }
+
+// chainStrategy proposes chainPoint(cycle) and records, per cycle, the
+// busy points its model was conditioned on.
+type chainStrategy struct{ cond map[int][][]float64 }
+
+func (s *chainStrategy) Name() string { return "chain" }
+func (s *chainStrategy) Reset()       {}
+func (s *chainStrategy) Propose(_ context.Context, m surrogate.Surrogate, st *State, _ int, _ *rng.Stream) ([][]float64, error) {
+	s.cond[st.Cycle] = m.(*chainSurrogate).cond
+	return [][]float64{chainPoint(st.Cycle)}, nil
+}
+func (s *chainStrategy) Observe(*State, [][]float64, []float64) {}
+func (s *chainStrategy) APParallelism(int) int                  { return 1 }
+
+// TestAsyncFantasyFallbackSkipsOneLink: when one busy point's fantasy
+// fails, the replacement proposal's model is still conditioned on every
+// other busy point, in ask order, each such cycle counts once in
+// FantasyFallbacks, and the count survives checkpoint and resume.
+func TestAsyncFantasyFallbackSkipsOneLink(t *testing.T) {
+	engine := func(s *chainStrategy) *Engine {
+		e := asyncEngine(48)
+		e.BatchSize = 4
+		e.MaxCycles = 8
+		e.Strategy = s
+		e.Factory = chainFactory{fail: chainPoint(2)}
+		return e
+	}
+	strat := &chainStrategy{cond: map[int][][]float64{}}
+	e := engine(strat)
+	at, err := NewAskTell(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := jp.CovChol.At(0, 0); math.Abs(got) > 1e-15 {
-		t.Fatalf("busy row not zeroed: %g", got)
+	ctx := context.Background()
+	for at.designTold < len(at.design) {
+		b, err := at.Ask(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, cost := e.Problem.Evaluator.Eval(b.Points[0])
+		if err := at.Tell(b.ID, []float64{y}, []time.Duration{cost}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := jp.CovChol.At(1, 1); math.Abs(got-1) > 1e-6 {
-		t.Fatalf("far row rescaled: %g, want ~1", got)
+	// Four asks fill the slots: cycle c conditions on the points of
+	// cycles 1…c−1, and the fantasy at cycle 2's point fails.
+	wantCond := [][][]float64{
+		nil,
+		{chainPoint(1)},
+		{chainPoint(1)},
+		{chainPoint(1), chainPoint(3)},
+	}
+	wantFallbacks := []int{0, 0, 1, 2}
+	for c := 1; c <= 4; c++ {
+		b, err := at.Ask(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Cycle != c || !slices.Equal(b.Points[0], chainPoint(c)) {
+			t.Fatalf("ask %d: cycle %d point %v", c, b.Cycle, b.Points[0])
+		}
+		if got, want := strat.cond[c], wantCond[c-1]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: model conditioned on %v, want %v", c, got, want)
+		}
+		if got := at.FantasyFallbacks(); got != wantFallbacks[c-1] {
+			t.Fatalf("after cycle %d: %d fantasy fallbacks, want %d", c, got, wantFallbacks[c-1])
+		}
 	}
 
-	if _, err := ps.Fantasize(far, 0); !errors.Is(err, surrogate.ErrUnsupported) {
-		t.Fatalf("penalty Fantasize err = %v, want ErrUnsupported wrap", err)
+	cp, err := at.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.FantasyFallbacks != 2 {
+		t.Fatalf("checkpoint fallbacks %d, want 2", cp.FantasyFallbacks)
+	}
+	e2 := engine(&chainStrategy{cond: map[int][][]float64{}})
+	at2, err := ResumeAskTell(e2, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at2.FantasyFallbacks() != 2 {
+		t.Fatalf("resumed fallbacks %d, want 2", at2.FantasyFallbacks())
+	}
+	// Both runs finish alike: the count goes on from the checkpoint.
+	res := driveAsyncToCompletion(t, e, at)
+	res2 := driveAsyncToCompletion(t, e2, at2)
+	if at2.FantasyFallbacks() != at.FantasyFallbacks() || !reflect.DeepEqual(res2.X, res.X) {
+		t.Fatalf("resumed run: %d fallbacks, X %v; uninterrupted: %d, X %v",
+			at2.FantasyFallbacks(), res2.X, at.FantasyFallbacks(), res.X)
 	}
 }
 

@@ -47,12 +47,12 @@ const (
 	// Asynchronous removes the batch barrier: Ask hands out single-point
 	// batches up to BatchSize in flight, and a replacement point becomes
 	// available the moment any Tell lands. Still-busy points are treated
-	// as Kriging-Believer fantasy observations during acquisition (or via
-	// a local-penalty surrogate when a fantasy cannot be formed),
-	// following aphBO-2GP-3B and GP-UCB-PE. Each Tell advances the
-	// virtual clock to the told point's completion time, so a run charges
-	// the same event-driven schedule a real asynchronous worker pool
-	// would produce.
+	// as Kriging-Believer fantasy observations during acquisition (a
+	// point whose fantasy cannot be formed is skipped and counted in
+	// AskTell.FantasyFallbacks), following aphBO-2GP-3B and GP-UCB-PE.
+	// Each Tell advances the virtual clock to the told point's completion
+	// time, so a run charges the same event-driven schedule a real
+	// asynchronous worker pool would produce.
 	Asynchronous
 )
 
@@ -393,15 +393,16 @@ type Engine struct {
 // ModelConfig tunes surrogate fitting without exposing gp.Config directly.
 // The surrogate is always the paper's Matérn-5/2 GP with fitted noise.
 // Restarts, MaxIter and FitSubsetMax pass to gp.Config unchanged, so a
-// zero value takes gp's default.
+// zero value takes gp's default. The JSON tags are the session spec's
+// "model" object.
 type ModelConfig struct {
-	Restarts     int
-	MaxIter      int
-	FitSubsetMax int
+	Restarts     int `json:"restarts,omitempty"`
+	MaxIter      int `json:"max_iter,omitempty"`
+	FitSubsetMax int `json:"fit_subset_max,omitempty"`
 	// RefitEvery re-optimizes hyperparameters every k-th cycle; the other
 	// cycles only re-factorize with the data appended (default 3). Set 1
 	// to optimize every cycle.
-	RefitEvery int
+	RefitEvery int `json:"refit_every,omitempty"`
 }
 
 func (e *Engine) defaults() Engine {

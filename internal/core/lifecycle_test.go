@@ -194,7 +194,6 @@ func TestEngineCancelBetweenCycles(t *testing.T) {
 // stubSurrogate is a minimal surrogate for the fit-attribution test.
 type stubSurrogate struct{}
 
-func (stubSurrogate) Predict([]float64) (float64, float64) { return 0, 1 }
 func (stubSurrogate) PredictWithGrad(x, dMean, dSD []float64) (float64, float64) {
 	for j := range dMean {
 		dMean[j] = 0
@@ -203,12 +202,12 @@ func (stubSurrogate) PredictWithGrad(x, dMean, dSD []float64) (float64, float64)
 	return 0, 1
 }
 func (stubSurrogate) PredictJoint([][]float64) (*surrogate.JointPrediction, error) {
-	return nil, surrogate.ErrUnsupported
+	return nil, errors.New("stub: no joint posterior")
 }
 func (stubSurrogate) Fantasize([]float64, float64) (surrogate.Surrogate, error) {
-	return nil, surrogate.ErrUnsupported
+	return nil, errors.New("stub: no conditioning update")
 }
-func (stubSurrogate) BestObserved(bool) (int, []float64, float64) { return 0, nil, 0 }
+func (stubSurrogate) Lengthscales() []float64 { return []float64{1, 1} }
 
 // slowFactory burns measurable time in Fit and returns the stub, so the
 // attribution of model training to FitTime can be asserted.

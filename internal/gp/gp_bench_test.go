@@ -79,7 +79,7 @@ func BenchmarkPredict256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Predict(x)
+		g.PredictWithGrad(x, nil, nil)
 	}
 }
 

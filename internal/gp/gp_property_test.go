@@ -37,8 +37,8 @@ func TestFantasizeOrderIrrelevant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, xt := range []float64{0.15, 0.5, 0.85} {
-		m1, s1 := g1.Predict([]float64{xt})
-		m2, s2 := g2.Predict([]float64{xt})
+		m1, s1 := g1.PredictWithGrad([]float64{xt}, nil, nil)
+		m2, s2 := g2.PredictWithGrad([]float64{xt}, nil, nil)
 		if math.Abs(m1-m2) > 1e-7*(1+math.Abs(m1)) || math.Abs(s1-s2) > 1e-7*(1+s1) {
 			t.Fatalf("order dependence at %v: (%v,%v) vs (%v,%v)", xt, m1, s1, m2, s2)
 		}
@@ -66,14 +66,14 @@ func TestVarianceShrinksUnderConditioning(t *testing.T) {
 			return false
 		}
 		xq := []float64{stream.Float64()}
-		_, sd0 := g.Predict(xq)
+		_, sd0 := g.PredictWithGrad(xq, nil, nil)
 		xNew := []float64{stream.Float64()}
-		mu, _ := g.Predict(xNew)
+		mu, _ := g.PredictWithGrad(xNew, nil, nil)
 		fg, err := g.Fantasize(xNew, mu)
 		if err != nil {
 			return false
 		}
-		_, sd1 := fg.Predict(xq)
+		_, sd1 := fg.PredictWithGrad(xq, nil, nil)
 		return sd1 <= sd0+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -101,8 +101,8 @@ func TestOutputAffineEquivariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, xt := range []float64{0.2, 0.45, 0.8} {
-		m1, s1 := g1.Predict([]float64{xt})
-		m2, s2 := g2.Predict([]float64{xt})
+		m1, s1 := g1.PredictWithGrad([]float64{xt}, nil, nil)
+		m2, s2 := g2.PredictWithGrad([]float64{xt}, nil, nil)
 		if math.Abs(m2-(shift+scale*m1)) > 0.05*(1+math.Abs(m2)) {
 			t.Fatalf("mean not equivariant at %v: %v vs %v", xt, m2, shift+scale*m1)
 		}

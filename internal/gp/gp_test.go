@@ -61,7 +61,7 @@ func TestInterpolatesTrainingData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range X {
-		mu, sd := g.Predict(X[i])
+		mu, sd := g.PredictWithGrad(X[i], nil, nil)
 		if math.Abs(mu-y[i]) > 1e-2 {
 			t.Fatalf("train point %d: mean %v, want %v", i, mu, y[i])
 		}
@@ -85,7 +85,7 @@ func TestPredictionAccuracyBetweenPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0.13, 0.41, 0.77} {
-		mu, _ := g.Predict([]float64{x})
+		mu, _ := g.PredictWithGrad([]float64{x}, nil, nil)
 		if math.Abs(mu-f(x)) > 0.02 {
 			t.Fatalf("prediction at %v: %v, want %v", x, mu, f(x))
 		}
@@ -100,8 +100,8 @@ func TestUncertaintyGrowsAwayFromData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sdNear := g.Predict([]float64{0.5})
-	_, sdFar := g.Predict([]float64{0.02})
+	_, sdNear := g.PredictWithGrad([]float64{0.5}, nil, nil)
+	_, sdFar := g.PredictWithGrad([]float64{0.02}, nil, nil)
 	if sdFar <= sdNear {
 		t.Fatalf("sd far %v <= sd near %v", sdFar, sdNear)
 	}
@@ -114,7 +114,7 @@ func TestPredictVarianceNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i <= 50; i++ {
-		_, sd := g.Predict([]float64{float64(i) / 50})
+		_, sd := g.PredictWithGrad([]float64{float64(i) / 50}, nil, nil)
 		if sd < 0 || math.IsNaN(sd) {
 			t.Fatalf("negative/NaN sd at %v", float64(i)/50)
 		}
@@ -128,7 +128,7 @@ func TestConstantOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu, _ := g.Predict([]float64{0.3})
+	mu, _ := g.PredictWithGrad([]float64{0.3}, nil, nil)
 	if math.Abs(mu-3) > 0.1 {
 		t.Fatalf("constant GP predicts %v, want 3", mu)
 	}
@@ -197,7 +197,7 @@ func TestPredictWithGradFiniteDiff(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		x := stream.UniformVec(lo, hi)
 		mu, sd := g.PredictWithGrad(x, dMu, dSD)
-		muP, sdP := g.Predict(x)
+		muP, sdP := g.PredictWithGrad(x, nil, nil)
 		if math.Abs(mu-muP) > 1e-10 || math.Abs(sd-sdP) > 1e-10 {
 			t.Fatalf("PredictWithGrad value mismatch: %v/%v vs %v/%v", mu, sd, muP, sdP)
 		}
@@ -205,9 +205,9 @@ func TestPredictWithGradFiniteDiff(t *testing.T) {
 		for j := range x {
 			xp := append([]float64(nil), x...)
 			xp[j] += h
-			upMu, upSD := g.Predict(xp)
+			upMu, upSD := g.PredictWithGrad(xp, nil, nil)
 			xp[j] -= 2 * h
-			dnMu, dnSD := g.Predict(xp)
+			dnMu, dnSD := g.PredictWithGrad(xp, nil, nil)
 			numMu := (upMu - dnMu) / (2 * h)
 			numSD := (upSD - dnSD) / (2 * h)
 			if math.Abs(numMu-dMu[j]) > 1e-4*(1+math.Abs(numMu)) {
@@ -234,7 +234,7 @@ func TestPredictJointConsistentWithMarginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pts {
-		mu, sd := g.Predict(p)
+		mu, sd := g.PredictWithGrad(p, nil, nil)
 		if math.Abs(jp.Mean[i]-mu) > 1e-9 {
 			t.Fatalf("joint mean %d: %v vs %v", i, jp.Mean[i], mu)
 		}
@@ -272,16 +272,15 @@ func TestFantasizeMatchesDirectFit(t *testing.T) {
 	// Direct conditioning: rebuild gram on extended data with identical
 	// kernel state (reuse g's kernel via fantasize of zero points is not
 	// possible, so compare against predictions from a manual rebuild).
-	mu1, sd1 := fg.Predict([]float64{0.45})
+	mu1, sd1 := fg.PredictWithGrad([]float64{0.45}, nil, nil)
 	// Manual rebuild: factorize extended data with same hyperparams.
 	man := &GP{cfg: fg.cfg, kern: g.kern, d: g.d, ymean: g.ymean, ystd: g.ystd, noise: g.noise}
 	man.x = fg.x
-	man.yraw = fg.yraw
 	man.ys = fg.ys
 	if err := man.factorize(); err != nil {
 		t.Fatal(err)
 	}
-	mu2, sd2 := man.Predict([]float64{0.45})
+	mu2, sd2 := man.PredictWithGrad([]float64{0.45}, nil, nil)
 	if math.Abs(mu1-mu2) > 1e-8 || math.Abs(sd1-sd2) > 1e-8 {
 		t.Fatalf("fantasy (%v, %v) != direct (%v, %v)", mu1, sd1, mu2, sd2)
 	}
@@ -295,13 +294,13 @@ func TestFantasizeReducesVarianceNearby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sdBefore := g.Predict([]float64{0.5})
-	mu, _ := g.Predict([]float64{0.5})
+	_, sdBefore := g.PredictWithGrad([]float64{0.5}, nil, nil)
+	mu, _ := g.PredictWithGrad([]float64{0.5}, nil, nil)
 	fg, err := g.Fantasize([]float64{0.5}, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sdAfter := fg.Predict([]float64{0.5})
+	_, sdAfter := fg.PredictWithGrad([]float64{0.5}, nil, nil)
 	if sdAfter >= sdBefore {
 		t.Fatalf("fantasy did not reduce variance: %v -> %v", sdBefore, sdAfter)
 	}
@@ -318,14 +317,14 @@ func TestKrigingBelieverMeanInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	xq := []float64{0.55}
-	muQ, _ := g.Predict(xq)
+	muQ, _ := g.PredictWithGrad(xq, nil, nil)
 	fg, err := g.Fantasize(xq, muQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, xt := range []float64{0.2, 0.5, 0.8} {
-		before, _ := g.Predict([]float64{xt})
-		after, _ := fg.Predict([]float64{xt})
+		before, _ := g.PredictWithGrad([]float64{xt}, nil, nil)
+		after, _ := fg.PredictWithGrad([]float64{xt}, nil, nil)
 		if math.Abs(before-after) > 1e-6*(1+math.Abs(before)) {
 			t.Fatalf("KB mean changed at %v: %v -> %v", xt, before, after)
 		}
@@ -368,27 +367,10 @@ func TestFitSubsetMax(t *testing.T) {
 		t.Fatalf("prediction data should keep all %d points, got %d", n, g.N())
 	}
 	// Prediction must still be reasonable.
-	mu, _ := g.Predict([]float64{0.5, 0.5})
+	mu, _ := g.PredictWithGrad([]float64{0.5, 0.5}, nil, nil)
 	want := 0.5 + math.Sin(2)
 	if math.Abs(mu-want) > 0.4 {
 		t.Fatalf("subset-fit prediction %v, want ≈ %v", mu, want)
-	}
-}
-
-func TestBestObserved(t *testing.T) {
-	X := [][]float64{{0.1}, {0.5}, {0.9}}
-	y := []float64{3, -1, 2}
-	g, err := Fit(X, y, cfg1d())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, x, val := g.BestObserved(true)
-	if idx != 1 || val != -1 || math.Abs(x[0]-0.5) > 1e-12 {
-		t.Fatalf("best min = (%d, %v, %v)", idx, x, val)
-	}
-	idx, _, val = g.BestObserved(false)
-	if idx != 0 || val != 3 {
-		t.Fatalf("best max = (%d, %v)", idx, val)
 	}
 }
 

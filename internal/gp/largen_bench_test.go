@@ -41,11 +41,10 @@ var largeGPOnce = sync.OnceValue(func() *GP {
 	for i := 0; i < largeN; i++ {
 		copy(g.x.Row(i), stream.UniformVec(lo, hi))
 	}
-	g.yraw = make([]float64, largeN)
-	for i := range g.yraw {
-		g.yraw[i] = stream.Norm()
+	g.ys = make([]float64, largeN)
+	for i := range g.ys {
+		g.ys[i] = stream.Norm()
 	}
-	g.ys = mat.CloneVec(g.yraw)
 	// The factor's diagonal is deliberately large (prior variance ≫ any
 	// k★ norm) so every posterior covariance downstream stays PD; the
 	// solve cost only depends on n, not the values.
@@ -84,11 +83,11 @@ func largeBenchPoints(q int) [][]float64 {
 func BenchmarkLargeNPredict4096(b *testing.B) {
 	g := largeGPOnce()
 	x := largeBenchPoints(1)[0]
-	g.Predict(x) // warm-up: triggers the one-time transposed-layout build
+	g.PredictWithGrad(x, nil, nil) // warm-up: fills the workspace pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Predict(x)
+		g.PredictWithGrad(x, nil, nil)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // oneWorkspace returns a copy of g whose pool hands out only ws, so every
-// call on the copy — PredictWithGrad, Predict, PredictJoint, Fantasize —
-// runs on that one workspace, whatever the pool would otherwise recycle.
+// call on the copy — PredictWithGrad, PredictJoint, Fantasize — runs on
+// that one workspace, whatever the pool would otherwise recycle.
 func oneWorkspace(g *GP) (*GP, *predictWorkspace) {
 	ws := g.ws.New().(*predictWorkspace)
 	c := *g
@@ -42,9 +42,9 @@ func checkPredict(t *testing.T, label string, g, c *GP, x []float64, grad bool) 
 
 // TestPredictWithGradReuseBits pins PredictWithGrad's reuse of a value
 // pass: after a value-only call at p, a gradient request at p reuses the
-// value half and one at q does not, and a Predict, PredictJoint or
-// Fantasize on the workspace in between makes the request at p compute
-// afresh. Every result equals a fresh call bit for bit, at random points,
+// value half and one at q does not, and a value-only call at another
+// point, a PredictJoint or a Fantasize on the workspace in between makes
+// the request at p compute afresh. Every result equals a fresh call bit for bit, at random points,
 // at a training point (where the variance clamp acts) and far from the
 // data.
 func TestPredictWithGradReuseBits(t *testing.T) {
@@ -55,7 +55,7 @@ func TestPredictWithGradReuseBits(t *testing.T) {
 		run   func(c *GP)
 	}{
 		{"hit", func(*GP) {}},
-		{"after Predict", func(c *GP) { c.Predict(q) }},
+		{"after a value-only call at another point", func(c *GP) { c.PredictWithGrad(q, nil, nil) }},
 		{"after PredictJoint", func(c *GP) {
 			if _, err := c.PredictJoint([][]float64{q, probes[2]}); err != nil {
 				t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPredictWithGradReuseBits(t *testing.T) {
 
 // FuzzPredictWithGradReuse drives one workspace through a byte-derived
 // sequence of calls at four points — value-only and gradient
-// PredictWithGrad, Predict, PredictJoint and Fantasize — and checks every
+// PredictWithGrad, PredictJoint and Fantasize — and checks every
 // PredictWithGrad result against a fresh call bit for bit. The points are
 // few, so value-only calls are often followed by a gradient request at
 // the same point. Each byte is one call: its low three bits pick the kind,
@@ -116,12 +116,10 @@ func FuzzPredictWithGradReuse(f *testing.F) {
 		for _, op := range ops {
 			x := pts[int(op>>3)%len(pts)]
 			switch op & 7 {
-			case 0, 1:
+			case 0, 1, 4:
 				checkPredict(t, "value-only", g, c, x, false)
 			case 2, 3:
 				checkPredict(t, "gradient", g, c, x, true)
-			case 4:
-				c.Predict(x)
 			case 5:
 				// A pair of equal points is a singular covariance; an error
 				// still ran the fill on the workspace.

@@ -103,8 +103,8 @@ func assertSamePosterior(t *testing.T, want, got *GP, cfg Config) {
 	stream := rng.New(77, 3)
 	for i := 0; i < 32; i++ {
 		x := stream.UniformVec(cfg.Lo, cfg.Hi)
-		wm, ws := want.Predict(x)
-		gm, gs := got.Predict(x)
+		wm, ws := want.PredictWithGrad(x, nil, nil)
+		gm, gs := got.PredictWithGrad(x, nil, nil)
 		//lint:ignore floatcmp resume determinism demands bit-identical predictions
 		if wm != gm || ws != gs {
 			t.Fatalf("query %d: (%v,%v) vs (%v,%v)", i, wm, ws, gm, gs)

@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // benchFleetCfg is the throughput workload: a small in-process fleet
@@ -19,8 +21,7 @@ func benchFleetCfg(par int) FleetConfig {
 			BatchSize:   2,
 			InitSamples: 4,
 			MaxCycles:   2,
-			MaxIter:     5,
-			Restarts:    1,
+			Model:       core.ModelConfig{MaxIter: 5, Restarts: 1},
 			Seed:        9,
 		},
 		Parallel: par,

@@ -54,8 +54,8 @@ func TestConstrainedFactoryFitBitIdentical(t *testing.T) {
 			out.Write(state)
 			pof := m.(acq.FeasibilityProvider).Feasibility()
 			for _, x := range probes {
-				mean, sd := m.Predict(x)
-				if err := json.NewEncoder(&out).Encode([]float64{mean, sd, pof.PoF(x)}); err != nil {
+				mean, sd := m.PredictWithGrad(x, nil, nil)
+				if err := json.NewEncoder(&out).Encode([]float64{mean, sd, pof.PoFWithGrad(x, nil)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -143,11 +143,11 @@ func (f *ConstrainedFactory) RestoreFactoryState(data []byte) error {
 }
 
 // constrainedSurrogate is the composite the factory hands the engine:
-// all posterior queries delegate to the objective GP, and the violation
-// model rides along as the acq.FeasibilityProvider capability. Fantasize
-// rewraps, so Kriging-Believer fantasy chains and the asynchronous
-// busy-point conditioning keep the feasibility weighting all the way
-// down.
+// all posterior queries and the lengthscales delegate to the objective
+// GP, and the violation model rides along as the acq.FeasibilityProvider
+// capability. Fantasize rewraps, so Kriging-Believer fantasy chains and
+// the asynchronous busy-point conditioning keep the feasibility
+// weighting all the way down.
 type constrainedSurrogate struct {
 	surrogate.Surrogate
 	pof *pofModel
@@ -178,15 +178,6 @@ type pofModel struct {
 	g *gp.GP
 }
 
-// PoF implements acq.FeasibilityModel.
-func (p *pofModel) PoF(x []float64) float64 {
-	mu, sd := p.g.Predict(x)
-	if sd < pofSDFloor {
-		sd = pofSDFloor
-	}
-	return rng.NormCDF(-mu / sd)
-}
-
 // pofGradPool recycles PoFWithGrad's 2·d posterior-gradient scratch: the
 // model sits in the inner loop of every constrained acquisition, shared by
 // its restarts.
@@ -195,7 +186,7 @@ var pofGradPool = sync.Pool{New: func() any { return new([]float64) }}
 // PoFWithGrad implements acq.FeasibilityModel:
 // ∇Φ(z) = φ(z)·∇z with z = −μ/σ and ∇z = (−∇μ·σ + μ·∇σ)/σ².
 // A value-only call (nil grad) asks the violation GP for its value only
-// too: PredictWithGrad's, not Predict's, so the bits are the full call's.
+// too, so the bits are the full call's.
 func (p *pofModel) PoFWithGrad(x, grad []float64) float64 {
 	if grad == nil {
 		mu, sd := p.g.PredictWithGrad(x, nil, nil)

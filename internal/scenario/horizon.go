@@ -104,10 +104,9 @@ type OptConfig struct {
 	// Mode is "" or "sync" for batch-synchronous, "async" for
 	// asynchronous single-point scheduling.
 	Mode string `json:"mode,omitempty"`
-	// BatchSize, InitSamples and Workers map onto the engine.
+	// BatchSize and InitSamples map onto the engine.
 	BatchSize   int `json:"batch_size,omitempty"`
 	InitSamples int `json:"init_samples,omitempty"`
-	Workers     int `json:"workers,omitempty"`
 	// MaxCycles bounds each day's BO cycles (default 8). Days terminate
 	// on cycle count, never on the virtual budget, so measured
 	// fit/acquisition times cannot change the trace.
@@ -115,12 +114,10 @@ type OptConfig struct {
 	// OverheadFactor calibrates measured algorithm time (engine
 	// default 6).
 	OverheadFactor float64 `json:"overhead_factor,omitempty"`
-	// Model carries the GP schedule knobs (zero values defer to
-	// gp-side defaults, as the engine's default factory does).
-	Restarts     int `json:"restarts,omitempty"`
-	MaxIter      int `json:"max_iter,omitempty"`
-	FitSubsetMax int `json:"fit_subset_max,omitempty"`
-	RefitEvery   int `json:"refit_every,omitempty"`
+	// Model carries the GP schedule knobs of both of the cell's GPs (zero
+	// values defer to gp-side defaults, as the engine's default factory
+	// does).
+	Model core.ModelConfig `json:"model,omitempty"`
 	// Seed is the fleet master seed.
 	Seed uint64 `json:"seed"`
 }
@@ -164,11 +161,11 @@ func (s *DaySpec) Engine(opt OptConfig) (*core.Engine, *Constrained, error) {
 	factory := NewConstrainedFactory(cons, gp.Config{
 		Lo:           prob.Lo,
 		Hi:           prob.Hi,
-		Restarts:     opt.Restarts,
-		MaxIter:      opt.MaxIter,
-		FitSubsetMax: opt.FitSubsetMax,
+		Restarts:     opt.Model.Restarts,
+		MaxIter:      opt.Model.MaxIter,
+		FitSubsetMax: opt.Model.FitSubsetMax,
 		Seed:         seed,
-	}, opt.RefitEvery)
+	}, opt.Model.RefitEvery)
 	eng := &core.Engine{
 		Problem:        prob,
 		Strategy:       strat,
@@ -178,15 +175,9 @@ func (s *DaySpec) Engine(opt OptConfig) (*core.Engine, *Constrained, error) {
 		MaxCycles:      opt.MaxCycles,
 		Budget:         time.Duration(horizonBudget),
 		OverheadFactor: opt.OverheadFactor,
-		Pool:           &parallel.Pool{Workers: opt.Workers},
-		Model: core.ModelConfig{
-			Restarts:     opt.Restarts,
-			MaxIter:      opt.MaxIter,
-			FitSubsetMax: opt.FitSubsetMax,
-			RefitEvery:   opt.RefitEvery,
-		},
-		Seed:    seed,
-		Factory: factory,
+		Pool:           &parallel.Pool{},
+		Seed:           seed,
+		Factory:        factory,
 	}
 	return eng, cons, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fp"
 	"repro/internal/uphes"
 )
@@ -224,8 +225,7 @@ func scenarioTestOpt() OptConfig {
 		BatchSize:   2,
 		InitSamples: 4,
 		MaxCycles:   2,
-		MaxIter:     5,
-		Restarts:    1,
+		Model:       core.ModelConfig{MaxIter: 5, Restarts: 1},
 		Seed:        11,
 	}
 }

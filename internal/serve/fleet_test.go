@@ -41,8 +41,7 @@ func fleetTestCfg(members, days, horizon int, seed uint64) scenario.FleetConfig 
 			BatchSize:   2,
 			InitSamples: 4,
 			MaxCycles:   2,
-			MaxIter:     5,
-			Restarts:    1,
+			Model:       core.ModelConfig{MaxIter: 5, Restarts: 1},
 			Seed:        seed,
 		},
 		SimLatency: 10 * time.Second,

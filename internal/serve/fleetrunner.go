@@ -55,14 +55,8 @@ func (f *FleetRunner) sessionSpec(spec *scenario.DaySpec, opt scenario.OptConfig
 		InitSamples:    opt.InitSamples,
 		MaxCycles:      opt.MaxCycles,
 		OverheadFactor: opt.OverheadFactor,
-		Workers:        opt.Workers,
 		Seed:           opt.Seed,
-		Model: ModelSpec{
-			Restarts:     opt.Restarts,
-			MaxIter:      opt.MaxIter,
-			FitSubsetMax: opt.FitSubsetMax,
-			RefitEvery:   opt.RefitEvery,
-		},
+		Model:          opt.Model,
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // testSpecs are four concurrent workloads: the paper's UPHES simulator
 // plus three synthetic benchmarks, all sized to finish in seconds.
 func testSpecs() []SessionSpec {
-	model := ModelSpec{Restarts: 1, MaxIter: 10, FitSubsetMax: 48}
+	model := core.ModelConfig{Restarts: 1, MaxIter: 10, FitSubsetMax: 48}
 	base := SessionSpec{
 		Strategy:       "KB-q-EGO",
 		BatchSize:      2,

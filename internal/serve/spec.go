@@ -40,14 +40,6 @@ type ProblemSpec struct {
 	SimLatencyNS int64 `json:"sim_latency_ns,omitempty"`
 }
 
-// ModelSpec mirrors core.ModelConfig for the wire.
-type ModelSpec struct {
-	Restarts     int `json:"restarts,omitempty"`
-	MaxIter      int `json:"max_iter,omitempty"`
-	FitSubsetMax int `json:"fit_subset_max,omitempty"`
-	RefitEvery   int `json:"refit_every,omitempty"`
-}
-
 // SessionSpec is the create-session request body: everything needed to
 // assemble a core.Engine deterministically, so the same spec resumed
 // against the same snapshots replays the same run.
@@ -67,14 +59,13 @@ type SessionSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// BatchSize, InitSamples, MaxCycles, Seed and OverheadFactor map
 	// directly onto the engine; zero values select engine defaults.
-	BatchSize      int       `json:"batch_size,omitempty"`
-	InitSamples    int       `json:"init_samples,omitempty"`
-	MaxCycles      int       `json:"max_cycles,omitempty"`
-	BudgetNS       int64     `json:"budget_ns,omitempty"`
-	OverheadFactor float64   `json:"overhead_factor,omitempty"`
-	Workers        int       `json:"workers,omitempty"`
-	Seed           uint64    `json:"seed"`
-	Model          ModelSpec `json:"model,omitempty"`
+	BatchSize      int              `json:"batch_size,omitempty"`
+	InitSamples    int              `json:"init_samples,omitempty"`
+	MaxCycles      int              `json:"max_cycles,omitempty"`
+	BudgetNS       int64            `json:"budget_ns,omitempty"`
+	OverheadFactor float64          `json:"overhead_factor,omitempty"`
+	Seed           uint64           `json:"seed"`
+	Model          core.ModelConfig `json:"model,omitempty"`
 }
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
@@ -172,14 +163,9 @@ func (s *SessionSpec) Engine() (*core.Engine, error) {
 		MaxCycles:      s.MaxCycles,
 		Budget:         time.Duration(s.BudgetNS),
 		OverheadFactor: s.OverheadFactor,
-		Pool:           &parallel.Pool{Workers: s.Workers},
-		Model: core.ModelConfig{
-			Restarts:     s.Model.Restarts,
-			MaxIter:      s.Model.MaxIter,
-			FitSubsetMax: s.Model.FitSubsetMax,
-			RefitEvery:   s.Model.RefitEvery,
-		},
-		Seed: s.Seed,
+		Pool:           &parallel.Pool{},
+		Model:          s.Model,
+		Seed:           s.Seed,
 	}, nil
 }
 
@@ -200,12 +186,8 @@ func (s *SessionSpec) scenarioEngine() (*core.Engine, error) {
 		BatchSize:      s.BatchSize,
 		InitSamples:    s.InitSamples,
 		MaxCycles:      s.MaxCycles,
-		Workers:        s.Workers,
 		OverheadFactor: s.OverheadFactor,
-		Restarts:       s.Model.Restarts,
-		MaxIter:        s.Model.MaxIter,
-		FitSubsetMax:   s.Model.FitSubsetMax,
-		RefitEvery:     s.Model.RefitEvery,
+		Model:          s.Model,
 		Seed:           s.Seed,
 	})
 	return eng, err

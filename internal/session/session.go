@@ -553,7 +553,7 @@ func (s *Session) Status() Status {
 // crash-and-resume via the snapshot payload); Pending counts in-flight
 // batches and PendingMembers their not-yet-received members;
 // FantasyFallbacks is the engine's count of asynchronous proposals that
-// fell back to the local-penalty surrogate.
+// skipped a busy point whose fantasy could not be formed.
 type Metrics struct {
 	ID               string `json:"id"`
 	Mode             string `json:"mode"`

@@ -53,7 +53,7 @@ func (s *KBQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *cor
 		// intermediate fit). Every fantasy link extends the previous
 		// factor by one row: one O(n²) copy and solve per link
 		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
-		mu, _ := cur.Predict(x)
+		mu, _ := cur.PredictWithGrad(x, nil, nil)
 		fg, err := cur.Fantasize(x, mu)
 		if err != nil {
 			// Keep selecting on the last valid model; duplicates are

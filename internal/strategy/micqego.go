@@ -66,7 +66,7 @@ func (s *MICQEGO) Propose(ctx context.Context, model surrogate.Surrogate, st *co
 		// O(n²) factor extension per believed point
 		// (mat.Cholesky.ExtendCols, DESIGN.md §9.1).
 		for _, x := range roundPts {
-			mu, _ := cur.Predict(x)
+			mu, _ := cur.PredictWithGrad(x, nil, nil)
 			fg, err := cur.Fantasize(x, mu)
 			if err != nil {
 				continue

@@ -47,28 +47,13 @@ func (s *TuRBO) Reset() {
 	s.length, s.succ, s.fail, s.haveState = 0, 0, 0, false
 }
 
-// lengthscaler is the optional surrogate capability TuRBO uses to shape
-// the trust region. The GP's ARD lengthscales satisfy it; surrogates
-// without per-dimension lengthscales yield an isotropic region.
-type lengthscaler interface {
-	Lengthscales() []float64
-}
-
 // trustRegion computes the raw-space box of the current trust region,
 // centered at the incumbent and shaped by the model's ARD lengthscales
 // normalized to preserve total volume length^d.
 func (s *TuRBO) trustRegion(model surrogate.Surrogate, st *core.State) (lo, hi []float64) {
 	p := st.Problem
 	d := p.Dim()
-	var ls []float64
-	if lsr, ok := model.(lengthscaler); ok {
-		ls = lsr.Lengthscales()
-	} else {
-		ls = make([]float64, d)
-		for j := range ls {
-			ls[j] = 1
-		}
-	}
+	ls := model.Lengthscales()
 	// Normalize lengthscales to geometric mean 1.
 	logSum := 0.0
 	for _, l := range ls {

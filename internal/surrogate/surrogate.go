@@ -1,10 +1,11 @@
 // Package surrogate defines the model abstraction of the BO stack: the
-// posterior queries batch acquisition needs (marginal and joint prediction,
-// gradients, fantasy conditioning) decoupled from the concrete model. The
-// engine fits it every cycle through core.ModelFactory; strategies and
-// acquisition functions see only this interface, so wrappers such as the
-// asynchronous engine's busy-point penalty and the scenario engine's
-// feasibility-carrying model slot in without touching them.
+// posterior queries batch acquisition needs (the marginal posterior with
+// its gradient, the joint posterior, fantasy conditioning) and the ARD
+// lengthscales, decoupled from the concrete model. The engine fits it
+// every cycle through core.ModelFactory; strategies and acquisition
+// functions see only this interface, so the scenario engine's
+// feasibility-carrying model and test fakes slot in without touching
+// them.
 //
 // One model family implements it: gp.GP, the paper's exact GP. The
 // package is a leaf: it imports only internal/mat, and the model packages
@@ -22,17 +23,15 @@ import (
 // are immutable after fitting: Fantasize returns a derived model and all
 // methods are safe for concurrent readers.
 type Surrogate interface {
-	// Predict returns the posterior mean and standard deviation of the
-	// latent function at x.
-	Predict(x []float64) (mean, sd float64)
-	// PredictWithGrad additionally writes the gradients of the mean and
-	// standard deviation with respect to x into the caller-provided
-	// dMean and dSD (both of length Dim), for gradient-based acquisition
-	// optimization. The destination-passing signature keeps the
-	// acquisition inner loop allocation-free: callers own and recycle the
-	// gradient buffers (see DESIGN.md §9). With dMean and dSD both nil it
-	// returns the value only, with the bits of a full call at x and none
-	// of the gradient work; the value can differ from Predict's.
+	// PredictWithGrad returns the posterior mean and standard deviation
+	// of the latent function at x and writes their gradients with respect
+	// to x into the caller-provided dMean and dSD (both of length Dim),
+	// for gradient-based acquisition optimization. The
+	// destination-passing signature keeps the acquisition inner loop
+	// allocation-free: callers own and recycle the gradient buffers (see
+	// DESIGN.md §9). With dMean and dSD both nil it returns the value
+	// only, with the bits of a full call at x and none of the gradient
+	// work: this is the one value path.
 	PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64)
 	// PredictJoint returns the joint posterior over a batch of points,
 	// as needed by the Monte-Carlo multi-point criterion (q-EI). An empty
@@ -40,13 +39,13 @@ type Surrogate interface {
 	PredictJoint(xs [][]float64) (*JointPrediction, error)
 	// Fantasize conditions on a hypothetical observation (x, y) without
 	// re-estimating hyperparameters — the Kriging-Believer partial update.
-	// Models without a tractable conditioning update return a
-	// ErrUnsupported-wrapped error; callers treat that as "keep using the
-	// current model".
+	// An error (a degenerate conditioning update) leaves the caller on the
+	// current model.
 	Fantasize(x []float64, y float64) (Surrogate, error)
-	// BestObserved returns the index, location and value of the best
-	// training observation under the given optimization sense.
-	BestObserved(minimize bool) (idx int, x []float64, y float64)
+	// Lengthscales returns the fitted ARD lengthscales on the normalized
+	// unit cube, one per input dimension; TuRBO shapes its trust region
+	// with them.
+	Lengthscales() []float64
 }
 
 // JointPrediction is the posterior over a batch of q points: the mean
@@ -57,11 +56,6 @@ type JointPrediction struct {
 	Mean    []float64
 	CovChol *mat.Dense
 }
-
-// ErrUnsupported reports a posterior operation the model cannot provide
-// (e.g. fantasy conditioning through the asynchronous engine's busy-point
-// penalty wrapper). Test with errors.Is.
-var ErrUnsupported = errors.New("surrogate: operation not supported by model family")
 
 // ErrEmptyBatch reports a joint prediction requested over zero points.
 // Implementations wrap it from PredictJoint rather than panicking, so

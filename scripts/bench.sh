@@ -39,12 +39,13 @@
 #                               # writes nothing in the tree, enforces the gates
 #
 # Gates (-check):
-#   - alloc budgets: Predict256, PredictWithGrad256, EIEval256, EIGrad256,
-#     the value-only line-search trial EIValueOnly256, the accepted-step
-#     pair EIAcceptedStep256 (a trial, then its gradient on the trial's
-#     value pass) and the pooled small-n fit objective FitLML128 hold 0
-#     allocs/op (DESIGN.md §9). A regression means a pooled workspace or
-#     destination-passing path started allocating again. UPHESProfit,
+#   - alloc budgets: Predict256 (a value-only PredictWithGrad),
+#     PredictWithGrad256, EIGrad256, the value-only line-search trial
+#     EIValueOnly256, the accepted-step pair EIAcceptedStep256 (a trial,
+#     then its gradient on the trial's value pass) and the pooled small-n
+#     fit objective FitLML128 hold 0 allocs/op (DESIGN.md §9). A
+#     regression means a pooled workspace or destination-passing path
+#     started allocating again. UPHESProfit,
 #     the paper-size EvalRowRadial184, Cholesky184, Inverse184 and
 #     ForwardSolve184 and the fleet-size EvalRowRadial96D24 run (presence
 #     only: a timing ratio flakes on a shared host).
@@ -95,7 +96,7 @@ bench() {
 
 # Anchored names: the LargeN linalg benchmarks also contain "Predict" /
 # "Fantasize" and must not leak into the hotpath suite.
-bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$|EvalRowRadial96D24$' \
+bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$|EvalRowRadial96D24$' \
     ./internal/gp/ ./internal/acq/ ./internal/uphes/ ./internal/kernel/
 bench linalg "$other" 'ExtendCols1024$|Cholesky184$|Inverse184$|ForwardSolve184$' ./internal/mat/
 bench linalg "$other" 'LargeN' ./internal/gp/
@@ -201,7 +202,7 @@ ratio_at_most() {
     fi
 }
 
-for name in Predict256 PredictWithGrad256 EIEval256 EIGrad256 EIValueOnly256 EIAcceptedStep256; do
+for name in Predict256 PredictWithGrad256 EIGrad256 EIValueOnly256 EIAcceptedStep256; do
     at_most hotpath "$name" allocs/op 0
 done
 present hotpath UPHESProfit ns/op

@@ -134,15 +134,15 @@ echo "== fit-path bit-identity property tests under -race"
 # dot products; L-BFGS takes the same steps whether line-search trials
 # skip the gradient or not, asking for one only at accepted points; the
 # fit's gradient request reuses a value pass only at its exact params and
-# data; and PredictWithGrad, the penalty and feasibility wrappers and
-# every single-point criterion return the full call's bits value-only.
+# data; and PredictWithGrad, the feasibility model and every
+# single-point criterion return the full call's bits value-only.
 # The two bit-identical caches ride here as well: a gradient request that
 # reuses a value-only PredictWithGrad pass, and the UPHES plant's memo
 # of its head powers, each equal to a fresh computation; so do a
 # non-finite Cholesky diagonal and a NaN fit hyperparameter, which must
 # fail at once.
 named_race_group \
-    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestInverseProductMatchesPerCell|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestFitGradReuse|TestLBFGSBValueOnlyTrials|TestPredictWithGradValueOnlyBits|TestAcqValueOnlyBits|TestPenaltyValueOnlyBits|TestConstrainedValueOnlyBits|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc|TestPredictWithGradReuseBits|TestPlantMemoBits|TestRefactorizeNonFiniteDiagonal|TestFitObjectiveNaNPenalty' \
+    'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestExtendChainSolvesMatchDense|TestInverseIntoParallelBitIdentity|TestInverseProductMatchesPerCell|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestLMLMatchesPerPairReference|TestFitConcurrentStartsBitIdentical|TestFitGradReuse|TestLBFGSBValueOnlyTrials|TestPredictWithGradValueOnlyBits|TestAcqValueOnlyBits|TestConstrainedValueOnlyBits|TestComputeNestedRunsEveryIndexOnce|TestComputeHelperHighWater|TestComputeReservedRunsOnCaller|TestComputeCancelled|TestForEachSpawnsAtOneProc|TestMultiStartParallelMatchesSerial|TestConstrainedFactoryFitBitIdentical|TestFleetParallelMatchesSerial|TestFleetReservesMemberShare|TestFleetReleasesFinishedSlotShare|TestFleetKeepsMembersInFlightAtOneProc|TestPredictWithGradReuseBits|TestPlantMemoBits|TestRefactorizeNonFiniteDiagonal|TestFitObjectiveNaNPenalty' \
     ./internal/mat/ ./internal/gp/ ./internal/parallel/ ./internal/optim/ ./internal/scenario/ ./internal/acq/ ./internal/core/ ./internal/uphes/
 
 echo "== kill-and-resume determinism under -race"
