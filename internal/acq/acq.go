@@ -182,43 +182,43 @@ func (e *QEI) EvalBatch(g surrogate.Surrogate, xs [][]float64) float64 {
 			}
 			y[i] = v
 		}
-		best := 0.0
-		for _, yi := range y {
-			var imp float64
-			if e.Minimize {
-				imp = e.Best - yi
-			} else {
-				imp = yi - e.Best
-			}
-			if imp > best {
-				best = imp
-			}
-		}
-		acc += best
+		acc += e.bestImprovement(y)
 	}
 	return acc / float64(len(e.base))
 }
 
+// diagonalFallback estimates qEI from the marginals, asked once per point.
 func (e *QEI) diagonalFallback(g surrogate.Surrogate, xs [][]float64) float64 {
+	s := grabBatchScratch(3*e.q, 0)
+	defer batchScratchPool.Put(s)
+	mu, sd, y := s.y[:e.q], s.y[e.q:2*e.q], s.y[2*e.q:]
+	for i, x := range xs {
+		mu[i], sd[i] = g.PredictWithGrad(x, nil, nil)
+	}
 	var acc float64
 	for _, z := range e.base {
-		best := 0.0
-		for i, x := range xs {
-			mu, sd := g.PredictWithGrad(x, nil, nil)
-			yi := mu + sd*z[i]
-			var imp float64
-			if e.Minimize {
-				imp = e.Best - yi
-			} else {
-				imp = yi - e.Best
-			}
-			if imp > best {
-				best = imp
-			}
+		for i := range y {
+			y[i] = mu[i] + sd[i]*z[i]
 		}
-		acc += best
+		acc += e.bestImprovement(y)
 	}
 	return acc / float64(len(e.base))
+}
+
+// bestImprovement is the largest improvement of the sampled batch values
+// y over the incumbent, or 0 when none improves.
+func (e *QEI) bestImprovement(y []float64) float64 {
+	best := 0.0
+	for _, yi := range y {
+		imp := yi - e.Best
+		if e.Minimize {
+			imp = e.Best - yi
+		}
+		if imp > best {
+			best = imp
+		}
+	}
+	return best
 }
 
 // FlatObjective adapts the batch criterion to a flattened q·d vector for

@@ -1,6 +1,7 @@
 package acq
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -174,6 +175,59 @@ func TestQEIDuplicatePointsFallback(t *testing.T) {
 	v := q.EvalBatch(g, [][]float64{{0.42}, {0.42}})
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		t.Fatalf("qEI on duplicates = %v", v)
+	}
+}
+
+// noJointSurrogate is a surrogate whose joint posterior always fails,
+// so qEI takes its diagonal fallback; it counts the value calls.
+type noJointSurrogate struct {
+	surrogate.Surrogate
+	calls int
+}
+
+func (n *noJointSurrogate) PredictWithGrad(x, dMean, dSD []float64) (float64, float64) {
+	n.calls++
+	return n.Surrogate.PredictWithGrad(x, dMean, dSD)
+}
+
+func (n *noJointSurrogate) PredictJoint([][]float64) (*surrogate.JointPrediction, error) {
+	return nil, errors.New("no joint posterior")
+}
+
+// TestQEIDiagonalFallbackAsksEachPointOnce: the diagonal fallback asks
+// the posterior once per batch point, not once per base sample and
+// point, and returns the per-sample formula's bits in both senses.
+func TestQEIDiagonalFallbackAsksEachPointOnce(t *testing.T) {
+	g, best := fit1D(t, 0.1, 0.5, 0.9)
+	batch := [][]float64{{0.2}, {0.45}, {0.8}}
+	for _, minimize := range []bool{true, false} {
+		q := NewQEI(len(batch), 64, best, minimize, rng.New(8, 8))
+		ng := &noJointSurrogate{Surrogate: g}
+		got := q.EvalBatch(ng, batch)
+		if ng.calls != len(batch) {
+			t.Fatalf("minimize=%v: %d value calls for %d points", minimize, ng.calls, len(batch))
+		}
+		// The formula the fallback had, with the posterior asked inside
+		// the sample loop.
+		var acc float64
+		for _, z := range q.base {
+			m := 0.0
+			for i, x := range batch {
+				mu, sd := g.PredictWithGrad(x, nil, nil)
+				yi := mu + sd*z[i]
+				imp := yi - best
+				if minimize {
+					imp = best - yi
+				}
+				if imp > m {
+					m = imp
+				}
+			}
+			acc += m
+		}
+		if want := acc / float64(len(q.base)); math.Float64bits(got) != math.Float64bits(want) || got <= 0 {
+			t.Fatalf("minimize=%v: fallback qEI %v, per-sample formula %v", minimize, got, want)
+		}
 	}
 }
 

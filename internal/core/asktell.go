@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/gp"
@@ -25,15 +26,14 @@ import (
 // loop — the golden strategy traces pin this bit-for-bit.
 
 // ErrDone is returned by Ask when the run is complete: the virtual budget
-// is exhausted or MaxCycles is reached. Result then reports the final
-// outcome.
+// is exhausted or MaxCycles is reached, and every asked point has been
+// told. Result then reports the final outcome.
 var ErrDone = errors.New("core: optimization complete")
 
-// ErrNoBatchReady is returned by Ask when no new batch can be formed yet:
-// either every initial-design point has been handed out but not all
-// results have been told (so the first model fit cannot run), or — in
-// asynchronous mode — all BatchSize in-flight slots are occupied. Callers
-// should tell outstanding results and ask again.
+// ErrNoBatchReady is returned by Ask while the next batch waits on told
+// results: the design is out but not all told (the first fit needs it),
+// one more batch would put more than BatchSize points in flight, or the
+// cycles are spent while points are still out. Tell, then ask again.
 var ErrNoBatchReady = errors.New("core: no batch ready until outstanding results are told")
 
 // ErrNonFinite is wrapped by Tell when a told objective value is NaN or
@@ -172,11 +172,12 @@ func (at *AskTell) SetNow(now func() time.Time) {
 	}
 }
 
-// Ask returns the next batch of points to evaluate: initial-design waves
-// of q first, then per-cycle acquisition batches (model fit + propose,
-// charged to the virtual clock exactly as the closed loop charges them).
-// It returns ErrDone when the budget or MaxCycles is exhausted,
-// ErrNoBatchReady while initial-design results are still outstanding, an
+// Ask returns the next batch of q points (BatchSize synchronously, one
+// asynchronously): initial-design waves, then per-cycle acquisition
+// batches (model fit + propose, charged to the virtual clock exactly as
+// the closed loop charges them). Ask alone keeps the protocol: it returns
+// ErrNoBatchReady (see there; synchronous design waves may all be out),
+// ErrDone only once the cycles are spent and every point is told, an
 // ErrInterrupted-wrapped error if ctx is cancelled, and a fatal error if
 // the model fit fails (the run is then unusable).
 //
@@ -192,31 +193,29 @@ func (at *AskTell) Ask(ctx context.Context) (*Batch, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Asynchronous mode hands out single points, at most BatchSize in
-	// flight; a full set of slots blocks the design and the cycles alike.
+	// A full set of asynchronous slots blocks the design and the cycles.
 	async := at.cfg.Mode == Asynchronous
-	if async && at.inFlightPoints() >= at.cfg.BatchSize {
-		return nil, ErrNoBatchReady
+	q, inFlight := at.cfg.BatchSize, at.inFlightPoints()
+	if async {
+		q = 1
+		if inFlight >= at.cfg.BatchSize {
+			return nil, ErrNoBatchReady
+		}
 	}
 
-	// Initial-design phase: hand out precomputed Latin-Hypercube waves —
-	// whole q-waves synchronously, single points asynchronously.
+	// Initial-design phase: hand out precomputed Latin-Hypercube waves.
 	if at.designAsked < len(at.design) {
-		step := at.cfg.BatchSize
-		if async {
-			step = 1
-		}
-		end := min(at.designAsked+step, len(at.design))
+		end := min(at.designAsked+q, len(at.design))
 		pb := at.addPending(0, at.design[at.designAsked:end], 0, 0, false, "")
 		at.designAsked = end
 		return &pb.batch, nil
 	}
-	if at.designTold < len(at.design) {
+	// Cycle phase: the told design, room for q points (the synchronous
+	// barrier) and, once the cycles are spent, every point told; then the
+	// closed loop's guards in its order: budget, MaxCycles, context.
+	if at.designTold < len(at.design) || inFlight+q > at.cfg.BatchSize || (inFlight > 0 && at.cyclesDone()) {
 		return nil, ErrNoBatchReady
 	}
-
-	// Cycle phase. The guards run in the same order as the closed loop:
-	// budget, MaxCycles, context.
 	if at.cyclesDone() {
 		return nil, ErrDone
 	}
@@ -252,14 +251,10 @@ func (at *AskTell) Ask(ctx context.Context) (*Batch, error) {
 		return nil, at.failed
 	}
 
-	// Asynchronous mode conditions on the busy points and asks for one
-	// point that dedupes against them.
-	model, q, busy := at.model, at.cfg.BatchSize, [][]float64(nil)
-	if async {
-		busy = at.busyPoints()
-		model, q = at.conditionOnBusy(busy), 1
-	}
-	points, acqVirtual, fallback, reason, err := at.acquire(ctx, cycle, model, q, busy)
+	// Condition on the busy points and dedupe against them; the barrier
+	// leaves a synchronous cycle none, so nothing changes there.
+	busy := at.busyPoints()
+	points, acqVirtual, fallback, reason, err := at.acquire(ctx, cycle, at.conditionOnBusy(busy), q, busy)
 	if err != nil {
 		if rerr := at.rollbackCycle(rb); rerr != nil {
 			return nil, rerr
@@ -436,11 +431,10 @@ func (at *AskTell) fitModel(ctx context.Context, cycle int) (time.Duration, erro
 }
 
 // acquire selects the cycle's batch (measured time, charged as AcqTime),
-// with the closed loop's fallback-to-random and dedupe behavior. The
-// synchronous cycle passes the fitted model, q = BatchSize and no busy
-// points; the asynchronous one passes the busy-conditioned model, q = 1
-// and the in-flight points so replacements dedupe against them. A
-// non-nil error is returned only for cancellation.
+// with the closed loop's fallback-to-random and dedupe behavior. Ask
+// passes the busy-conditioned model, its q and the in-flight points (none
+// in a synchronous cycle), so proposals dedupe against them. A non-nil
+// error is returned only for cancellation.
 func (at *AskTell) acquire(ctx context.Context, cycle int, model surrogate.Surrogate, q int, busy [][]float64) (batch [][]float64, virtual time.Duration, fallback bool, reason string, err error) {
 	cfg := &at.cfg
 	acqStart := at.now()
@@ -506,10 +500,10 @@ func (at *AskTell) Result() *Result {
 	return at.res
 }
 
-// Done reports whether Ask would return ErrDone: the design is complete
-// and the budget or cycle cap is exhausted.
+// Done reports whether Ask would return ErrDone: the design is complete,
+// the budget or cycle cap is exhausted and no point is in flight.
 func (at *AskTell) Done() bool {
-	return at.designTold >= len(at.design) && at.cyclesDone()
+	return at.designTold >= len(at.design) && len(at.order) == 0 && at.cyclesDone()
 }
 
 // Pending returns the ledger of asked-but-untold batches, in ask order.
@@ -524,33 +518,39 @@ func (at *AskTell) Pending() []Batch {
 // Elapsed returns the virtual time consumed so far.
 func (at *AskTell) Elapsed() time.Duration { return at.clock.Elapsed() }
 
-// runAskTell is the closed-loop driver: Engine.Run reduced to a thin
-// ask/tell client around the evaluation pool. Error handling reproduces
-// the historical Run contract exactly — phase-tagged ErrInterrupted wraps
-// with a valid partial Result on cancellation, a nil Result on fatal fit
-// errors.
+// runAskTell is the closed-loop driver, in rounds: ask until not ready,
+// evaluate each batch on the pool and tell it, in ask order, until
+// ErrDone. Errors keep the historical Run contract — phase-tagged
+// ErrInterrupted wraps with a valid partial Result on cancellation, a nil
+// Result on fatal fit errors.
 func runAskTell(ctx context.Context, at *AskTell) (*Result, error) {
 	cfg := &at.cfg
 	for {
+		var round []*Batch
 		b, err := at.Ask(ctx)
+		for ; err == nil; b, err = at.Ask(ctx) {
+			round = append(round, b)
+		}
 		switch {
 		case errors.Is(err, ErrDone):
 			return at.Result(), nil
 		case errors.Is(err, ErrInterrupted):
 			return at.Result(), err
-		case err != nil:
+		case !errors.Is(err, ErrNoBatchReady):
 			return nil, err
 		}
-		br, err := cfg.Pool.EvalBatch(ctx, cfg.Problem.Evaluator, b.Points)
-		if err != nil {
-			phase := "evaluation"
-			if b.Cycle == 0 {
-				phase = "initial design"
+		for _, b := range round {
+			br, err := cfg.Pool.EvalBatch(ctx, cfg.Problem.Evaluator, b.Points)
+			if err != nil {
+				phase := "evaluation"
+				if b.Cycle == 0 {
+					phase = "initial design"
+				}
+				return at.Result(), interrupted(phase, err)
 			}
-			return at.Result(), interrupted(phase, err)
-		}
-		if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
-			return nil, err
+			if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
+				return nil, err
+			}
 		}
 	}
 }
@@ -706,8 +706,9 @@ func (at *AskTell) Checkpoint() (*Checkpoint, error) {
 
 // ResumeAskTell rebuilds an AskTell from a checkpoint taken against the
 // same engine configuration. Identity fields (problem, strategy, batch
-// size, seed) are verified against the configuration; a mismatch is an
-// error, since the resumed run could not replay the original.
+// size, seed, mode) and point dimensions are verified against it; a
+// mismatch is an error, since the resumed run could not replay the
+// original.
 func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 	at, err := buildAskTell(e)
 	if err != nil {
@@ -725,6 +726,18 @@ func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 	}
 	if len(c.Design) != cfg.InitSamples {
 		return nil, fmt.Errorf("core: checkpoint has %d design points, configuration wants %d", len(c.Design), cfg.InitSamples)
+	}
+	// A benchmark's name does not carry its dimension; every point must.
+	points := slices.Concat(c.Design, c.X)
+	if c.HaveBest {
+		points = append(points, c.BestX)
+	}
+	for _, pc := range c.Pending {
+		points = append(points, pc.Points...)
+	}
+	d := cfg.Problem.Dim()
+	if i := slices.IndexFunc(points, func(x []float64) bool { return len(x) != d }); i >= 0 {
+		return nil, fmt.Errorf("core: checkpoint holds a %d-coordinate point, the problem has %d dimensions", len(points[i]), d)
 	}
 	for _, s := range []struct {
 		name  string

@@ -147,6 +147,117 @@ func TestAskTellDesignGating(t *testing.T) {
 	}
 }
 
+// TestAskTellSyncBarrier: a synchronous cycle batch is the only batch in
+// flight. With it out, Ask refuses the next cycle with ErrNoBatchReady
+// and leaves the run as it was; once it is told, the next cycle is asked.
+func TestAskTellSyncBarrier(t *testing.T) {
+	e := askTellEngine(8)
+	at, err := NewAskTell(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tell := func(b *Batch) {
+		t.Helper()
+		br, err := e.Pool.EvalBatch(ctx, e.Problem.Evaluator, b.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < e.InitSamples/e.BatchSize; i++ {
+		b, err := at.Ask(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tell(b)
+	}
+	b1, err := at.Ask(ctx)
+	if err != nil || b1.Cycle != 1 || len(b1.Points) != e.BatchSize {
+		t.Fatalf("cycle 1 ask: %+v, %v", b1, err)
+	}
+	elapsed := at.Elapsed()
+	for i := 0; i < 2; i++ {
+		if b, err := at.Ask(ctx); !errors.Is(err, ErrNoBatchReady) {
+			t.Fatalf("ask with cycle 1 out: batch %+v, err %v; want ErrNoBatchReady", b, err)
+		}
+	}
+	if at.Elapsed() != elapsed || len(at.Pending()) != 1 || at.Done() {
+		t.Fatalf("refused ask moved the run: elapsed %v → %v, %d pending, done %v", elapsed, at.Elapsed(), len(at.Pending()), at.Done())
+	}
+	tell(b1)
+	if b2, err := at.Ask(ctx); err != nil || b2.Cycle != 2 {
+		t.Fatalf("cycle 2 ask after the tell: %+v, %v", b2, err)
+	}
+}
+
+// TestAskTellDoneWaitsForEveryPoint: in both modes Ask answers ErrDone,
+// and Done reports true, only once the cycles are spent and every asked
+// point is told. The driver fills every slot and tells the oldest batch,
+// so the last cycle is asked while points are still out; Ask must then
+// answer ErrNoBatchReady until they are told.
+func TestAskTellDoneWaitsForEveryPoint(t *testing.T) {
+	for _, mode := range []Mode{Synchronous, Asynchronous} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := askTellEngine(9)
+			e.Mode = mode
+			at, err := NewAskTell(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			spentWithPointsOut := 0
+			for {
+				for {
+					_, err := at.Ask(ctx)
+					if errors.Is(err, ErrNoBatchReady) {
+						break
+					}
+					if errors.Is(err, ErrDone) {
+						if n := len(at.Pending()); n != 0 || !at.Done() {
+							t.Fatalf("ErrDone with %d batches out, Done() = %v", n, at.Done())
+						}
+						q := e.BatchSize
+						if mode == Asynchronous {
+							q = 1
+						}
+						if want := e.InitSamples + e.MaxCycles*q; len(at.Result().Y) != want {
+							t.Fatalf("done with %d evaluations, want %d", len(at.Result().Y), want)
+						}
+						if spentWithPointsOut == 0 {
+							t.Fatal("the drive never had the cycles spent with points out")
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				pend := at.Pending()
+				if len(pend) == 0 {
+					t.Fatal("Ask not ready with nothing in flight")
+				}
+				if at.Done() {
+					t.Fatalf("Done() with %d batches out", len(pend))
+				}
+				if at.cyclesDone() {
+					spentWithPointsOut++
+				}
+				b := pend[0]
+				br, err := e.Pool.EvalBatch(ctx, e.Problem.Evaluator, b.Points)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestAskTellTellValidation: unknown ids, double tells and misaligned
 // slices are rejected without corrupting the run.
 func TestAskTellTellValidation(t *testing.T) {

@@ -2,12 +2,11 @@ package core
 
 import "repro/internal/surrogate"
 
-// This file holds what the asynchronous mode (Engine.Mode = Asynchronous)
-// adds to Ask's one cycle phase. The synchronous protocol proposes q
-// points per cycle and barriers on the full batch; here every cycle
-// proposes exactly one point, up to BatchSize points are in flight at
-// once, and a replacement Ask becomes available the moment any Tell lands
-// — the aphBO-2GP-3B schedule.
+// This file holds Ask's in-flight side. In asynchronous mode
+// (Engine.Mode = Asynchronous) every cycle proposes exactly one point,
+// up to BatchSize points are in flight at once, and a replacement Ask
+// becomes available the moment any Tell lands — the aphBO-2GP-3B
+// schedule. A synchronous cycle has nothing in flight when it is asked.
 // Points that are still busy when a new proposal is made are treated as
 // Kriging-Believer fantasy observations (Ginsbourger et al.); a fantasy
 // that cannot be formed (a failed Cholesky extension) is skipped, as the

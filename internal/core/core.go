@@ -40,19 +40,20 @@ type Mode int
 
 const (
 	// Synchronous is the paper's batch-synchronous protocol: every cycle
-	// proposes q points at once and all q results must be told before the
-	// next cycle can be asked. The zero value, so existing configurations
-	// keep their exact behavior (the golden traces pin it bit-for-bit).
+	// proposes q = BatchSize points, and Ask refuses the next cycle until
+	// all q are told (design waves may all be out at once). The zero
+	// value; the golden traces pin it bit-for-bit.
 	Synchronous Mode = iota
 	// Asynchronous removes the batch barrier: Ask hands out single-point
-	// batches up to BatchSize in flight, and a replacement point becomes
-	// available the moment any Tell lands. Still-busy points are treated
-	// as Kriging-Believer fantasy observations during acquisition (a
-	// point whose fantasy cannot be formed is skipped and counted in
+	// batches, design included, up to BatchSize in flight, and a
+	// replacement becomes available the moment any Tell lands. Busy
+	// points are Kriging-Believer fantasy observations during acquisition
+	// (one that cannot be formed is skipped and counted in
 	// AskTell.FantasyFallbacks), following aphBO-2GP-3B and GP-UCB-PE.
 	// Each Tell advances the virtual clock to the told point's completion
-	// time, so a run charges the same event-driven schedule a real
-	// asynchronous worker pool would produce.
+	// time, the event-driven schedule of a real asynchronous worker pool.
+	// The modes share one Ask and differ only in points per ask, the cap
+	// on the design and the tell's clock.
 	Asynchronous
 )
 
@@ -443,11 +444,11 @@ func (e *Engine) defaultFactory() *gpFactory {
 	}
 }
 
-// Run executes the optimization and returns its result. Since the ask/tell
-// inversion, Run is a thin closed-loop client of AskTell: Ask for the next
-// batch, evaluate it on the Pool, Tell the results, repeat — the phases,
-// virtual-time accounting and rng stream consumption are bit-identical to
-// the historical monolithic loop (the golden strategy traces pin this).
+// Run executes the optimization and returns its result: a closed-loop
+// AskTell client that asks until Ask is not ready, evaluates and tells
+// the round's batches in ask order on the Pool, and repeats, as a served
+// fleet does, so both give one result (synchronous rounds keep the
+// historical loop's bits; the golden strategy traces pin them).
 //
 // ctx cancels the run: in-flight batch evaluations are drained (never
 // abandoned mid-eval), the run stops within the current cycle, and Run

@@ -129,7 +129,7 @@ func (c *Client) Status(ctx context.Context, id string) (session.Status, error) 
 }
 
 // Ask requests the next batch. done=true reports run completion; a nil
-// batch with ErrNotReady means initial-design results are outstanding.
+// batch with ErrNotReady means the session waits on outstanding results.
 func (c *Client) Ask(ctx context.Context, id string) (b *core.Batch, done bool, err error) {
 	return c.ask(ctx, http.MethodPost, "/v1/sessions/"+id+"/ask")
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -242,37 +243,65 @@ func (c *requestCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
+// askRound asks one round as FleetRunner.drive does: one long-poll
+// batch, then every further batch until the session answers "not
+// ready". The bool reports a session with nothing left to ask.
+func askRound(ctx context.Context, c *Client, id string) ([]*core.Batch, bool, error) {
+	for {
+		b, done, err := c.AskWait(ctx, id, time.Minute)
+		if errors.Is(err, ErrNotReady) {
+			continue
+		}
+		if done || err != nil {
+			return nil, done, err
+		}
+		round := []*core.Batch{b}
+		for {
+			nb, _, err := c.Ask(ctx, id)
+			if errors.Is(err, ErrNotReady) {
+				return round, false, nil
+			}
+			if err != nil {
+				return nil, false, err
+			}
+			round = append(round, nb)
+		}
+	}
+}
+
 // drivePerBatch is FleetRunner.drive with one tell per batch of each
 // round instead of one per round; it returns the number of batches told.
 func drivePerBatch(ctx context.Context, c *Client, id string, cons *scenario.Constrained) (int, error) {
 	batches := 0
 	for {
-		b, done, err := c.AskWait(ctx, id, time.Minute)
-		if done {
-			return batches, nil
-		}
-		if errors.Is(err, ErrNotReady) {
-			continue
-		}
-		if err != nil {
+		round, done, err := askRound(ctx, c, id)
+		if done || err != nil {
 			return batches, err
-		}
-		round := []*core.Batch{b}
-		for {
-			nb, ndone, nerr := c.Ask(ctx, id)
-			if ndone || errors.Is(nerr, ErrNotReady) {
-				break
-			}
-			if nerr != nil {
-				return batches, nerr
-			}
-			round = append(round, nb)
 		}
 		for _, rb := range round {
 			if _, err := c.Tell(ctx, id, roundResults([]*core.Batch{rb}, cons)); err != nil {
 				return batches, err
 			}
 			batches++
+		}
+	}
+}
+
+// sameTrace asserts that two results hold the same evaluations, bit for
+// bit, in the same order.
+func sameTrace(t *testing.T, label string, got, want *core.Result) {
+	t.Helper()
+	if len(got.X) != len(want.X) || len(got.Y) != len(want.Y) {
+		t.Fatalf("%s: %d points, %d values; want %d, %d", label, len(got.X), len(got.Y), len(want.X), len(want.Y))
+	}
+	for i := range want.X {
+		if math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
+			t.Fatalf("%s: Y[%d] = %v, want %v", label, i, got.Y[i], want.Y[i])
+		}
+		for j := range want.X[i] {
+			if math.Float64bits(got.X[i][j]) != math.Float64bits(want.X[i][j]) {
+				t.Fatalf("%s: X[%d][%d] = %v, want %v", label, i, j, got.X[i][j], want.X[i][j])
+			}
 		}
 	}
 }
@@ -325,19 +354,7 @@ func TestFleetTellPerRoundMatchesPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(got.X) != len(want.X) || len(got.Y) != len(want.Y) {
-		t.Fatalf("per round: %d points, %d values; per batch: %d, %d", len(got.X), len(got.Y), len(want.X), len(want.Y))
-	}
-	for i := range want.X {
-		if math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
-			t.Fatalf("Y[%d]: per round %v, per batch %v", i, got.Y[i], want.Y[i])
-		}
-		for j := range want.X[i] {
-			if math.Float64bits(got.X[i][j]) != math.Float64bits(want.X[i][j]) {
-				t.Fatalf("X[%d][%d]: per round %v, per batch %v", i, j, got.X[i][j], want.X[i][j])
-			}
-		}
-	}
+	sameTrace(t, "per round against per batch", got, want)
 	if n := perBatchCount.tells.Load(); n != int64(batches) {
 		t.Fatalf("per-batch driver sent %d tells for %d batches", n, batches)
 	}
@@ -350,4 +367,85 @@ func TestFleetTellPerRoundMatchesPerBatch(t *testing.T) {
 		t.Errorf("RunDay sent %d tells for %d batches, want fewer", tells, batches)
 	}
 	t.Logf("%d evaluations: %d batches told one by one, %d tells one per round", len(want.Y), batches, tells)
+}
+
+// TestFleetLocalMatchesServed: one fleet reports the same bits in process
+// (scenario.LocalRunner, whose Engine.Run asks in rounds) and through
+// FleetRunner against a pboserver, in both modes.
+func TestFleetLocalMatchesServed(t *testing.T) {
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := fleetTestCfg(2, 2, 1, 23)
+			cfg.Opt.Mode = mode
+			cfg.Opt.MaxCycles = 3
+			local := runFleet(t, cfg, scenario.LocalRunner{})
+			served := runFleet(t, cfg, &FleetRunner{Client: fleetServer(t), FleetID: "lm", Evict: true})
+			sameFleetReport(t, mode+" in process against served", local, served)
+		})
+	}
+}
+
+// TestFleetKillAfterEveryRound: a served day whose fleet dies after any
+// round's asks — round k asked and never told — and is re-run finishes
+// with the uninterrupted day's X and Y, in both modes. Three cycles at
+// q = 2 end the asynchronous day on a one-point round, where the cycles
+// are spent while the round is out.
+func TestFleetKillAfterEveryRound(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := fleetTestCfg(1, 1, 1, 21)
+			cfg.Opt.Mode = mode
+			cfg.Opt.MaxCycles = 3
+			base := uphes.DefaultConfig()
+			spec := &scenario.DaySpec{
+				Gen:          cfg.Gen,
+				Horizon:      cfg.Horizon,
+				Start:        uphes.DefaultState(&base.Plant),
+				SimLatencyNS: cfg.SimLatency,
+			}
+			_, cons, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&FleetRunner{Client: fleetServer(t), FleetID: "kill"}).RunDay(ctx, spec, cfg.Opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 0
+			for k := 1; ; k++ {
+				f := &FleetRunner{Client: fleetServer(t), FleetID: "kill"}
+				if _, err := f.attach(ctx, spec, cfg.Opt); err != nil {
+					t.Fatal(err)
+				}
+				id := f.SessionID(spec.Member, spec.Day)
+				done := false
+				for r := 1; r <= k && !done; r++ {
+					var round []*core.Batch
+					round, done, err = askRound(ctx, f.Client, id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r < k && !done {
+						if _, err := f.Client.Tell(ctx, id, roundResults(round, cons)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if done {
+					break
+				}
+				rounds = k
+				got, err := f.RunDay(ctx, spec, cfg.Opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTrace(t, fmt.Sprintf("killed after round %d's asks", k), got, want)
+			}
+			if rounds != 4 {
+				t.Fatalf("the day ran %d rounds, want 4", rounds)
+			}
+			t.Logf("%d evaluations over %d rounds, each killed and re-run", len(want.Y), rounds)
+		})
+	}
 }

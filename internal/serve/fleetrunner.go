@@ -14,7 +14,7 @@ import (
 
 // FleetRunner is the remote scenario.DayRunner: each rolling-horizon
 // cell becomes a pboserver session, created (or re-attached) under a
-// deterministic ID, driven with long-poll asks, evaluated client-side
+// deterministic ID, driven in Engine.Run's rounds, evaluated client-side
 // and told back. Because the session ID, the problem and the engine seed
 // are all pure functions of (fleet ID, member, day), a fleet that dies
 // mid-year resumes by simply re-running: completed days re-create (or
@@ -122,14 +122,14 @@ func (f *FleetRunner) recover(ctx context.Context, id string, cons *scenario.Con
 }
 
 // RunDay implements scenario.DayRunner: attach, recover in-flight work,
-// then drive ask/evaluate/tell rounds until the session reports done,
-// and fetch the result. Each round long-polls one batch, drains every
-// further batch the session will hand out without waiting (asynchronous
-// sessions expose up to BatchSize in-flight slots), evaluates the round
-// locally and tells all of it in one request, in ask order — a
-// deterministic schedule, so a re-driven session replays bit-identically,
-// and the same engine calls as one tell per batch with fewer round trips
-// and snapshot writes.
+// then drive ask/evaluate/tell rounds until the session reports done
+// (every asked point told), and fetch the result. Each round long-polls
+// one batch, drains every further batch the session hands out without
+// waiting (BatchSize points in flight), evaluates the round locally and
+// tells all of it in one request, in ask order: Engine.Run's round, so a
+// served day, a re-driven one and a LocalRunner one agree bit for bit,
+// with one round trip and snapshot write per round instead of per
+// batch.
 func (f *FleetRunner) RunDay(ctx context.Context, spec *scenario.DaySpec, opt scenario.OptConfig) (*core.Result, error) {
 	_, cons, err := spec.Build()
 	if err != nil {
@@ -167,9 +167,9 @@ func (f *FleetRunner) drive(ctx context.Context, id string, cons *scenario.Const
 			return nil
 		}
 		if errors.Is(err, ErrNotReady) {
-			// The long poll expired with every slot still occupied —
-			// only possible when another driver owns the in-flight
-			// work; poll again.
+			// The long poll expired with no batch ready — only
+			// possible when another driver owns the in-flight work;
+			// poll again.
 			continue
 		}
 		if err != nil {
@@ -177,8 +177,9 @@ func (f *FleetRunner) drive(ctx context.Context, id string, cons *scenario.Const
 		}
 		round := []*core.Batch{b}
 		for {
-			nb, ndone, nerr := f.Client.Ask(ctx, id)
-			if ndone || errors.Is(nerr, ErrNotReady) {
+			// The session is not done while b is out.
+			nb, _, nerr := f.Client.Ask(ctx, id)
+			if errors.Is(nerr, ErrNotReady) {
 				break
 			}
 			if nerr != nil {

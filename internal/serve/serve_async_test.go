@@ -44,9 +44,9 @@ func asyncSpec(id string) SessionSpec {
 
 // driveAsyncHTTP drives an asynchronous session over the wire with the
 // same deterministic schedule as the session-layer driver: fill every
-// in-flight slot via Ask, and when the server reports not-ready (or done
-// with work still outstanding) evaluate and tell the NEWEST pending
-// member. Telling newest-first is a pure function of server state, so a
+// in-flight slot via Ask, and when the server reports not-ready evaluate
+// and tell the NEWEST pending member (done comes only with nothing
+// pending). Telling newest-first is a pure function of server state, so a
 // run killed at any op boundary and resumed continues identically.
 // stopAfter < 0 runs to completion; otherwise the driver returns nil
 // after that many ask/tell ops — the injected crash point.

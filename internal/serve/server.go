@@ -413,8 +413,8 @@ type TellRequest struct {
 }
 
 // AskResponse is the ask body: exactly one of Done, Batch or NotReady is
-// meaningful. NotReady (HTTP 409) signals that initial-design batches are
-// outstanding and the caller should tell results before asking again.
+// meaningful. NotReady (HTTP 409) signals that the session waits on
+// outstanding results: the caller should tell them before asking again.
 type AskResponse struct {
 	Done  bool        `json:"done"`
 	Batch *core.Batch `json:"batch,omitempty"`

@@ -161,6 +161,101 @@ func TestServerImportRefusesLedgerMissingPendingBatch(t *testing.T) {
 	}
 }
 
+// exportedBundle creates spec on an in-memory server, asks once and
+// exports the session with its design wave out.
+func exportedBundle(tb testing.TB, spec SessionSpec) *ExportBundle {
+	tb.Helper()
+	src := &Server{}
+	sess, err := src.Create(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sess.Ask(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	bundle, err := src.Export(spec.ID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bundle
+}
+
+// otherDimension returns bundle with its spec's problem dimension raised
+// by one, the frame untouched.
+func otherDimension(bundle *ExportBundle) ExportBundle {
+	edited := *bundle
+	edited.Spec.Problem.Dim++
+	return edited
+}
+
+// TestServerImportRefusesOtherDimension: a benchmark's name does not
+// carry its dimension, so an import whose spec names the frame's problem
+// at another dimension is refused with 400, registers nothing and leaves
+// no spec behind. Installed, its pending design wave would hand 2-D
+// points to a 3-D problem.
+func TestServerImportRefusesOtherDimension(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpecs()[3] // levy, d = 2
+	spec.ID = "dim"
+	bundle := exportedBundle(t, spec)
+
+	root := t.TempDir()
+	dst := &Server{SnapRoot: root}
+	ts := httptest.NewServer(dst.Handler())
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	if _, err := c.Import(ctx, otherDimension(bundle)); StatusCode(err) != http.StatusBadRequest || !errorContains(err, "2-coordinate point, the problem has 3 dimensions") {
+		t.Fatalf("import at dimension 3: %v, want 400", err)
+	}
+	if ids := dst.IDs(); len(ids) != 0 {
+		t.Fatalf("refused import registered %v", ids)
+	}
+	if _, err := os.Stat(filepath.Join(root, spec.ID)); !os.IsNotExist(err) {
+		t.Fatalf("refused import left its snapshot directory: %v", err)
+	}
+	if _, err := c.Import(ctx, *bundle); err != nil {
+		t.Fatalf("intact bundle after the refusal: %v", err)
+	}
+}
+
+// FuzzImportBundle holds the import request's trust boundary: a body
+// decoded as an ExportBundle and handed to an in-memory Server.Import
+// never panics, and an accepted bundle answers Status, PendingWork and
+// one Ask without a panic. The seeds are exported sync and async
+// sessions, the sync one at another dimension, and truncations of both.
+func FuzzImportBundle(f *testing.F) {
+	add := func(b ExportBundle) []byte {
+		raw, err := json.Marshal(&b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		return raw
+	}
+	syncBundle := exportedBundle(f, testSpecs()[3])
+	for _, b := range []ExportBundle{*syncBundle, *exportedBundle(f, asyncSpec("fuzz-async"))} {
+		raw := add(b)
+		f.Add(raw[:len(raw)/2])
+		f.Add(raw[:len(raw)-2])
+	}
+	add(otherDimension(syncBundle))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var bundle ExportBundle
+		if json.Unmarshal(data, &bundle) != nil {
+			return
+		}
+		sess, err := (&Server{}).Import(bundle)
+		if err != nil {
+			return
+		}
+		sess.Status()
+		sess.PendingWork()
+		if _, err := sess.Ask(context.Background()); err != nil {
+			t.Logf("ask refused: %v", err)
+		}
+	})
+}
+
 // TestParentScenarioSpecCreatesAndResumes: a scenario spec in the format
 // servers wrote before DaySpec lost its constraint configuration — with
 // "constraints": {} — still creates a session over the wire, and a

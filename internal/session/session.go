@@ -391,10 +391,11 @@ func Restore(cfg Config, frame []byte) (*Session, error) {
 func (s *Session) ID() string { return s.id }
 
 // Ask returns the next batch to evaluate. It forwards core.AskTell's
-// contract — ErrDone on completion, core.ErrNoBatchReady while the
-// initial design is outstanding — and snapshots the advanced state before
-// releasing the batch, so a crash after the caller receives it still
-// resumes with the batch in the pending ledger.
+// contract — ErrDone once every asked point is told and no cycle is
+// left, core.ErrNoBatchReady while the next batch waits on told results
+// — and snapshots the advanced state before releasing the batch, so a
+// crash after the caller receives it still resumes with the batch in the
+// pending ledger.
 func (s *Session) Ask(ctx context.Context) (*core.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,13 +413,13 @@ func (s *Session) Ask(ctx context.Context) (*core.Batch, error) {
 }
 
 // AwaitAsk is Ask with a bounded wait — the long-poll primitive. When no
-// batch is ready (asynchronous in-flight slots full, or a synchronous
-// design wave outstanding at other workers), it blocks until a Tell
-// changes the session state, then retries, until wait expires — in which
-// case it returns core.ErrNoBatchReady like a plain Ask would. Terminal
-// conditions (ErrDone, engine failure, ctx cancellation) return
-// immediately. Waiters hold no lock while blocked, so asks and tells from
-// other workers proceed freely underneath any number of waiters.
+// batch is ready (in-flight slots full, a synchronous cycle batch or
+// design wave out at other workers, or a finished run's last points out),
+// it blocks until a Tell changes the session state, then retries, until
+// wait expires — in which case it returns core.ErrNoBatchReady like a
+// plain Ask would. Terminal conditions (ErrDone, engine failure, ctx
+// cancellation) return immediately. Waiters hold no lock while blocked,
+// so asks and tells from other workers proceed freely underneath.
 func (s *Session) AwaitAsk(ctx context.Context, wait time.Duration) (*core.Batch, error) {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -614,7 +615,7 @@ func (s *Session) PendingWork() []PendingBatch {
 // Persistent reports whether the session writes snapshots.
 func (s *Session) Persistent() bool { return s.store != nil }
 
-// Done reports whether the run is complete.
+// Done reports whether the run is complete, every asked point told.
 func (s *Session) Done() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -41,8 +41,8 @@ func driveAsyncSession(t *testing.T, e *core.Engine, s *Session, stopAfter int) 
 			}
 			continue
 		case errors.Is(err, ErrDone), errors.Is(err, core.ErrNoBatchReady):
-			// ErrDone means no further cycles — outstanding points must
-			// still be told before the run is complete.
+			// ErrDone comes only with nothing pending, so the ledger
+			// check below ends the drive.
 		default:
 			t.Fatal(err)
 		}

@@ -91,23 +91,67 @@ func driveToDone(t *testing.T, e *core.Engine, s *Session) *core.Result {
 	}
 }
 
+// driveRounds completes the session in Engine.Run's rounds: ask until
+// the session is not ready, then tell each batch of the round, in ask
+// order, its members one at a time in reverse order.
+func driveRounds(t *testing.T, e *core.Engine, s *Session) *core.Result {
+	t.Helper()
+	ctx := context.Background()
+	for {
+		var round []*core.Batch
+		for {
+			b, err := s.Ask(ctx)
+			if errors.Is(err, core.ErrNoBatchReady) {
+				break
+			}
+			if errors.Is(err, ErrDone) {
+				return s.Result()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			round = append(round, b)
+		}
+		for _, b := range round {
+			results := evalMembers(e, b)
+			for i := len(results) - 1; i >= 0; i-- {
+				if err := s.Tell(ctx, []EvalResult{results[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestSessionCompletesLikeEngineRun: a session driven in Engine.Run's
+// rounds, with partial tells, finishes with Engine.Run's trace in both
+// modes.
 func TestSessionCompletesLikeEngineRun(t *testing.T) {
-	ref, err := testEngine(t, "KB-q-EGO").Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := testEngine(t, "KB-q-EGO")
-	s, err := New(Config{ID: "s1", Engine: e})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := driveToDone(t, e, s)
-	if !reflect.DeepEqual(ref.X, got.X) || !reflect.DeepEqual(ref.Y, got.Y) {
-		t.Fatal("session-driven trace diverged from Engine.Run")
-	}
-	st := s.Status()
-	if !st.Done || st.Cycles != 3 || len(st.Pending) != 0 {
-		t.Fatalf("final status %+v", st)
+	for _, mode := range []core.Mode{core.Synchronous, core.Asynchronous} {
+		t.Run(mode.String(), func(t *testing.T) {
+			engine := func() *core.Engine {
+				e := testEngine(t, "KB-q-EGO")
+				e.Mode = mode
+				return e
+			}
+			ref, err := engine().Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := engine()
+			s, err := New(Config{ID: "s1", Engine: e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := driveRounds(t, e, s)
+			if !reflect.DeepEqual(ref.X, got.X) || !reflect.DeepEqual(ref.Y, got.Y) {
+				t.Fatal("session-driven trace diverged from Engine.Run")
+			}
+			st := s.Status()
+			if !st.Done || st.Cycles != 3 || len(st.Pending) != 0 {
+				t.Fatalf("final status %+v", st)
+			}
+		})
 	}
 }
 
@@ -428,9 +472,12 @@ func (f stubFactory) Fit(_ context.Context, _ *core.State, cycle int) (surrogate
 // TestSessionTellErrorKeepsLedgerConsistent: when the engine rejects a
 // forward mid-Tell (here via its sticky failed state), the session's
 // pending ledger must stay consistent — the undelivered batch remains
-// pending exactly once and Status/PendingWork still work.
+// pending exactly once and Status/PendingWork still work. It runs in
+// asynchronous mode, the one mode that asks a second cycle while the
+// first is out.
 func TestSessionTellErrorKeepsLedgerConsistent(t *testing.T) {
 	e := testEngine(t, "KB-q-EGO")
+	e.Mode = core.Asynchronous
 	e.Strategy = nullStrategy{}
 	e.Factory = stubFactory{failFrom: 2}
 	s, err := New(Config{ID: "ledger", Engine: e})
@@ -439,8 +486,8 @@ func TestSessionTellErrorKeepsLedgerConsistent(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Complete the three design waves.
-	for i := 0; i < e.InitSamples/e.BatchSize; i++ {
+	// Complete the six single-point design waves.
+	for i := 0; i < e.InitSamples; i++ {
 		b, err := s.Ask(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -10,10 +10,11 @@
 # digests), the full test suite under the race detector, a named re-run
 # of the bit-identity property tests for the parallel linear-algebra
 # paths (still under -race), a named re-run of the kill-and-resume
-# determinism tests for the session/serving stack (still under -race;
-# each named group fails if a listed name matches no test), 10 s fuzz
-# runs of the prediction workspace's value-pass reuse, of the snapshot
-# frame decoder, of the session spec and of every vector body against
+# determinism tests for the session/serving stack and of the ask/tell
+# protocol they rest on (still under -race; each named group fails if a
+# listed name matches no test), 10 s fuzz runs of the prediction
+# workspace's value-pass reuse, of the snapshot frame decoder, of the
+# session spec, of the import bundle and of every vector body against
 # its Go oracle, the hot-path allocation-regression tests without the
 # race detector (alloc counts are only meaningful uninstrumented), a
 # single-iteration pass over every benchmark so bench code cannot rot
@@ -162,9 +163,14 @@ echo "== kill-and-resume determinism under -race"
 # matrix that keeps v1/v2 snapshots resumable. The scenario engine pins
 # its two contracts here too: the rolling-horizon golden trace (same seed
 # → bit-identical year schedule and revenue) and the fleet driver's
-# mid-day kill-and-resume against a live in-process pboserver.
+# mid-day kill-and-resume against a live in-process pboserver. The
+# protocol all of them rest on rides here as well: a synchronous cycle
+# batch out refuses the next ask, the run is done only once every asked
+# point is told, a fleet reports the same bits in process and served in
+# both modes, and a served day killed after any round's asks and re-run
+# ends with the uninterrupted day's evaluations.
 named_race_group \
-    'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestStatefulStrategyAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
+    'TestAskTellSyncBarrier|TestAskTellDoneWaitsForEveryPoint|TestFleetLocalMatchesServed|TestFleetKillAfterEveryRound|TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestStatefulStrategyAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
     ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== fuzz the value-pass reuse for 10 s"
@@ -187,6 +193,15 @@ echo "== fuzz the session spec for 10 s"
 # are the specs the serve tests create and the oversized rows; inputs it
 # finds land in internal/serve/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzSessionSpec$' -fuzztime 10s ./internal/serve/
+
+echo "== fuzz the import bundle for 10 s"
+# Byte-derived import bodies decoded as an ExportBundle and handed to an
+# in-memory Server.Import: the import never panics, and an accepted
+# bundle answers Status, PendingWork and one Ask without a panic. The
+# seeds are exported sync and async sessions, the sync one at another
+# problem dimension, and truncations of both; inputs it finds land in
+# internal/serve/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzImportBundle$' -fuzztime 10s ./internal/serve/
 
 echo "== fuzz every vector body against its Go oracle, 10 s each"
 # The Cholesky sweep on byte-derived operands (any bit pattern, lengths
