@@ -69,7 +69,15 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressionSet
 					name += next
 					reason = strings.TrimSpace(restReason)
 				}
-				if name == "" || reason == "" {
+				// A name list of commas and blanks names nothing: it is as
+				// malformed as a missing one.
+				var names []string
+				for _, n := range strings.Split(name, ",") {
+					if n = strings.TrimSpace(n); n != "" {
+						names = append(names, n)
+					}
+				}
+				if len(names) == 0 || reason == "" {
 					set.meta = append(set.meta, Diagnostic{
 						Pos:      pos,
 						Analyzer: "pbolint",
@@ -78,11 +86,7 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressionSet
 					continue
 				}
 				s := suppression{analyzers: map[string]bool{}, file: pos.Filename, line: pos.Line, reason: reason}
-				for _, n := range strings.Split(name, ",") {
-					n = strings.TrimSpace(n)
-					if n == "" {
-						continue
-					}
+				for _, n := range names {
 					if !known[n] {
 						set.meta = append(set.meta, Diagnostic{
 							Pos:      pos,

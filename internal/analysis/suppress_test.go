@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,12 +129,15 @@ func f() {}
 
 //lint:ignore
 func g() {}
+
+//lint:ignore ,	 a reason, but commas and blanks for names
+func h() {}
 `)
 	if len(set.entries) != 0 {
 		t.Errorf("entries = %+v, want none", set.entries)
 	}
-	if len(set.meta) != 2 {
-		t.Fatalf("meta = %d diagnostics, want 2 (missing reason; missing everything)", len(set.meta))
+	if len(set.meta) != 3 {
+		t.Fatalf("meta = %d diagnostics, want 3 (missing reason; missing everything; no name)", len(set.meta))
 	}
 	for _, d := range set.meta {
 		if !strings.Contains(d.Message, "malformed directive") {
@@ -141,4 +147,82 @@ func g() {}
 	if set.suppresses("errcheck", at("sup.go", 4)) {
 		t.Error("reasonless directive suppressed its target")
 	}
+}
+
+// FuzzSuppressions feeds byte-derived Go source through
+// collectSuppressions. Input that does not parse is retried as a file
+// whose every line is a //lint:ignore directive followed by that line's
+// bytes. Collecting never panics, every directive yields either a
+// suppression with a non-empty reason and only known analyzer names or a
+// pbolint diagnostic on its line, and no other analyzer reports. The
+// seeds are the fixture sources under testdata/src and the directive
+// shapes the tests above pin.
+func FuzzSuppressions(f *testing.F) {
+	if err := filepath.WalkDir(filepath.Join("testdata", "src"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err == nil {
+			f.Add(src)
+		}
+		return err
+	}); err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range []string{
+		"godiscipline, errcheck legacy shim shared by both checks",
+		"godiscipline,errcheck one reason for both",
+		"floatcomp typo",
+		"errcheck,nosuch best-effort write",
+		"errcheck",
+		"",
+		",\t reason",
+		"errcheck,\t reason",
+		"errcheck\treason",
+	} {
+		f.Add([]byte(line))
+	}
+	known := knownAnalyzerNames()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "fuzz.go", data, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			var b strings.Builder
+			b.WriteString("package p\n")
+			for _, line := range strings.Split(string(data), "\n") {
+				b.WriteString(ignoreDirective + " " + line + "\n")
+			}
+			fset = token.NewFileSet()
+			if file, err = parser.ParseFile(fset, "fuzz.go", b.String(), parser.ParseComments|parser.SkipObjectResolution); err != nil {
+				return
+			}
+		}
+		set := collectSuppressions(fset, []*ast.File{file})
+		entries, metas := map[int]bool{}, map[int]bool{}
+		for _, e := range set.entries {
+			if e.reason == "" || len(e.analyzers) == 0 {
+				t.Fatalf("line %d: suppression with reason %q and analyzers %v", e.line, e.reason, e.analyzers)
+			}
+			for name := range e.analyzers {
+				if !known[name] {
+					t.Fatalf("line %d: suppression names unknown analyzer %q", e.line, name)
+				}
+			}
+			entries[e.line] = true
+		}
+		for _, d := range set.meta {
+			if d.Analyzer != "pbolint" {
+				t.Fatalf("line %d: directive diagnostic under %q", d.Pos.Line, d.Analyzer)
+			}
+			metas[d.Pos.Line] = true
+		}
+		for _, cg := range file.Comments {
+			for _, c := range cg.List {
+				if line := fset.Position(c.Pos()).Line; strings.HasPrefix(c.Text, ignoreDirective) && !entries[line] && !metas[line] {
+					t.Fatalf("line %d: directive %q yields neither a suppression nor a diagnostic", line, c.Text)
+				}
+			}
+		}
+	})
 }

@@ -256,12 +256,13 @@ func (c *Cholesky) BackSolveVecInto(dst, b []float64) []float64 {
 }
 
 // forwardSolve and backSolve sit at the bottom of every posterior
-// prediction, so both are written to let the compiler prove the inner
-// loops in-bounds: the column and right-hand-side slices are re-sliced to
-// a common length before the loop, which removes per-iteration bounds
-// checks without touching the floating-point evaluation order (the
-// accumulation remains strictly sequential — required for the bitwise
-// reproducibility contract, see the golden-trace tests).
+// prediction, so both are right-looking: once an entry is final, its
+// products with the factor are subtracted from every entry still open,
+// four final entries per sweep, and the inner loop carries no dependency
+// chain, so it runs at memory and instruction throughput instead of
+// FP-subtract latency. Each entry still takes its subtractions one at a
+// time in a fixed order, then divides, as the bitwise reproducibility
+// contract requires (the golden-trace and paper-digest tests).
 
 // forwardSolve solves the trailing system L[from:,from:]·y[from:] =
 // y[from:] in place; y[:from] is neither read nor written. It uses the
@@ -269,9 +270,7 @@ func (c *Cholesky) BackSolveVecInto(dst, b []float64) []float64 {
 // is scattered down packed column k into every later element. Each y[i]
 // still accumulates −L[i][k]·y[k] in strictly increasing k with the
 // division at the same point, so the operation DAG — and therefore every
-// output bit — is identical to the textbook dot-product form; but the
-// inner loop carries no dependency chain, so it runs at memory/issue
-// throughput instead of FP-subtract latency.
+// output bit — is identical to the textbook dot-product form.
 func (c *Cholesky) forwardSolve(y []float64, from int) {
 	n := c.n
 	l := c.l
@@ -314,23 +313,46 @@ func (c *Cholesky) forwardSolve(y []float64, from int) {
 	}
 }
 
-// backSolve solves Lᵀ·x = y in place by the dot-product form: x[i]
-// subtracts L[k][i]·x[k] in increasing k — one contiguous read of packed
-// column i — then divides by the pivot.
+// backSolve solves Lᵀ·x = y in place by the right-looking form of back
+// substitution: for k = n−1 down to 0, x[k] = y[k] / L[k][k], then
+// y[i] −= L[k][i]·x[k] for every i < k. Each x[i] therefore subtracts its
+// terms in decreasing k, then divides by its pivot. L[k][i] sits at
+// offset k−i of packed column i, so the four entries L[k−3..k][i] a
+// four-row sweep needs are adjacent there, and column i+1's four start
+// n−i−1 after column i's.
 func (c *Cholesky) backSolve(y []float64) {
 	n := c.n
 	l := c.l
 	y = y[:n]
-	for i := n - 1; i >= 0; i-- {
-		off := colOffset(i, n)
-		col := l[off+1 : off+n-i] // L[k][i] for k = i+1 … n-1
-		yk := y[i+1:]
-		yk = yk[:len(col)]
-		s := y[i]
-		for k, rk := range col {
-			s -= rk * yk[k]
+	k := n - 1
+	// Four rows per sweep (backSweepVec, else backSweepGo): the 4×4
+	// corner of rows k−3..k is solved in the order x[k], x[k−1], x[k−2],
+	// x[k−3], then every earlier entry subtracts the four in that order.
+	// The first n mod 4 rows go one at a time below.
+	for ; k >= 3; k -= 4 {
+		o3 := colOffset(k-3, n)
+		o2 := o3 + n - k + 3
+		o1 := o2 + n - k + 2
+		o0 := o1 + n - k + 1
+		x0 := y[k] / l[o0]
+		y[k] = x0
+		x1 := (y[k-1] - l[o1+1]*x0) / l[o1]
+		y[k-1] = x1
+		x2 := ((y[k-2] - l[o2+2]*x0) - l[o2+1]*x1) / l[o2]
+		y[k-2] = x2
+		x3 := (((y[k-3] - l[o3+3]*x0) - l[o3+2]*x1) - l[o3+1]*x2) / l[o3]
+		y[k-3] = x3
+		if !backSweepVec(y[:k-3], l, n, x0, x1, x2, x3) {
+			backSweepGo(y[:k-3], l, n, x0, x1, x2, x3)
 		}
-		y[i] = s / l[off]
+	}
+	for ; k >= 0; k-- {
+		xk := y[k] / l[colOffset(k, n)]
+		y[k] = xk
+		for i, o := 0, k; i < k; i++ {
+			y[i] -= l[o] * xk
+			o += n - i - 1
+		}
 	}
 }
 

@@ -282,6 +282,76 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 	}
 }
 
+// dotBackSolve is the dot-product back substitution the packed factor
+// ran before the right-looking form: x[i] subtracts L[k][i]·x[k] in
+// increasing k, one contiguous read of packed column i, then divides by
+// its pivot. It stays only as the reference the new order is measured
+// against.
+func dotBackSolve(c *Cholesky, y []float64) {
+	n := c.n
+	for i := n - 1; i >= 0; i-- {
+		off := colOffset(i, n)
+		s := y[i]
+		for k, rk := range c.l[off+1 : off+n-i] {
+			s -= rk * y[i+1+k]
+		}
+		y[i] = s / c.l[off]
+	}
+}
+
+// TestBackSolveAccuracyAgainstDotOrder: the right-looking back solve
+// changes only the order in which each entry takes its subtractions, so
+// on random SPD factors at n = 33, 184 and 400, and down a three-link
+// ExtendCols chain, both the back solve and the full solve stay within
+// 1e-12 of the dot-product order, in the max norm relative to the
+// dot-product solution's.
+func TestBackSolveAccuracyAgainstDotOrder(t *testing.T) {
+	src := rng.New(111, 31)
+	check := func(c *Cholesky, label string) {
+		t.Helper()
+		b := randomVec(src, c.Size())
+		fwd := c.ForwardSolveVec(b)
+		for _, tc := range []struct {
+			name     string
+			got, rhs []float64
+		}{
+			{"back", c.BackSolveVec(b), b},
+			{"full", c.SolveVec(b), fwd},
+		} {
+			want := append([]float64(nil), tc.rhs...)
+			dotBackSolve(c, want)
+			var diff, norm float64
+			for i, w := range want {
+				diff = math.Max(diff, math.Abs(tc.got[i]-w))
+				norm = math.Max(norm, math.Abs(w))
+			}
+			if !(diff <= 1e-12*norm) {
+				t.Errorf("%s %s solve: ‖x_new − x_old‖∞ / ‖x_old‖∞ = %.3g > 1e-12", label, tc.name, diff/norm)
+			}
+			t.Logf("%s %s solve: relative max-norm difference %.3g", label, tc.name, diff/norm)
+		}
+	}
+	for _, n := range []int{33, 184, 400} {
+		c, err := NewCholesky(randomSPD(src, n), 0, 0)
+		if err != nil {
+			t.Fatalf("n=%d: NewCholesky: %v", n, err)
+		}
+		check(c, fmt.Sprintf("n=%d", n))
+	}
+	cur, err := NewCholesky(randomSPD(src, 33), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for link := 0; link < 3; link++ {
+		m := 1 + link%2
+		cur, err = cur.ExtendCols(colMajor(randomDense(src, cur.Size(), m)), spdBlock(src, m, 33))
+		if err != nil {
+			t.Fatalf("link %d: ExtendCols: %v", link, err)
+		}
+		check(cur, fmt.Sprintf("chain link %d (n=%d)", link, cur.Size()))
+	}
+}
+
 // Property: for any SPD matrix, solving then multiplying round-trips.
 func TestCholeskySolveProperty(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -95,3 +95,18 @@ func BenchmarkForwardSolve184(b *testing.B) {
 		c.ForwardSolveVecInto(dst, rhs)
 	}
 }
+
+func BenchmarkBackSolve184(b *testing.B) {
+	src := rng.New(6, 184)
+	c, err := NewCholesky(randomSPD(src, paperN), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := randomVec(src, paperN)
+	dst := make([]float64, paperN)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.BackSolveVecInto(dst, rhs)
+	}
+}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// This file pins the packed column-major factor to the dense reference
-// implementation it replaced: in-test dense re-implementations of
-// factorize, the two triangular solves, Inverse and the extension
-// evaluate the exact floating-point operation DAG the dense code ran, and
+// This file pins the packed column-major factor to dense reference
+// implementations: in-test dense re-implementations of factorize, the two
+// triangular solves, Inverse and the extension evaluate the exact
+// floating-point operation DAG of each packed kernel — the dense code's,
+// except the back solve, whose reference is the right-looking loop — and
 // every packed result must match them bit for bit on random SPD inputs.
 // The packed layout is allowed to change addresses, never arithmetic.
 
@@ -45,8 +46,10 @@ func denseRefFactor(t *testing.T, a *Dense, jitter float64) *Dense {
 	return l
 }
 
-// denseRefForward / denseRefBack are the pre-packed direct solve kernels
-// on a dense lower triangle.
+// denseRefForward is the pre-packed direct forward solve on a dense lower
+// triangle; denseRefBack is the right-looking back solve, in the order
+// the packed kernel runs it: for k = n−1 down to 0, x[k] = y[k]/L[k][k],
+// then y[i] −= L[k][i]·x[k] for every i < k.
 func denseRefForward(l *Dense, y []float64) {
 	n := l.rows
 	for i := 0; i < n; i++ {
@@ -61,12 +64,11 @@ func denseRefForward(l *Dense, y []float64) {
 
 func denseRefBack(l *Dense, y []float64) {
 	n := l.rows
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * y[k]
+	for k := n - 1; k >= 0; k-- {
+		y[k] /= l.At(k, k)
+		for i := 0; i < k; i++ {
+			y[i] -= l.At(k, i) * y[k]
 		}
-		y[i] = s / l.At(i, i)
 	}
 }
 
@@ -142,11 +144,12 @@ func TestPackedFactorizeMatchesDense(t *testing.T) {
 // TestPackedSolvesMatchDense: the forward, back and full solves on the
 // packed column-major factor must match the dense reference kernels
 // bitwise. This is the bit-identity argument for the layout: per element,
-// updates arrive in increasing k with the division at the same point, so
-// storage cannot touch the result.
+// updates arrive in the reference's order (increasing k forward,
+// decreasing k back) with the division at the same point, so storage and
+// the four-row blocking cannot touch the result.
 func TestPackedSolvesMatchDense(t *testing.T) {
 	src := rng.New(41, 9)
-	for _, n := range []int{1, 2, 3, 7, 30, 65, 129} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 30, 65, 129} {
 		a := randomSPD(src, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {

@@ -37,6 +37,35 @@ func TestSweepVectorEnabled(t *testing.T) {
 	}
 }
 
+// TestBackSweepVectorEnabled makes a silent fallback of the back-solve
+// sweep fail loudly: where the probe finds AVX2 and FMA, the AVX2 body
+// must take the whole seven-entry sweep, its three-entry tail included,
+// and leave the Go loop's bits.
+func TestBackSweepVectorEnabled(t *testing.T) {
+	if !simd.AVX2FMA() {
+		t.Skip("the probe found no AVX2+FMA")
+	}
+	const n, m = 13, 7
+	l := make([]float64, packedLen(n))
+	for i := range l {
+		l[i] = 1 / float64(i+3)
+	}
+	var y, want [m]float64
+	for i := range y {
+		y[i] = float64(i) + 0.1
+	}
+	want = y
+	if !backSweepVec(y[:], l, n, 0.7, -1.3, 2.9, 0.11) {
+		t.Fatal("the AVX2 body declined the sweep")
+	}
+	backSweepGo(want[:], l, n, 0.7, -1.3, 2.9, 0.11)
+	for i := range want {
+		if !sameBits(y[i], want[i]) {
+			t.Fatalf("entry %d: AVX2 body %v, Go loop %v", i, y[i], want[i])
+		}
+	}
+}
+
 // TestInverseVectorEnabled makes a silent fallback of the inverse product
 // fail loudly: where the probe finds AVX2 and FMA, InverseInto must leave
 // its scratch transposed, L⁻¹ in the lower triangle, which only the AVX2

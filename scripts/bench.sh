@@ -10,8 +10,8 @@
 #              expected-profit evaluation (16 scenarios)
 #   linalg   — the large-n linear algebra: ExtendCols, n=4096
 #              prediction and fantasy, and the paper-size factor
-#              kernels: a Cholesky, an inverse and a forward solve at
-#              n=184
+#              kernels: a Cholesky, an inverse, a forward and a back
+#              solve at n=184
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes)
 #   fit      — the per-iteration LML objective cost (banded vs serial at
@@ -30,8 +30,9 @@
 # under (from the name's -N suffix, 1 without one), the CPU from go
 # test's "cpu:" line, the Go version, and the CPU probe's verdict
 # ("avx2+fma" or "generic": whether the AVX2 bodies of the Cholesky
-# sweep, the inverse product, the Matérn radial and r² passes and the two
-# gradient sums ran, DESIGN.md §9.5), so two files can be compared.
+# sweep and the back-solve sweep, the inverse product, the Matérn radial
+# and r² passes and the two gradient sums ran, DESIGN.md §9.5), so two
+# files can be compared.
 #
 # Usage:
 #   ./scripts/bench.sh          # 2 s per benchmark; rewrites BENCH_<suite>.json
@@ -46,9 +47,10 @@
 #     fit objective FitLML128 hold 0 allocs/op (DESIGN.md §9). A
 #     regression means a pooled workspace or destination-passing path
 #     started allocating again. UPHESProfit,
-#     the paper-size EvalRowRadial184, Cholesky184, Inverse184 and
-#     ForwardSolve184 and the fleet-size EvalRowRadial96D24 run (presence
-#     only: a timing ratio flakes on a shared host).
+#     the paper-size EvalRowRadial184, Cholesky184, Inverse184,
+#     ForwardSolve184 and BackSolve184 and the fleet-size
+#     EvalRowRadial96D24 run (presence only: a timing ratio flakes on a
+#     shared host).
 #   - snapshot: both codec benchmarks report frame-bytes, so the evidence
 #     cannot go stale; the n=1024 decode holds ≤ 100 allocs/op (the
 #     sectioned v3 layout lands at ~21 — more means a matrix path went
@@ -98,7 +100,7 @@ bench() {
 # "Fantasize" and must not leak into the hotpath suite.
 bench hotpath "$hot" 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIGrad|EIValueOnly|EIAcceptedStep|QEIBatch|UPHESProfit$|EvalRowRadial184$|EvalRowRadial96D24$' \
     ./internal/gp/ ./internal/acq/ ./internal/uphes/ ./internal/kernel/
-bench linalg "$other" 'ExtendCols1024$|Cholesky184$|Inverse184$|ForwardSolve184$' ./internal/mat/
+bench linalg "$other" 'ExtendCols1024$|Cholesky184$|Inverse184$|ForwardSolve184$|BackSolve184$' ./internal/mat/
 bench linalg "$other" 'LargeN' ./internal/gp/
 bench snapshot "$other" 'SnapshotEncode1024$|SnapshotDecode1024$' ./internal/session/snapshot/
 # The fantasy bench also runs in the linalg suite.
@@ -211,6 +213,7 @@ present hotpath EvalRowRadial96D24 ns/op
 present linalg Cholesky184 ns/op
 present linalg Inverse184 ns/op
 present linalg ForwardSolve184 ns/op
+present linalg BackSolve184 ns/op
 at_most fit FitLML128 allocs/op 0
 
 present snapshot SnapshotEncode1024 frame-bytes

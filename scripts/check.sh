@@ -14,8 +14,8 @@
 # protocol they rest on (still under -race; each named group fails if a
 # listed name matches no test), 10 s fuzz runs of the prediction
 # workspace's value-pass reuse, of the snapshot frame decoder, of the
-# session spec, of the import bundle and of every vector body against
-# its Go oracle, the hot-path allocation-regression tests without the
+# session spec, of the import bundle, of every vector body against its
+# Go oracle and of pbolint's suppression parser, the hot-path allocation-regression tests without the
 # race detector (alloc counts are only meaningful uninstrumented), a
 # single-iteration pass over every benchmark so bench code cannot rot
 # uncompiled, and one fast `bench.sh -check` pass that enforces the
@@ -24,8 +24,14 @@
 #
 # Every -race run builds with the purego tag: the race detector does not
 # see loads and stores made inside assembly, so the portable Go loops
-# keep the Cholesky sweep, the inverse product, the radial and r² passes
-# and the two gradient sums under its eye (DESIGN.md §9.5).
+# keep the Cholesky sweep, the back-solve sweep, the inverse product, the
+# radial and r² passes and the two gradient sums under its eye
+# (DESIGN.md §9.5).
+#
+# Every fuzz step passes -fuzzminimizetime 1x: by default go test spends
+# up to a minute minimizing each new interesting input, and in a 10 s
+# window that left the import bundle's fuzzer at 0 execs/s from about
+# 3 s on. With one execution per minimization the window fuzzes.
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -177,14 +183,14 @@ echo "== fuzz the value-pass reuse for 10 s"
 # Byte-derived call sequences on one prediction workspace, each result
 # against a fresh call; the seed corpus in internal/gp/testdata/fuzz also
 # runs with every go test.
-go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s ./internal/gp/
+go test -run '^$' -fuzz '^FuzzPredictWithGradReuse$' -fuzztime 10s -fuzzminimizetime 1x ./internal/gp/
 
 echo "== fuzz the snapshot frame decoder for 10 s"
 # Byte-derived payloads under a valid header and CRC, as format versions
 # 1-3: Decode never panics and every error wraps ErrCorrupt or
 # ErrVersion. The seeds are the golden v1-v3 payloads and corruptions of
 # the v3 layout; inputs it finds land in internal/session/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/session/
+go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/session/
 
 echo "== fuzz the session spec for 10 s"
 # Byte-derived create-request bodies: decoding and Validate never panic,
@@ -192,7 +198,7 @@ echo "== fuzz the session spec for 10 s"
 # without a panic, its initial design inside the size caps. The seeds
 # are the specs the serve tests create and the oversized rows; inputs it
 # finds land in internal/serve/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzSessionSpec$' -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzSessionSpec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/serve/
 
 echo "== fuzz the import bundle for 10 s"
 # Byte-derived import bodies decoded as an ExportBundle and handed to an
@@ -201,21 +207,31 @@ echo "== fuzz the import bundle for 10 s"
 # seeds are exported sync and async sessions, the sync one at another
 # problem dimension, and truncations of both; inputs it finds land in
 # internal/serve/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzImportBundle$' -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzImportBundle$' -fuzztime 10s -fuzzminimizetime 1x ./internal/serve/
 
 echo "== fuzz every vector body against its Go oracle, 10 s each"
 # The Cholesky sweep on byte-derived operands (any bit pattern, lengths
-# 0-67, misaligned starts), the inverse product on byte-derived scratch,
+# 0-67, misaligned starts), the back-solve sweep on byte-derived packed
+# factors (orders 4-70, every block start), the inverse product on
+# byte-derived scratch,
 # the radial pass on arbitrary r², and the r² pass and the LML-trace and
 # posterior-gradient sums on byte-derived points, rows and kernels, each
 # held to the Go loop's bits; the seed corpora under each package's
 # testdata/fuzz also run with every go test.
-go test -run '^$' -fuzz '^FuzzSubMul4$' -fuzztime 10s ./internal/mat/
-go test -run '^$' -fuzz '^FuzzInverseProduct$' -fuzztime 10s ./internal/mat/
-go test -run '^$' -fuzz '^FuzzRadial$' -fuzztime 10s ./internal/kernel/
-go test -run '^$' -fuzz '^FuzzR2Rows$' -fuzztime 10s ./internal/kernel/
-go test -run '^$' -fuzz '^FuzzHyperGradSum$' -fuzztime 10s ./internal/kernel/
-go test -run '^$' -fuzz '^FuzzGradXSum$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzSubMul4$' -fuzztime 10s -fuzzminimizetime 1x ./internal/mat/
+go test -run '^$' -fuzz '^FuzzBackSweep$' -fuzztime 10s -fuzzminimizetime 1x ./internal/mat/
+go test -run '^$' -fuzz '^FuzzInverseProduct$' -fuzztime 10s -fuzzminimizetime 1x ./internal/mat/
+go test -run '^$' -fuzz '^FuzzRadial$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzR2Rows$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzHyperGradSum$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzGradXSum$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kernel/
+
+echo "== fuzz pbolint's suppression parser for 10 s"
+# Byte-derived Go source with //lint:ignore directives: collecting never
+# panics, and every directive yields a suppression with a reason and
+# only known analyzer names or a pbolint diagnostic. The seeds are the
+# analyzer fixtures under internal/analysis/testdata/src.
+go test -run '^$' -fuzz '^FuzzSuppressions$' -fuzztime 10s -fuzzminimizetime 1x ./internal/analysis/
 
 echo "== alloc-regression tests (no race detector)"
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/core/ ./internal/scenario/
